@@ -14,7 +14,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -102,45 +102,60 @@ def _theta_from_args(problem: MpQpProblem, args) -> ParameterPoint:
     return ParameterPoint.zeros(problem)
 
 
+def _finite(theta: ParameterPoint, where: str) -> ParameterPoint:
+    if not np.isfinite(theta.stacked()).all():
+        raise CliError(f"{where}: theta has non-finite entries")
+    return theta
+
+
+def _jsonl_thetas(problem: MpQpProblem, path: str, text: str) -> List[Tuple[dict, ParameterPoint]]:
+    """(record, theta) for every JSON-lines record; theta_c and theta_C
+    default to zeros."""
+    out = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            rec = json.loads(line)
+            theta = ParameterPoint(
+                np.asarray(rec.get("theta_c", np.zeros(problem.n)), dtype=float),
+                np.asarray(rec["theta_e"], dtype=float),
+                np.asarray(rec.get("theta_C", np.zeros(problem.m2)), dtype=float),
+            ).check_dims(problem)
+        except (AttributeError, KeyError, TypeError, ValueError,
+                errors.ProblemFormatError) as exc:
+            raise CliError(f"{where}: bad dataset record: {exc!r}")
+        out.append((rec, _finite(theta, where)))
+    return out
+
+
 def _read_thetas(problem: MpQpProblem, path: str) -> List[ParameterPoint]:
     """Dataset rows: JSON-lines records or CSV rows of either m1
     (theta_e only) or d (stacked) numeric columns."""
-    thetas = []
     text = Path(path).read_text()
     if path.endswith(".jsonl") or text.lstrip()[:1] == "{":
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                thetas.append(
-                    ParameterPoint(
-                        np.asarray(rec.get("theta_c", np.zeros(problem.n)), dtype=float),
-                        np.asarray(rec["theta_e"], dtype=float),
-                        np.asarray(rec.get("theta_C", np.zeros(problem.m2)), dtype=float),
-                    ).check_dims(problem)
-                )
-            except (json.JSONDecodeError, KeyError, errors.ProblemFormatError) as exc:
-                raise CliError(f"{path}:{lineno}: bad dataset record: {exc}")
-        return thetas
+        return [theta for _, theta in _jsonl_thetas(problem, path, text)]
+    thetas = []
     for lineno, row in enumerate(csv.reader(text.splitlines()), 1):
         if not row or row[0].strip().startswith("#"):
             continue
         if lineno == 1 and any(not _is_number(tok) for tok in row if tok.strip()):
             continue  # header row
+        where = f"{path}:{lineno}"
         try:
             vals = np.array([float(tok) for tok in row if tok.strip() != ""])
         except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: bad CSV row: {exc}")
+            raise CliError(f"{where}: bad CSV row: {exc}")
         if vals.size == problem.m1:
-            thetas.append(ParameterPoint.of_theta_e(problem, vals))
+            theta = ParameterPoint.of_theta_e(problem, vals)
         elif vals.size == problem.d:
-            thetas.append(ParameterPoint.from_stacked(problem, vals))
+            theta = ParameterPoint.from_stacked(problem, vals)
         else:
             raise CliError(
-                f"{path}:{lineno}: expected {problem.m1} or {problem.d} columns, "
-                f"got {vals.size}"
+                f"{where}: expected {problem.m1} or {problem.d} columns, got {vals.size}"
             )
+        thetas.append(_finite(theta, where))
     return thetas
 
 
@@ -243,25 +258,13 @@ def cmd_predict(args) -> int:
 def cmd_kkt_report(args) -> int:
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
-    records = []
-    skipped = 0
-    text = Path(args.dataset).read_text()
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{args.dataset}:{lineno}: {exc}")
-        if not rec.get("feasible", True):
-            skipped += 1
-            continue
-        theta = ParameterPoint(
-            np.asarray(rec.get("theta_c", np.zeros(problem.n)), dtype=float),
-            np.asarray(rec["theta_e"], dtype=float),
-            np.asarray(rec.get("theta_C", np.zeros(problem.m2)), dtype=float),
-        ).check_dims(problem)
-        records.append(kkt_report(problem, forward(model, theta), theta))
+    rows = _jsonl_thetas(problem, args.dataset, Path(args.dataset).read_text())
+    records = [
+        kkt_report(problem, forward(model, theta), theta)
+        for rec, theta in rows
+        if rec.get("feasible", True)
+    ]
+    skipped = len(rows) - len(records)
 
     if not records:
         print("warning: empty dataset (no feasible rows)", file=sys.stderr)

@@ -14,13 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SingularActiveJacobian, SingularJacobian
-from .problem import (
-    ActiveSet,
-    MpQpProblem,
-    ParameterPoint,
-    PrimalDualSolution,
-    RegionSlopes,
-)
+from .problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
 __all__ = [
     "JacobianFactors",
@@ -172,14 +166,16 @@ def solve_active_set(
     )
 
 
-def region_slopes(problem: MpQpProblem, B: ActiveSet, dtype=np.float64) -> RegionSlopes:
-    """Affine sensitivities of (x, lambda, mu) to the stacked input
-    z = -B - theta for the critical region generated by active set B.
+def region_slopes(problem: MpQpProblem, B: ActiveSet, dtype=np.float64) -> np.ndarray:
+    """Affine sensitivity of mu to the stacked input z = -B - theta for
+    the critical region generated by active set B: the (m2, d) block
+    with mu(theta) = grad_mu @ z.
 
-    The inverse of J_B is scattered into zero-padded n x d, m1 x d and
-    m2 x d matrices whose columns follow the fixed layout
+    The multiplier rows of the inverse of J_B are scattered into a
+    zero-padded matrix whose columns follow the fixed layout
     [cost (n) | equality (m1) | inequality (m2)]; rows and inequality
-    columns of non-active constraints stay zero.
+    columns of non-active constraints stay zero.  x and lambda follow
+    from mu through the base inverse (see ``model.region_maps``).
     """
     B.validate(problem)
     J = assemble_active_jacobian(problem, B, dtype=dtype)
@@ -189,20 +185,13 @@ def region_slopes(problem: MpQpProblem, B: ActiveSet, dtype=np.float64) -> Regio
         raise SingularActiveJacobian(
             f"active set {sorted(B)} yields a singular KKT system: {exc}"
         ) from exc
-    n, m1, m2, d = problem.n, problem.m1, problem.m2, problem.d
+    n, m1 = problem.n, problem.m1
     idx = B.as_index_array()
     # Columns of the stacked input that actually enter the KKT system.
     cols = np.concatenate([np.arange(n + m1), n + m1 + idx]).astype(np.intp)
-
-    grad_x = np.zeros((n, d), dtype=dtype)
-    grad_lambda = np.zeros((m1, d), dtype=dtype)
-    grad_mu = np.zeros((m2, d), dtype=dtype)
-    grad_x[:, cols] = inv[:n, :]
-    grad_lambda[:, cols] = inv[n:n + m1, :]
+    grad_mu = np.zeros((problem.m2, problem.d), dtype=dtype)
     grad_mu[np.ix_(idx, cols)] = inv[n + m1:, :]
-    return RegionSlopes(
-        grad_x=grad_x, grad_lambda=grad_lambda, grad_mu=grad_mu, active_set=B
-    )
+    return grad_mu
 
 
 def lagrangian_gradients(

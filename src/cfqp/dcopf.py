@@ -87,6 +87,15 @@ class PowerCase:
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise ProblemFormatError("duplicate bus ids")
+        numbers = (
+            [b.demand for b in self.buses]
+            + [v for g in self.generators for v in (g.q, g.c, g.pmin, g.pmax)]
+            + [v for ln in self.lines for v in (ln.susceptance, ln.limit) if v is not None]
+        )
+        if not np.isfinite(numbers).all():
+            raise ProblemFormatError(
+                "case data must be finite (demands, costs, generator and line limits)"
+            )
         if self.slack_bus not in set(ids):
             raise MissingSlack(f"slack bus {self.slack_bus} is not a bus")
         for g in self.generators:
@@ -495,12 +504,18 @@ _MP_BLOCK = re.compile(
 
 
 def _parse_block(body: str) -> List[List[float]]:
+    """Matrix rows end at ';' or a line break; '%' comments run to the
+    end of their line."""
+    code = "\n".join(line.split("%")[0] for line in body.splitlines())
     rows = []
-    for raw in body.split(";"):
-        line = raw.split("%")[0].strip()
-        if not line:
+    for raw in re.split(r"[;\n]", code):
+        toks = raw.replace(",", " ").split()
+        if not toks:
             continue
-        rows.append([float(tok) for tok in line.replace(",", " ").split()])
+        try:
+            rows.append([float(tok) for tok in toks])
+        except ValueError as exc:
+            raise ProblemFormatError(f"bad MATPOWER table row {raw.strip()!r}: {exc}")
     return rows
 
 
@@ -531,9 +546,14 @@ def parse_matpower(text: str, name: str = "imported", half_quadratic: bool = Fal
     gencost = blocks.get("gencost", [])
     generators = []
     for g_idx, row in enumerate(blocks["gen"]):
+        if len(row) < 10:
+            raise ProblemFormatError(
+                f"gen row {g_idx + 1} lacks the GEN_STATUS, PMAX and PMIN columns"
+            )
+        if row[7] <= 0:
+            continue  # out of service; its gencost row is skipped with it
         bus_id = int(row[0])
-        pmax = float(row[8]) if len(row) > 8 else float("inf")
-        pmin = float(row[9]) if len(row) > 9 else 0.0
+        pmax, pmin = float(row[8]), float(row[9])
         q = c = 0.0
         if g_idx < len(gencost):
             cost = gencost[g_idx]
@@ -553,6 +573,8 @@ def parse_matpower(text: str, name: str = "imported", half_quadratic: bool = Fal
 
     lines = []
     for row in blocks["branch"]:
+        if len(row) > 10 and row[10] <= 0:
+            continue  # out of service (BR_STATUS)
         fbus, tbus, x = int(row[0]), int(row[1]), float(row[3])
         if x == 0.0:
             raise ProblemFormatError("branch with zero reactance")

@@ -22,7 +22,15 @@ from .errors import (
     SingularActiveJacobian,
     UnresolvableTransition,
 )
-from .model import ClosedFormModel, RegionEntry, expand, forward, init_model, locate_region
+from .model import (
+    ClosedFormModel,
+    RegionEntry,
+    expand,
+    forward,
+    init_model,
+    locate_region,
+    region_maps,
+)
 from .oracle import brute_force_solve, is_feasible, kkt_report
 from .problem import ActiveSet, MpQpProblem, ParameterPoint
 
@@ -132,9 +140,8 @@ def identify_transition(
     magnitude wins (add on ties).
     """
     theta.check_dims(problem)
-    z = (-problem.stacked_coefficients() - theta.stacked()).astype(np.float64)
-    x = current_region.slopes.grad_x.astype(np.float64) @ z
-    mu_cand = current_region.slopes.grad_mu.astype(np.float64) @ z
+    xs, mus = region_maps(model, theta)
+    x, mu_cand = xs[current_region.id], mus[current_region.id]
     rhs = problem.b_C + theta.theta_C
     resid = rhs - problem.A_C @ x
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +35,6 @@ from .problem import (
     MpQpProblem,
     ParameterPoint,
     PrimalDualSolution,
-    RegionSlopes,
     resolve_dtype,
 )
 
@@ -47,23 +47,24 @@ __all__ = [
     "expand",
     "cast",
     "batch_forward",
+    "region_maps",
     "locate_region",
     "serialize",
     "deserialize",
 ]
 
 _FORMAT = "cfqp-model"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass(frozen=True)
 class RegionEntry:
-    """One critical region: its active set, slopes, discovery-tree
-    parent and a parameter point known to lie inside it."""
+    """One critical region: its active set, discovery-tree parent and a
+    parameter point known to lie inside it.  Its slopes are row ``id``
+    of the model's W0."""
 
     id: int
     active_set: ActiveSet
-    slopes: RegionSlopes
     parent_id: Optional[int]
     witness_theta: ParameterPoint
 
@@ -79,6 +80,13 @@ class ClosedFormModel:
     problem_digest: str
 
     def __post_init__(self):
+        for row, region in enumerate(self.regions):
+            if region.id != row:
+                raise MalformedModel(f"region id {region.id} is stored at row {row}")
+            if region.parent_id is not None and not 0 <= region.parent_id < row:
+                raise MalformedModel(
+                    f"region {row} has parent {region.parent_id}, not an earlier region"
+                )
         w0 = np.ascontiguousarray(self.W0)
         w0.setflags(write=False)
         object.__setattr__(self, "W0", w0)
@@ -94,14 +102,14 @@ class ClosedFormModel:
     def dtype(self) -> np.dtype:
         return resolve_dtype(self.precision)
 
-    def active_sets(self) -> List[ActiveSet]:
-        return [r.active_set for r in self.regions]
-
-    def region_by_id(self, region_id: int) -> RegionEntry:
-        for r in self.regions:
-            if r.id == region_id:
-                return r
-        raise KeyError(f"no region with id {region_id}")
+    @cached_property
+    def _inverse64(self) -> np.ndarray:
+        """The solution layer at float64 for region maps.  A 32-bit
+        model derives it from the problem (never serialized): its own
+        float32 inverse is too coarse to place region boundaries."""
+        if self.base_inverse.dtype == np.float64:
+            return self.base_inverse
+        return factorize(assemble_base_jacobian(self.problem)).inverse()
 
     def incidence_matrix(self) -> np.ndarray:
         """Dense k x k signed incidence: root column (0,0)=+1; column j
@@ -110,26 +118,10 @@ class ClosedFormModel:
         inc = np.zeros((k, k), dtype=np.int64)
         for j, region in enumerate(self.regions):
             v = self.direction[j]
-            if region.parent_id is None:
-                inc[j, j] = v
-            else:
-                p = self._row_of(region.parent_id)
-                inc[p, j] = -v
-                inc[j, j] = v
+            inc[j, j] = v
+            if region.parent_id is not None:
+                inc[region.parent_id, j] = -v
         return inc
-
-    def _row_of(self, region_id: int) -> int:
-        for i, r in enumerate(self.regions):
-            if r.id == region_id:
-                return i
-        raise KeyError(f"no region with id {region_id}")
-
-
-def _stack_w0(regions: Sequence[RegionEntry], m2: int, d: int, dtype) -> np.ndarray:
-    W0 = np.empty((len(regions), m2, d), dtype=dtype)
-    for i, r in enumerate(regions):
-        W0[i] = r.slopes.grad_mu.astype(dtype)
-    return W0
 
 
 def init_model(
@@ -141,17 +133,14 @@ def init_model(
     """One-region model anchored at the confirmed active set of theta0."""
     dtype = resolve_dtype(precision)
     theta0.check_dims(problem)
-    slopes = region_slopes(problem, B0, dtype=dtype)
-    root = RegionEntry(
-        id=0, active_set=B0, slopes=slopes, parent_id=None, witness_theta=theta0
-    )
+    root = RegionEntry(id=0, active_set=B0, parent_id=None, witness_theta=theta0)
     base_inv = factorize(assemble_base_jacobian(problem, dtype=dtype)).inverse()
     return ClosedFormModel(
         problem=problem,
         precision=precision,
         regions=(root,),
         direction=(1,),
-        W0=_stack_w0([root], problem.m2, problem.d, dtype),
+        W0=region_slopes(problem, B0, dtype=dtype)[None],
         base_inverse=base_inv,
         problem_digest=problem.digest(),
     )
@@ -170,13 +159,12 @@ def forward_mu(model: ClosedFormModel, theta: ParameterPoint) -> np.ndarray:
     z = _stacked_input(model, theta)
     h1 = model.W0 @ z  # (k, m2) candidate shadow prices per region
     mu = np.zeros(model.problem.m2, dtype=model.dtype)
-    rows = {r.id: i for i, r in enumerate(model.regions)}
     for j, region in enumerate(model.regions):
         v = model.direction[j]
         if region.parent_id is None:
             pre = v * h1[j]
         else:
-            pre = v * (h1[j] - h1[rows[region.parent_id]])
+            pre = v * (h1[j] - h1[region.parent_id])
         mu += v * np.maximum(pre, 0.0).astype(model.dtype)
     return mu
 
@@ -219,27 +207,23 @@ def expand(
             raise DuplicateRegion(
                 f"active set {sorted(new_set)} is already region {r.id}"
             )
-    dtype = model.dtype
-    slopes = region_slopes(problem, new_set, dtype=dtype)
-    parent = model.region_by_id(parent_id)
+    grad_mu = region_slopes(problem, new_set, dtype=model.dtype)
     z = _stacked_input(model, probe_theta)
-    delta = (slopes.grad_mu.astype(dtype) - parent.slopes.grad_mu.astype(dtype)) @ z
+    delta = (grad_mu - model.W0[parent_id]) @ z
     pick = int(np.argmax(np.abs(delta)))
     v = 1 if delta[pick] >= 0.0 else -1
     entry = RegionEntry(
-        id=max(r.id for r in model.regions) + 1,
+        id=model.k,
         active_set=new_set,
-        slopes=slopes,
         parent_id=parent_id,
         witness_theta=probe_theta,
     )
-    regions = model.regions + (entry,)
     return ClosedFormModel(
         problem=problem,
         precision=model.precision,
-        regions=regions,
+        regions=model.regions + (entry,),
         direction=model.direction + (v,),
-        W0=_stack_w0(regions, problem.m2, problem.d, dtype),
+        W0=np.concatenate([model.W0, grad_mu[None]]),
         base_inverse=model.base_inverse,
         problem_digest=model.problem_digest,
     )
@@ -255,27 +239,12 @@ def cast(model: ClosedFormModel, precision: int) -> ClosedFormModel:
     if precision == model.precision:
         return model
     dtype = resolve_dtype(precision)
-    regions = tuple(
-        RegionEntry(
-            id=r.id,
-            active_set=r.active_set,
-            slopes=RegionSlopes(
-                grad_x=r.slopes.grad_x.astype(dtype),
-                grad_lambda=r.slopes.grad_lambda.astype(dtype),
-                grad_mu=r.slopes.grad_mu.astype(dtype),
-                active_set=r.active_set,
-            ),
-            parent_id=r.parent_id,
-            witness_theta=r.witness_theta,
-        )
-        for r in model.regions
-    )
     return ClosedFormModel(
         problem=model.problem,
         precision=precision,
-        regions=regions,
+        regions=model.regions,
         direction=model.direction,
-        W0=_stack_w0(regions, model.problem.m2, model.problem.d, dtype),
+        W0=model.W0.astype(dtype),
         base_inverse=model.base_inverse.astype(dtype),
         problem_digest=model.problem_digest,
     )
@@ -289,6 +258,25 @@ def batch_forward(
     return [forward(model, theta) for theta in thetas]
 
 
+def region_maps(
+    model: ClosedFormModel, theta: ParameterPoint
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every region's own affine solution at theta, in float64: the
+    (k, n) primal points and (k, m2) candidate multipliers.
+
+    Region i's multipliers are mu_i = W0[i] z with z = -B - theta; its
+    primal point is the solution layer applied to
+    [z_c + A_C^T mu_i; z_e], exactly as :func:`forward` recovers x.
+    """
+    problem = model.problem
+    n = problem.n
+    z = (-problem.stacked_coefficients() - theta.stacked()).astype(np.float64)
+    mu = np.asarray(model.W0, dtype=np.float64) @ z
+    z_e = np.broadcast_to(z[n:n + problem.m1], (model.k, problem.m1))
+    x = np.hstack([z[:n] + mu @ problem.A_C, z_e]) @ model._inverse64[:n].T
+    return x, mu
+
+
 def locate_region(
     model: ClosedFormModel, theta: ParameterPoint, tol: float = 1e-7
 ) -> Optional[RegionEntry]:
@@ -300,14 +288,12 @@ def locate_region(
     the data scale.
     """
     problem = model.problem
-    z = (-problem.stacked_coefficients() - theta.stacked()).astype(np.float64)
+    xs, mus = region_maps(model, theta)
     rhs = problem.b_C + theta.theta_C
     rhs_scale = max(1.0, float(np.abs(rhs).max()) if problem.m2 else 1.0)
     best = None
     best_violation = np.inf
-    for region in model.regions:
-        x = region.slopes.grad_x.astype(np.float64) @ z
-        mu = region.slopes.grad_mu.astype(np.float64) @ z
+    for region, x, mu in zip(model.regions, xs, mus):
         primal = float((rhs - problem.A_C @ x).max()) if problem.m2 else 0.0
         idx = region.active_set.as_index_array()
         dual = float(-mu[idx].min()) if len(idx) else 0.0
@@ -323,40 +309,38 @@ def locate_region(
 # serialization
 
 
-def serialize(model: ClosedFormModel) -> bytes:
-    """Versioned JSON container; floats survive bit-exactly at the
-    stored precision because shortest-repr doubles round-trip."""
+def _incidence_triplets(model: ClosedFormModel) -> List[Tuple[int, int, int]]:
     inc = model.incidence_matrix()
-    triplets = [
-        [int(i), int(j), int(inc[i, j])]
-        for i, j in zip(*np.nonzero(inc))
+    return sorted((int(i), int(j), int(inc[i, j])) for i, j in zip(*np.nonzero(inc)))
+
+
+def serialize(model: ClosedFormModel) -> bytes:
+    """Versioned JSON container holding the network's weights: the region
+    tree, W0 and the base inverse.  Floats survive bit-exactly at the
+    stored precision because shortest-repr doubles round-trip."""
+    regions = [
+        {
+            "id": r.id,
+            "active_set": list(r.active_set),
+            "parent": r.parent_id,
+            "direction": model.direction[r.id],
+            "witness": {
+                "theta_c": r.witness_theta.theta_c.tolist(),
+                "theta_e": r.witness_theta.theta_e.tolist(),
+                "theta_C": r.witness_theta.theta_C.tolist(),
+            },
+            "grad_mu": model.W0[r.id].tolist(),
+        }
+        for r in model.regions
     ]
-    regions = []
-    for row, r in enumerate(model.regions):
-        regions.append(
-            {
-                "id": r.id,
-                "active_set": list(r.active_set),
-                "parent": r.parent_id,
-                "direction": model.direction[row],
-                "witness": {
-                    "theta_c": r.witness_theta.theta_c.tolist(),
-                    "theta_e": r.witness_theta.theta_e.tolist(),
-                    "theta_C": r.witness_theta.theta_C.tolist(),
-                },
-                "grad_x": [[float(v) for v in row_] for row_ in r.slopes.grad_x],
-                "grad_lambda": [[float(v) for v in row_] for row_ in r.slopes.grad_lambda],
-                "grad_mu": [[float(v) for v in row_] for row_ in r.slopes.grad_mu],
-            }
-        )
     payload = {
         "format": _FORMAT,
         "version": _VERSION,
         "precision": model.precision,
         "digest": model.problem_digest,
         "regions": regions,
-        "incidence": triplets,
-        "base_inverse": [[float(v) for v in row_] for row_ in model.base_inverse],
+        "incidence": [list(t) for t in _incidence_triplets(model)],
+        "base_inverse": model.base_inverse.tolist(),
     }
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
@@ -370,7 +354,10 @@ def deserialize(data: bytes, problem: MpQpProblem) -> ClosedFormModel:
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise MalformedModel("not a cfqp model container")
     if payload.get("version") != _VERSION:
-        raise MalformedModel(f"unknown model version {payload.get('version')!r}")
+        raise MalformedModel(
+            f"unsupported model version {payload.get('version')!r} (this build "
+            f"reads version {_VERSION}; re-run discover to rebuild the model)"
+        )
     if payload.get("digest") != problem.digest():
         raise DigestMismatch(
             "model was built for a different problem (digest mismatch)"
@@ -378,54 +365,38 @@ def deserialize(data: bytes, problem: MpQpProblem) -> ClosedFormModel:
     try:
         precision = int(payload["precision"])
         dtype = resolve_dtype(precision)
-        regions = []
-        direction = []
-        for rec in payload["regions"]:
-            witness = ParameterPoint(
-                np.asarray(rec["witness"]["theta_c"], dtype=np.float64),
-                np.asarray(rec["witness"]["theta_e"], dtype=np.float64),
-                np.asarray(rec["witness"]["theta_C"], dtype=np.float64),
+        records = payload["regions"]
+        regions = tuple(
+            RegionEntry(
+                id=int(rec["id"]),
+                active_set=ActiveSet(rec["active_set"]).validate(problem),
+                parent_id=None if rec["parent"] is None else int(rec["parent"]),
+                witness_theta=ParameterPoint(
+                    np.asarray(rec["witness"]["theta_c"], dtype=np.float64),
+                    np.asarray(rec["witness"]["theta_e"], dtype=np.float64),
+                    np.asarray(rec["witness"]["theta_C"], dtype=np.float64),
+                ),
             )
-            active = ActiveSet(rec["active_set"]).validate(problem)
-            slopes = RegionSlopes(
-                grad_x=np.asarray(rec["grad_x"], dtype=dtype),
-                grad_lambda=np.asarray(rec["grad_lambda"], dtype=dtype),
-                grad_mu=np.asarray(rec["grad_mu"], dtype=dtype),
-                active_set=active,
-            )
-            if slopes.grad_x.shape != (problem.n, problem.d):
-                raise MalformedModel("grad_x shape does not match the problem")
-            if slopes.grad_mu.shape != (problem.m2, problem.d):
-                raise MalformedModel("grad_mu shape does not match the problem")
-            regions.append(
-                RegionEntry(
-                    id=int(rec["id"]),
-                    active_set=active,
-                    slopes=slopes,
-                    parent_id=None if rec["parent"] is None else int(rec["parent"]),
-                    witness_theta=witness,
-                )
-            )
-            direction.append(int(rec["direction"]))
+            for rec in records
+        )
+        W0 = np.asarray([rec["grad_mu"] for rec in records], dtype=dtype)
+        if W0.shape != (len(records), problem.m2, problem.d):
+            raise MalformedModel("grad_mu shape does not match the problem")
         base_inverse = np.asarray(payload["base_inverse"], dtype=dtype)
         if base_inverse.shape != (problem.n + problem.m1, problem.n + problem.m1):
             raise MalformedModel("base_inverse shape does not match the problem")
         model = ClosedFormModel(
             problem=problem,
             precision=precision,
-            regions=tuple(regions),
-            direction=tuple(direction),
-            W0=_stack_w0(regions, problem.m2, problem.d, dtype),
+            regions=regions,
+            direction=tuple(int(rec["direction"]) for rec in records),
+            W0=W0,
             base_inverse=base_inverse,
             problem_digest=payload["digest"],
         )
+        stored = sorted(tuple(t) for t in payload.get("incidence", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedModel(f"model payload is structurally invalid: {exc}") from exc
-    stored = sorted(tuple(t) for t in payload.get("incidence", []))
-    rebuilt_inc = model.incidence_matrix()
-    rebuilt = sorted(
-        (int(i), int(j), int(rebuilt_inc[i, j])) for i, j in zip(*np.nonzero(rebuilt_inc))
-    )
-    if stored != rebuilt:
+    if stored != _incidence_triplets(model):
         raise MalformedModel("incidence triplets inconsistent with region tree")
     return model

@@ -36,7 +36,6 @@ __all__ = [
     "ParameterPoint",
     "ActiveSet",
     "PrimalDualSolution",
-    "RegionSlopes",
     "resolve_dtype",
 ]
 
@@ -367,26 +366,3 @@ class PrimalDualSolution:
                 raise ProblemFormatError(f"{name} must be a 1-D vector")
             object.__setattr__(self, name, _freeze(arr))
         object.__setattr__(self, "objective", float(self.objective))
-
-
-@dataclass(frozen=True)
-class RegionSlopes:
-    """Affine sensitivities of (x, lambda, mu) w.r.t. the stacked -B-theta.
-
-    Each gradient matrix has d columns laid out as
-    [cost block (n) | equality block (m1) | inequality block (m2)].
-    Rows of ``grad_mu`` for constraints outside ``active_set`` are zero,
-    as are the inequality-block columns of non-active constraints.
-    """
-
-    grad_x: np.ndarray
-    grad_lambda: np.ndarray
-    grad_mu: np.ndarray
-    active_set: ActiveSet
-
-    def __post_init__(self):
-        for name in ("grad_x", "grad_lambda", "grad_mu"):
-            arr = np.asarray(getattr(self, name))
-            if arr.ndim != 2:
-                raise ProblemFormatError(f"{name} must be a 2-D matrix")
-            object.__setattr__(self, name, _freeze(arr))

@@ -6,6 +6,7 @@ import pytest
 
 from cfqp import dcopf
 from cfqp.cases import case6, two_parameter_problem, two_parameter_theta0
+from cfqp.core import solve_active_set
 from cfqp.discovery import Direction, SearchPattern, axis_sweep_pattern, discover
 from cfqp.problem import ParameterPoint
 
@@ -93,3 +94,15 @@ def local_samples_6bus(case, problem, count, seed):
         r = rng.uniform(0.6, 1.4, size=P_d.shape)
         out.append(ParameterPoint.of_theta_e(problem, (1.0 - r) * P_d))
     return out
+
+
+def region_grad_x(problem, B):
+    """grad_x of active set B's region, from the reference kernel: its
+    x-map is x(theta) = grad_x @ z with z = -coefficients - theta, so
+    column j is x(0) - x(e_j)."""
+    x0 = solve_active_set(problem, B, ParameterPoint.zeros(problem)).x
+    unit = np.eye(problem.d)
+    return np.column_stack([
+        x0 - solve_active_set(problem, B, ParameterPoint.from_stacked(problem, unit[j])).x
+        for j in range(problem.d)
+    ])

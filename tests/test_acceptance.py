@@ -20,6 +20,7 @@ import pytest
 from cfqp import dcopf
 from cfqp.cases import bundled_problem_json, case6
 from cfqp.cli import main as cli_main
+from cfqp.core import solve_active_set
 from cfqp.discovery import DiscoveryLog, SearchPattern, discover, scaled_base_pattern
 from cfqp.errors import DigestMismatch, MalformedModel
 from cfqp.model import (
@@ -34,7 +35,13 @@ from cfqp.model import (
 from cfqp.oracle import brute_force_solve, kkt_report
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
 
-from conftest import box_pattern, local_samples_6bus, on_sweep_samples_2d, two_param_pattern
+from conftest import (
+    box_pattern,
+    local_samples_6bus,
+    on_sweep_samples_2d,
+    region_grad_x,
+    two_param_pattern,
+)
 
 CONDITIONS = ("kkt1", "kkt2_eq", "kkt2_ineq", "kkt3", "kkt4")
 
@@ -233,8 +240,7 @@ def facet_crossing(problem, parent, child, sweep_axis):
         te = [100.0, 100.0]
         te[sweep_axis] += t
         theta = ParameterPoint.of_theta_e(problem, te)
-        z = -problem.stacked_coefficients() - theta.stacked()
-        x = parent.slopes.grad_x @ z
+        x = solve_active_set(problem, parent.active_set, theta).x
         return float(
             (problem.b_C + theta.theta_C - problem.A_C @ x)[added - 1]
         )
@@ -261,8 +267,8 @@ def test_criterion_05_continuity(two_param, model_2d):
         d[axis] = 1.0
         d_stacked = ParameterPoint.of_theta_e(two_param, d).stacked()
         L = float(
-            np.linalg.norm(parent.slopes.grad_x @ d_stacked)
-            + np.linalg.norm(child.slopes.grad_x @ d_stacked)
+            np.linalg.norm(region_grad_x(two_param, parent.active_set) @ d_stacked)
+            + np.linalg.norm(region_grad_x(two_param, child.active_set) @ d_stacked)
         )
         for eps in (1e-4, 1e-6):
             lo = ParameterPoint.of_theta_e(two_param, theta_e - eps * d)

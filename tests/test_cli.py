@@ -119,13 +119,16 @@ class TestPredictCommand:
         assert float(rows[1]["kkt4"]) < 1e-10
         assert "evaluated in" in capsys.readouterr().err
 
-    def test_malformed_theta_row(self, problem_file, model_2d_file, tmp_path):
+    def test_malformed_theta_row(self, problem_file, model_2d_file, tmp_path, capsys):
         thetas = tmp_path / "thetas.csv"
-        thetas.write_text("1,2,3,4,5\n")
-        assert main([
-            "predict", "--problem", problem_file, "--model", model_2d_file,
-            "--thetas", str(thetas),
-        ]) == EXIT_CODES["usage"]
+        # wrong length, then a non-finite row after a good one
+        for text, line in (("1,2,3,4,5\n", 1), ("150,150\nnan,100\n", 2)):
+            thetas.write_text(text)
+            assert main([
+                "predict", "--problem", problem_file, "--model", model_2d_file,
+                "--thetas", str(thetas),
+            ]) == EXIT_CODES["usage"]
+            assert f"{thetas}:{line}:" in capsys.readouterr().err
 
     def test_wrong_problem_digest(self, case_file, model_2d_file, tmp_path):
         thetas = tmp_path / "thetas.csv"
@@ -174,6 +177,23 @@ class TestGenDataAndKktReport:
         assert float(rows["KKT4"]["mean"]) < 1e-12
         assert float(rows["KKT2(=)"]["worst"]) < 1e-12
 
+    @pytest.mark.parametrize("record", [
+        {"feasible": True},                          # no theta_e
+        {"theta_e": [150.0, 150.0, 1.0]},            # wrong length
+        {"theta_e": [float("nan"), 150.0]},          # non-finite
+    ], ids=["missing", "wrong_length", "non_finite"])
+    def test_kkt_report_bad_record_is_usage_error(
+        self, problem_file, model_2d_file, tmp_path, capsys, record
+    ):
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"theta_e": [150.0, 150.0]}) + "\n"
+                        + json.dumps(record) + "\n")
+        assert main([
+            "kkt-report", "--problem", problem_file, "--model", model_2d_file,
+            "--dataset", str(data),
+        ]) == EXIT_CODES["usage"]
+        assert f"{data}:2:" in capsys.readouterr().err
+
     def test_scaled_counts_printed(self, case_file, tmp_path, capsys):
         data = tmp_path / "scaled.jsonl"
         assert main([
@@ -216,6 +236,24 @@ class TestImportCase:
         mfile.write_text("mpc.baseMVA = 100;")
         assert main([
             "import-case", "--matpower", str(mfile),
+        ]) == EXIT_CODES["format"]
+
+
+    def test_gen_row_without_limits_exit_code(self, tmp_path):
+        mfile = tmp_path / "nolimits.m"
+        mfile.write_text(MATPOWER_TEXT.replace("1 0 0 99 -99 1.0 100 1 200 0;",
+                                               "1 0 0 99 -99 1.0 100 1;"))
+        assert main([
+            "import-case", "--matpower", str(mfile),
+        ]) == EXIT_CODES["format"]
+
+    def test_non_finite_case_exit_code(self, tmp_path):
+        case = json.loads(bundled_case_json())
+        case["generators"][0]["pmax"] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(case))  # writes the non-standard Infinity token
+        assert main([
+            "discover", "--case", str(path), "--steps", "20",
         ]) == EXIT_CODES["format"]
 
 

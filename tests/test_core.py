@@ -12,6 +12,7 @@ from cfqp.core import (
     solve_with_mu,
 )
 from cfqp.errors import SingularActiveJacobian, SingularJacobian
+from cfqp.model import forward, init_model
 from cfqp.problem import ActiveSet, ParameterPoint
 
 
@@ -101,29 +102,29 @@ class TestSolveActiveSet:
 class TestRegionSlopes:
     def test_affine_map_reproduces_solutions(self, two_param):
         B = ActiveSet([3, 4])
-        slopes = region_slopes(two_param, B)
+        grad_mu = region_slopes(two_param, B)
+        model = init_model(two_param, B, ParameterPoint.of_theta_e(two_param, [100.0, 100.0]))
         for te in ([100.0, 100.0], [150.0, 120.0], [90.0, 260.0]):
             theta = ParameterPoint.of_theta_e(two_param, te)
             z = -two_param.stacked_coefficients() - theta.stacked()
             ref = solve_active_set(two_param, B, theta)
-            assert np.allclose(slopes.grad_x @ z, ref.x, atol=1e-9)
-            assert np.allclose(slopes.grad_lambda @ z, ref.lam, atol=1e-6)
-            assert np.allclose(slopes.grad_mu @ z, ref.mu, atol=1e-6)
+            assert np.allclose(grad_mu @ z, ref.mu, atol=1e-6)
+            # x and lambda follow from mu through the base inverse
+            got = forward(model, theta)
+            assert np.allclose(got.x, ref.x, atol=1e-9)
+            assert np.allclose(got.lam, ref.lam, atol=1e-6)
 
     def test_inactive_rows_and_columns_zero(self, two_param):
-        slopes = region_slopes(two_param, ActiveSet([3, 4]))
+        grad_mu = region_slopes(two_param, ActiveSet([3, 4]))
         inactive = [0, 1, 4, 5]  # 0-based rows of constraints 1, 2, 5, 6
-        assert not slopes.grad_mu[inactive].any()
+        assert not grad_mu[inactive].any()
         n, m1 = two_param.n, two_param.m1
         cols = [n + m1 + i for i in inactive]
-        assert not slopes.grad_x[:, cols].any()
-        assert not slopes.grad_mu[:, cols].any()
+        assert not grad_mu[:, cols].any()
 
     def test_shapes(self, two_param):
-        slopes = region_slopes(two_param, ActiveSet([3, 4]))
-        assert slopes.grad_x.shape == (two_param.n, two_param.d)
-        assert slopes.grad_lambda.shape == (two_param.m1, two_param.d)
-        assert slopes.grad_mu.shape == (two_param.m2, two_param.d)
+        grad_mu = region_slopes(two_param, ActiveSet([3, 4]))
+        assert grad_mu.shape == (two_param.m2, two_param.d)
 
 
 class TestGradientsAndObjective:

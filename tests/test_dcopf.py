@@ -53,6 +53,20 @@ class TestPowerCase:
                 slack_bus=1,
             )
 
+    @pytest.mark.parametrize("field", ["demand", "q", "c", "pmin", "pmax", "limit"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_data_rejected(self, field, value):
+        numbers = dict(demand=50.0, q=0.1, c=1.0, pmin=0.0, pmax=100.0, limit=80.0)
+        numbers[field] = value
+        with pytest.raises(ProblemFormatError):
+            PowerCase(
+                buses=(Bus(1), Bus(2, numbers["demand"])),
+                generators=(Generator(1, numbers["q"], numbers["c"],
+                                      numbers["pmin"], numbers["pmax"]),),
+                lines=(Line(1, 2, 10.0, numbers["limit"]),),
+                slack_bus=1,
+            )
+
     def test_susceptance_matrix_row_sums_zero(self, power_case):
         B = power_case.susceptance_matrix()
         assert np.allclose(B.sum(axis=1), 0.0)
@@ -230,14 +244,17 @@ mpc.bus = [
 ];
 mpc.gen = [
     1 0 0 99 -99 1.0 100 1 150 10;
+    3 0 0 99 -99 1.0 100 0 500 0;  % out of service (GEN_STATUS 0)
     2 0 0 99 -99 1.0 100 1 80  0;
 ];
 mpc.branch = [
     1 2 0.01 0.1  0 120 0 0 0 0 1 -360 360;
+    1 3 0.01 0.2  0 50  0 0 0 0 0 -360 360;  % out of service (BR_STATUS 0)
     2 3 0.01 0.25 0 0   0 0 0 0 1 -360 360;
 ];
 mpc.gencost = [
     2 0 0 3 0.04 20 0;
+    2 0 0 3 0.09 90 0;
     2 0 0 3 0.03 30 0;
 ];
 """
@@ -281,5 +298,24 @@ class TestMatpowerImport:
 
     def test_nonpolynomial_cost_rejected(self):
         text = MATPOWER_TEXT.replace("2 0 0 3 0.04 20 0;", "1 0 0 4 0 0 0;")
+        with pytest.raises(ProblemFormatError):
+            parse_matpower(text)
+
+    def test_out_of_service_equipment_skipped(self):
+        case = parse_matpower(MATPOWER_TEXT)
+        assert [g.bus for g in case.generators] == [1, 2]
+        # the skipped generator takes its aligned gencost row with it
+        assert (case.generators[1].q, case.generators[1].c) == (0.03, 30.0)
+        assert [(ln.from_bus, ln.to_bus) for ln in case.lines] == [(1, 2), (2, 3)]
+
+    def test_islanding_by_branch_status_rejected(self):
+        text = MATPOWER_TEXT.replace(
+            "2 3 0.01 0.25 0 0   0 0 0 0 1", "2 3 0.01 0.25 0 0   0 0 0 0 0"
+        )
+        with pytest.raises(DisconnectedNetwork):
+            parse_matpower(text)
+
+    def test_gen_row_without_limits_rejected(self):
+        text = MATPOWER_TEXT.replace("2 0 0 99 -99 1.0 100 1 80  0;", "2 0 0 99 -99 1.0 100 1;")
         with pytest.raises(ProblemFormatError):
             parse_matpower(text)

@@ -94,10 +94,7 @@ class TestExpansionStructure:
                             (ActiveSet([3, 4, 5]), [500.0, 100.0])):
             probe = ParameterPoint.of_theta_e(two_param, te)
             z = -two_param.stacked_coefficients() - probe.stacked()
-            delta = (
-                region_slopes(two_param, new_set).grad_mu
-                - base.regions[0].slopes.grad_mu
-            ) @ z
+            delta = (region_slopes(two_param, new_set) - base.W0[0]) @ z
             want = 1 if delta[int(np.argmax(np.abs(delta)))] >= 0 else -1
             grown = expand(base, 0, new_set, probe)
             assert grown.direction[-1] == want

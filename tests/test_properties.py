@@ -8,6 +8,8 @@ from cfqp.model import forward, forward_mu, cast, locate_region
 from cfqp.oracle import brute_force_solve, kkt_report
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
 
+from conftest import region_grad_x
+
 
 def box_qp(n, q_vals, c_vals, bound):
     return MpQpProblem(
@@ -75,7 +77,8 @@ def test_continuity_along_sweeps(two_param, model_2d, t, axis, eps):
     hi = ParameterPoint.of_theta_e(two_param, theta_e + eps * direction)
     gap = np.linalg.norm(forward(model_2d, hi).x - forward(model_2d, lo).x)
     L = max(
-        np.linalg.norm(r.slopes.grad_x, ord=2) for r in model_2d.regions
+        np.linalg.norm(region_grad_x(two_param, r.active_set), ord=2)
+        for r in model_2d.regions
     )
     assert gap <= 2.0 * eps * L + 1e-9
 

@@ -66,9 +66,6 @@ def assert_models_identical(a, b):
     for ra, rb in zip(a.regions, b.regions):
         assert ra.id == rb.id and ra.parent_id == rb.parent_id
         assert ra.active_set == rb.active_set
-        assert np.array_equal(ra.slopes.grad_x, rb.slopes.grad_x)
-        assert np.array_equal(ra.slopes.grad_lambda, rb.slopes.grad_lambda)
-        assert np.array_equal(ra.slopes.grad_mu, rb.slopes.grad_mu)
         assert np.array_equal(
             ra.witness_theta.stacked(), rb.witness_theta.stacked()
         )
@@ -95,6 +92,15 @@ class TestRoundTripProperty:
                 assert np.array_equal(got.lam, want.lam)
                 assert np.array_equal(got.mu, want.mu)
                 assert got.objective == want.objective
+
+    def test_payload_holds_only_network_weights(self, model_2d):
+        data = json.loads(serialize(model_2d))
+        assert data["version"] == 2
+        assert set(data["regions"][0]) == {
+            "id", "active_set", "parent", "direction", "witness", "grad_mu",
+        }
+        assert len(data["incidence"]) == 2 * model_2d.k - 1
+        assert "base_inverse" in data
 
     def test_2d_model_round_trip_bitwise(self, model_2d, theta0_2d):
         clone = deserialize(serialize(model_2d), model_2d.problem)
@@ -127,6 +133,19 @@ class TestRejection:
         data["version"] = 99
         with pytest.raises(MalformedModel):
             deserialize(json.dumps(data).encode(), model_2d.problem)
+        # a version 1 payload (per-region grad_x/grad_lambda) is not read
+        data["version"] = 1
+        for region in data["regions"]:
+            region["grad_x"] = [[0.0] * model_2d.problem.d] * model_2d.problem.n
+            region["grad_lambda"] = [[0.0] * model_2d.problem.d] * model_2d.problem.m1
+        with pytest.raises(MalformedModel, match="version 1"):
+            deserialize(json.dumps(data).encode(), model_2d.problem)
+
+    def test_region_id_must_equal_row(self, model_2d):
+        data = json.loads(serialize(model_2d))
+        data["regions"][1]["id"] = 7
+        with pytest.raises(MalformedModel):
+            deserialize(json.dumps(data).encode(), model_2d.problem)
 
     def test_tampered_incidence(self, model_2d):
         data = json.loads(serialize(model_2d))
@@ -136,7 +155,7 @@ class TestRejection:
 
     def test_wrong_shape(self, model_2d):
         data = json.loads(serialize(model_2d))
-        data["regions"][0]["grad_x"] = [[0.0]]
+        data["regions"][0]["grad_mu"] = [[0.0]]
         with pytest.raises(MalformedModel):
             deserialize(json.dumps(data).encode(), model_2d.problem)
 
