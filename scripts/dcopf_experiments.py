@@ -20,9 +20,16 @@ import numpy as np
 from cfqp import dcopf
 from cfqp.cases import case6
 from cfqp.discovery import Direction, SearchPattern, axis_sweep_pattern, discover, scaled_base_pattern
-from cfqp.model import batch_forward, forward, locate_region
-from cfqp.oracle import kkt_report
+from cfqp.model import forward_array, locate_region
+from cfqp.oracle import kkt_batch
 from cfqp.problem import ParameterPoint
+
+
+def kkt_vectors(model, Theta):
+    """Evaluate the model on an (N, d) theta array; return its five
+    per-row KKT violation arrays (see ``cfqp.oracle.kkt_batch``)."""
+    X, Lam, Mu, _ = forward_array(model, Theta)
+    return kkt_batch(model.problem, X, Lam, Mu, Theta)
 
 
 def load_bus_pattern(problem, extent_up, extent_dn, steps=40):
@@ -64,14 +71,11 @@ def run_scaled(seed):
     )
     print(f"discovered {model.k} regions in {time.perf_counter() - start:.2f} s")
 
-    scalars, undiscovered = [], 0
-    for p in points:
-        if not p.feasible:
-            continue
-        if locate_region(model, p.theta) is None:
-            undiscovered += 1
-            continue
-        scalars.append(kkt_report(problem, forward(model, p.theta), p.theta).scalar)
+    feasible = [p.theta for p in points if p.feasible]
+    located = [t for t in feasible if locate_region(model, t) is not None]
+    undiscovered = len(feasible) - len(located)
+    Theta = np.array([t.stacked() for t in located]).reshape(-1, problem.d)
+    scalars = np.hstack(kkt_vectors(model, Theta)).mean(axis=1)  # per-row KKT scalar
     print(f"{len(scalars)} feasible points inside discovered regions, "
           f"mean kkt {np.mean(scalars):.2e}, worst {np.max(scalars):.2e}")
     print(f"{undiscovered} feasible points in undiscovered regions")
@@ -88,25 +92,21 @@ def run_renewable(seed):
     P_d = case.demand_vector()
     samples = dcopf.renewable_samples(500, 3, seed=seed)
     hours = np.linspace(0.7, 1.2, 24)
-    thetas = []
-    for h in hours:
-        base_shift = (1.0 - h) * P_d
-        for row in samples:
-            ren = np.zeros(problem.m1)
-            ren[[3, 4, 5]] = 30.0 * row
-            thetas.append(dcopf.inject_renewable(problem, base_shift, ren))
+    n = problem.n
+    Theta = np.zeros((len(hours) * len(samples), problem.d))
+    for i, h in enumerate(hours):
+        rows = Theta[i * len(samples):(i + 1) * len(samples)]
+        rows[:, n:n + problem.m1] = (1.0 - h) * P_d
+        rows[:, n + 3:n + 6] += 30.0 * samples
 
     start = time.perf_counter()
-    solutions = batch_forward(model, thetas)
+    X, Lam, Mu, _ = forward_array(model, Theta)
     elapsed = time.perf_counter() - start
-    print(f"evaluated {len(thetas)} parameter points in {elapsed:.3f} s "
-          f"({elapsed / len(thetas) * 1e6:.1f} us/point)")
+    print(f"evaluated {len(Theta)} parameter points in {elapsed:.3f} s "
+          f"({elapsed / len(Theta) * 1e6:.1f} us/point)")
 
-    scalars = [
-        kkt_report(problem, sol, theta).scalar
-        for theta, sol in zip(thetas, solutions)
-    ]
-    dispatch = np.array([sol.x[:3] for sol in solutions])
+    scalars = np.hstack(kkt_batch(problem, X, Lam, Mu, Theta)).mean(axis=1)
+    dispatch = X[:, :3]
     print(f"mean kkt {np.mean(scalars):.2e}, worst {np.max(scalars):.2e}")
     print(f"generator dispatch ranges: "
           f"{[f'{lo:.1f}..{hi:.1f}' for lo, hi in zip(dispatch.min(0), dispatch.max(0))]}")
@@ -116,26 +116,21 @@ def run_precision(seed):
     case = case6()
     problem, _ = dcopf.build_dcopf(case)
     theta0, pattern = load_bus_pattern(problem, extent_up=56.0, extent_dn=56.0)
-    thetas = []
     P_d = case.demand_vector()
+    Theta = np.zeros((1000, problem.d))
     for i in range(1000):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, i]))
         r = rng.uniform(0.6, 1.4, size=P_d.shape)
-        thetas.append(ParameterPoint.of_theta_e(problem, (1.0 - r) * P_d))
+        Theta[i, problem.n:problem.n + problem.m1] = (1.0 - r) * P_d
 
     header = f"{'condition':12s} {'mean(64)':>10s} {'worst(64)':>10s} " \
              f"{'mean(32)':>10s} {'worst(32)':>10s}"
+    names = ("kkt1", "kkt2_eq", "kkt2_ineq", "kkt3", "kkt4")
     stats = {}
     for precision in (64, 32):
         model = discover(problem, theta0, pattern, precision=precision)
-        cols = {k: [] for k in ("kkt1", "kkt2_eq", "kkt2_ineq", "kkt3", "kkt4")}
-        for theta in thetas:
-            rep = kkt_report(problem, forward(model, theta), theta)
-            for k in cols:
-                cols[k].append(getattr(rep, k))
         stats[precision] = {
-            k: (np.concatenate(v).mean(), np.concatenate(v).max())
-            for k, v in cols.items()
+            k: (v.mean(), v.max()) for k, v in zip(names, kkt_vectors(model, Theta))
         }
     print(header)
     for k in stats[64]:

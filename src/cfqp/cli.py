@@ -28,8 +28,23 @@ from .discovery import (
     feasible_extent,
     scaled_base_pattern,
 )
-from .model import batch_forward, deserialize, forward, serialize
-from .oracle import MAX_ENUM_M2, brute_force_solve, kkt_report
+# batch_forward, forward and kkt_report are not called here but stay
+# bound: benchmark/tracing.py wraps these module attributes.
+from .model import (  # noqa: F401
+    batch_forward,
+    deserialize,
+    forward,
+    forward_array,
+    forward_chunks,
+    serialize,
+)
+from .oracle import (  # noqa: F401
+    MAX_ENUM_M2,
+    brute_force_solve,
+    kkt_batch,
+    kkt_means,
+    kkt_report,
+)
 from .problem import MpQpProblem, ParameterPoint
 
 EXIT_CODES = {
@@ -84,16 +99,19 @@ def _load_case(args) -> dcopf.PowerCase:
     return dcopf.PowerCase.from_json(Path(args.case).read_text())
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str, flag: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        vec = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError as exc:
-        raise CliError(f"cannot parse vector {text!r}: {exc}")
+        raise CliError(f"cannot parse {flag} {text!r}: {exc}")
+    if not np.isfinite(vec).all():
+        raise CliError(f"{flag} {text!r} has non-finite entries")
+    return vec
 
 
 def _theta_from_args(problem: MpQpProblem, args) -> ParameterPoint:
     if getattr(args, "theta0", None):
-        vec = _parse_vector(args.theta0)
+        vec = _parse_vector(args.theta0, "--theta0")
         if vec.shape != (problem.m1,):
             raise CliError(
                 f"--theta0 must list {problem.m1} equality-RHS entries, got {vec.size}"
@@ -102,20 +120,23 @@ def _theta_from_args(problem: MpQpProblem, args) -> ParameterPoint:
     return ParameterPoint.zeros(problem)
 
 
-def _finite(theta: ParameterPoint, where: str) -> ParameterPoint:
-    if not np.isfinite(theta.stacked()).all():
-        raise CliError(f"{where}: theta has non-finite entries")
-    return theta
+def _theta_array(path: str, rows: list, lines: List[int], d: int) -> np.ndarray:
+    """Stack parsed theta rows into an (N, d) array; a non-finite entry
+    is a usage error naming its file:line."""
+    thetas = np.array(rows, dtype=np.float64).reshape(len(rows), d)
+    bad = np.flatnonzero(~np.isfinite(thetas).all(axis=1))
+    if bad.size:
+        raise CliError(f"{path}:{lines[bad[0]]}: theta has non-finite entries")
+    return thetas
 
 
-def _jsonl_thetas(problem: MpQpProblem, path: str, text: str) -> List[Tuple[dict, ParameterPoint]]:
-    """(record, theta) for every JSON-lines record; theta_c and theta_C
-    default to zeros."""
-    out = []
+def _jsonl_thetas(problem: MpQpProblem, path: str, text: str) -> Tuple[List[dict], np.ndarray]:
+    """The JSON-lines records and their (N, d) stacked thetas; theta_c and
+    theta_C default to zeros."""
+    records, rows, lines = [], [], []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        where = f"{path}:{lineno}"
         try:
             rec = json.loads(line)
             theta = ParameterPoint(
@@ -125,38 +146,41 @@ def _jsonl_thetas(problem: MpQpProblem, path: str, text: str) -> List[Tuple[dict
             ).check_dims(problem)
         except (AttributeError, KeyError, TypeError, ValueError,
                 errors.ProblemFormatError) as exc:
-            raise CliError(f"{where}: bad dataset record: {exc!r}")
-        out.append((rec, _finite(theta, where)))
-    return out
+            raise CliError(f"{path}:{lineno}: bad dataset record: {exc!r}")
+        records.append(rec)
+        rows.append(theta.stacked())
+        lines.append(lineno)
+    return records, _theta_array(path, rows, lines, problem.d)
 
 
-def _read_thetas(problem: MpQpProblem, path: str) -> List[ParameterPoint]:
-    """Dataset rows: JSON-lines records or CSV rows of either m1
-    (theta_e only) or d (stacked) numeric columns."""
+def _read_thetas(problem: MpQpProblem, path: str) -> np.ndarray:
+    """Dataset rows as an (N, d) array of stacked thetas: JSON-lines
+    records, or CSV rows of either m1 (theta_e only) or d (stacked)
+    numeric columns, with an optional header line and '#' comments."""
     text = Path(path).read_text()
     if path.endswith(".jsonl") or text.lstrip()[:1] == "{":
-        return [theta for _, theta in _jsonl_thetas(problem, path, text)]
-    thetas = []
+        return _jsonl_thetas(problem, path, text)[1]
+    pad_c, pad_C = [0.0] * problem.n, [0.0] * problem.m2
+    rows, lines = [], []
     for lineno, row in enumerate(csv.reader(text.splitlines()), 1):
         if not row or row[0].strip().startswith("#"):
             continue
         if lineno == 1 and any(not _is_number(tok) for tok in row if tok.strip()):
             continue  # header row
-        where = f"{path}:{lineno}"
         try:
-            vals = np.array([float(tok) for tok in row if tok.strip() != ""])
+            vals = [float(tok) for tok in row if tok.strip() != ""]
         except ValueError as exc:
-            raise CliError(f"{where}: bad CSV row: {exc}")
-        if vals.size == problem.m1:
-            theta = ParameterPoint.of_theta_e(problem, vals)
-        elif vals.size == problem.d:
-            theta = ParameterPoint.from_stacked(problem, vals)
-        else:
+            raise CliError(f"{path}:{lineno}: bad CSV row: {exc}")
+        if len(vals) == problem.m1:
+            vals = pad_c + vals + pad_C
+        elif len(vals) != problem.d:
             raise CliError(
-                f"{where}: expected {problem.m1} or {problem.d} columns, got {vals.size}"
+                f"{path}:{lineno}: expected {problem.m1} or {problem.d} columns, "
+                f"got {len(vals)}"
             )
-        thetas.append(_finite(theta, where))
-    return thetas
+        rows.append(vals)
+        lines.append(lineno)
+    return _theta_array(path, rows, lines, problem.d)
 
 
 def _is_number(tok: str) -> bool:
@@ -178,7 +202,8 @@ def cmd_discover(args) -> int:
 
     if args.pattern == "axis":
         if args.extent:
-            pattern = axis_sweep_pattern(theta0, _parse_vector(args.extent), args.steps)
+            extent = _parse_vector(args.extent, "--extent")
+            pattern = axis_sweep_pattern(theta0, extent, args.steps)
         else:
             # Default: sweep each theta_e axis both ways, out to the
             # bisected feasible boundary.
@@ -199,7 +224,7 @@ def cmd_discover(args) -> int:
             raise CliError("--extent is required for the scaled pattern")
         scales = [float(s) for s in args.scales.split(",")]
         pattern = scaled_base_pattern(
-            theta0, scales, args.steps, _parse_vector(args.extent)
+            theta0, scales, args.steps, _parse_vector(args.extent, "--extent")
         )
 
     log = DiscoveryLog(args.log)
@@ -226,31 +251,25 @@ def cmd_predict(args) -> int:
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
     thetas = _read_thetas(problem, args.thetas)
-    start = time.perf_counter()
-    solutions = batch_forward(model, thetas)
-    elapsed = time.perf_counter() - start
-
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(out)
     header = (
         [f"x{i+1}" for i in range(problem.n)]
         + [f"lambda{i+1}" for i in range(problem.m1)]
         + [f"mu{i+1}" for i in range(problem.m2)]
         + ["objective", "kkt1", "kkt2_eq", "kkt2_ineq", "kkt3", "kkt4"]
     )
-    writer.writerow(header)
-    for theta, sol in zip(thetas, solutions):
-        rep = kkt_report(problem, sol, theta)
-        writer.writerow(
-            [repr(float(v)) for v in sol.x]
-            + [repr(float(v)) for v in sol.lam]
-            + [repr(float(v)) for v in sol.mu]
-            + [repr(sol.objective)]
-            + [repr(float(np.mean(getattr(rep, name)))) for name in
-               ("kkt1", "kkt2_eq", "kkt2_ineq", "kkt3", "kkt4")]
-        )
-    if args.out:
-        out.close()
+    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    start = time.perf_counter()
+    try:
+        out.write(",".join(header) + "\r\n")
+        for rows, X, Lam, Mu, objective in forward_chunks(model, thetas):
+            table = np.hstack([
+                X, Lam, Mu, objective[:, None], kkt_means(problem, X, Lam, Mu, rows),
+            ])
+            out.write("".join(",".join(map(repr, r)) + "\r\n" for r in table.tolist()))
+    finally:
+        if args.out:
+            out.close()
+    elapsed = time.perf_counter() - start
     print(f"batch of {len(thetas)} evaluated in {elapsed:.4f} s", file=sys.stderr)
     return 0
 
@@ -258,34 +277,28 @@ def cmd_predict(args) -> int:
 def cmd_kkt_report(args) -> int:
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
-    rows = _jsonl_thetas(problem, args.dataset, Path(args.dataset).read_text())
-    records = [
-        kkt_report(problem, forward(model, theta), theta)
-        for rec, theta in rows
-        if rec.get("feasible", True)
-    ]
-    skipped = len(rows) - len(records)
+    records, thetas = _jsonl_thetas(problem, args.dataset, Path(args.dataset).read_text())
+    thetas = thetas[[bool(rec.get("feasible", True)) for rec in records]]
+    skipped = len(records) - len(thetas)
 
-    if not records:
+    if not len(thetas):
         print("warning: empty dataset (no feasible rows)", file=sys.stderr)
         return 0
 
+    parts = [kkt_batch(problem, X, Lam, Mu, rows)
+             for rows, X, Lam, Mu, _ in forward_chunks(model, thetas)]
+    kkt1, kkt2_eq, kkt2_ineq, kkt3, kkt4 = (np.concatenate(v) for v in zip(*parts))
     groups = problem.variable_groups or {}
-    columns = []
-    for name, idx in groups.items():
-        columns.append((f"KKT1-{name}", [r.kkt1[list(idx)] for r in records]))
+    columns = [(f"KKT1-{name}", kkt1[:, list(idx)]) for name, idx in groups.items()]
     if not groups:
-        columns.append(("KKT1", [r.kkt1 for r in records]))
+        columns.append(("KKT1", kkt1))
     columns += [
-        ("KKT2(=)", [r.kkt2_eq for r in records]),
-        ("KKT2(<=)", [r.kkt2_ineq for r in records]),
-        ("KKT3", [r.kkt3 for r in records]),
-        ("KKT4", [r.kkt4 for r in records]),
+        ("KKT2(=)", kkt2_eq),
+        ("KKT2(<=)", kkt2_ineq),
+        ("KKT3", kkt3),
+        ("KKT4", kkt4),
     ]
-    rows = []
-    for name, vecs in columns:
-        stacked = np.concatenate(vecs)
-        rows.append((name, float(stacked.mean()), float(stacked.max())))
+    rows = [(name, float(v.mean()), float(v.max())) for name, v in columns]
 
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -296,7 +309,7 @@ def cmd_kkt_report(args) -> int:
     print(f"{'condition':12s} {'mean':>12s} {'worst':>12s}")
     for name, mean, worst in rows:
         print(f"{name:12s} {mean:12.3e} {worst:12.3e}")
-    print(f"feasible rows: {len(records)}, infeasible rows excluded: {skipped}")
+    print(f"feasible rows: {len(thetas)}, infeasible rows excluded: {skipped}")
     return 0
 
 
@@ -350,18 +363,14 @@ def cmd_bench(args) -> int:
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
     rng = np.random.default_rng(args.seed)
-    thetas = []
-    for _ in range(args.count):
-        jitter = rng.uniform(-1.0, 1.0, problem.m1) * args.jitter
-        thetas.append(
-            model.regions[0].witness_theta
-            + ParameterPoint.of_theta_e(problem, jitter)
-        )
+    n, m1 = problem.n, problem.m1
+    thetas = np.tile(model.regions[0].witness_theta.stacked(), (args.count, 1))
+    thetas[:, n:n + m1] += rng.uniform(-1.0, 1.0, (args.count, m1)) * args.jitter
 
     model_times = []
     for _ in range(5):
         start = time.perf_counter()
-        batch_forward(model, thetas)
+        forward_array(model, thetas)
         model_times.append(time.perf_counter() - start)
     model_time = statistics.median(model_times)
     print(f"model batch: {args.count} points in {model_time:.4f} s (median of 5)")
@@ -370,10 +379,11 @@ def cmd_bench(args) -> int:
         print(f"oracle skipped: m2={problem.m2} exceeds the enumeration "
               f"guard ({MAX_ENUM_M2}); model-only benchmark")
         return 0
+    points = [ParameterPoint.from_stacked(problem, row) for row in thetas]
     oracle_times = []
     for _ in range(5):
         start = time.perf_counter()
-        for theta in thetas:
+        for theta in points:
             brute_force_solve(problem, theta)
         oracle_times.append(time.perf_counter() - start)
     oracle_time = statistics.median(oracle_times)

@@ -26,6 +26,7 @@ __all__ = [
     "region_slopes",
     "lagrangian_gradients",
     "objective_value",
+    "rowwise_matvec",
 ]
 
 # Relative pivot threshold below which an LU factorization is declared
@@ -225,3 +226,14 @@ def objective_value(problem: MpQpProblem, x: np.ndarray, theta: ParameterPoint) 
     return float(
         x @ problem.Q @ x + (problem.C + theta.theta_c) @ x + problem.C0
     )
+
+
+def rowwise_matvec(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """A @ v for every row v of the (N, c) array V, as an (N, r) array.
+
+    Each row's products are summed on their own, by a reduction over the
+    last axis of a C-ordered (N, r, c) array, so a row's result is
+    bitwise the same whatever the other rows are.  A gemm (``V @ A.T``) blocks its sums
+    by the shape of the whole batch and gives a 1-row batch other bits.
+    """
+    return np.add.reduce(np.multiply(A, V[:, None, :], order="C"), -1)

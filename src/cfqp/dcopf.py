@@ -554,21 +554,25 @@ def parse_matpower(text: str, name: str = "imported", half_quadratic: bool = Fal
             continue  # out of service; its gencost row is skipped with it
         bus_id = int(row[0])
         pmax, pmin = float(row[8]), float(row[9])
-        q = c = 0.0
-        if g_idx < len(gencost):
-            cost = gencost[g_idx]
-            if int(cost[0]) != 2:
-                raise ProblemFormatError(
-                    "only polynomial (model 2) generator costs are supported"
-                )
-            ncoef = int(cost[3])
-            coeffs = cost[4:4 + ncoef]  # highest order first
-            if ncoef >= 3:
-                q = float(coeffs[-3])
-            if ncoef >= 2:
-                c = float(coeffs[-2])
-            if half_quadratic:
-                q *= 0.5
+        if g_idx >= len(gencost):
+            raise ProblemFormatError(
+                f"in-service gen row {g_idx + 1} has no gencost row"
+            )
+        cost = gencost[g_idx]
+        if len(cost) < 4 or len(cost) < 4 + int(cost[3]):
+            raise ProblemFormatError(
+                f"gencost row {g_idx + 1} is shorter than its NCOST coefficients"
+            )
+        if int(cost[0]) != 2:
+            raise ProblemFormatError(
+                "only polynomial (model 2) generator costs are supported"
+            )
+        ncoef = int(cost[3])
+        coeffs = cost[4:4 + ncoef]  # highest order first
+        q = float(coeffs[-3]) if ncoef >= 3 else 0.0
+        c = float(coeffs[-2]) if ncoef >= 2 else 0.0
+        if half_quadratic:
+            q *= 0.5
         generators.append(Generator(bus=bus_id, q=q, c=c, pmin=pmin, pmax=pmax))
 
     lines = []

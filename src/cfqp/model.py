@@ -12,6 +12,9 @@ built from region slopes:
   (x, lambda) from mu* and theta.
 
 The model is immutable; ``expand`` returns a new model value.
+``forward_chunks`` and ``forward_array`` evaluate the network on an
+array of thetas with row-independent products; ``forward`` is their
+one-row case, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,17 +22,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
     assemble_base_jacobian,
     factorize,
-    objective_value,
     region_slopes,
+    rowwise_matvec,
 )
-from .errors import DigestMismatch, DuplicateRegion, MalformedModel
+from .errors import DigestMismatch, DuplicateRegion, MalformedModel, ProblemFormatError
 from .problem import (
     ActiveSet,
     MpQpProblem,
@@ -44,6 +47,8 @@ __all__ = [
     "init_model",
     "forward_mu",
     "forward",
+    "forward_array",
+    "forward_chunks",
     "expand",
     "cast",
     "batch_forward",
@@ -55,6 +60,10 @@ __all__ = [
 
 _FORMAT = "cfqp-model"
 _VERSION = 2
+
+#: Elements the largest temporary of one :func:`forward_chunks` chunk may
+#: hold (2 MiB at float64); it sets :attr:`ClosedFormModel.chunk_rows`.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,48 @@ class ClosedFormModel:
     @property
     def dtype(self) -> np.dtype:
         return resolve_dtype(self.precision)
+
+    @cached_property
+    def chunk_rows(self) -> int:
+        """Rows :func:`forward_chunks` evaluates at a time, so that its
+        largest temporaries, the (rows, m2 * (k+1), d) first-layer
+        products and the (rows, n+m1, n+m1) solution-layer products,
+        stay within _CHUNK_ELEMENTS."""
+        p = self.problem
+        per_row = max(p.m2 * (self.k + 1) * p.d, (p.n + p.m1) ** 2)
+        return max(1, _CHUNK_ELEMENTS // per_row)
+
+    @cached_property
+    def _layers(self) -> tuple:
+        """The network's constants in the layout the array kernel reads,
+        built once per model, at model precision unless noted:
+
+        * -B, the negated stacked coefficients, (d,)
+        * W0 reordered to (m2 * (k+1), d): per constraint, the k
+          regions' rows and a zero row k
+        * each row's parent, (k+1,); a root and the zero row take the
+          zero row
+        * lower and upper ReLU clip bounds per row, (k+1,) each: [0, inf)
+          for direction +1, (-inf, 0] for -1 and [0, 0] for the zero row
+        * A_C^T, (n, m2)
+        * -[C, b_e] at float64, (n + m1,)
+        """
+        dtype = self.dtype
+        p = self.problem
+        k = self.k
+        W = np.zeros((p.m2, k + 1, p.d), dtype=dtype)
+        W[:, :k] = self.W0.transpose(1, 0, 2)
+        v = np.array(self.direction)
+        return (
+            -p.stacked_coefficients(dtype),
+            W.reshape(-1, p.d),
+            np.array([k if r.parent_id is None else r.parent_id
+                      for r in self.regions] + [k], dtype=np.intp),
+            np.append(np.where(v > 0, 0.0, -np.inf), 0.0).astype(dtype),
+            np.append(np.where(v > 0, np.inf, 0.0), 0.0).astype(dtype),
+            np.ascontiguousarray(p.A_C.T, dtype=dtype),
+            -p.stacked_coefficients()[:p.n + p.m1],
+        )
 
     @cached_property
     def _inverse64(self) -> np.ndarray:
@@ -153,38 +204,83 @@ def _stacked_input(model: ClosedFormModel, theta: ParameterPoint) -> np.ndarray:
     return (-B - theta.stacked(dtype)).astype(dtype)
 
 
-def forward_mu(model: ClosedFormModel, theta: ParameterPoint) -> np.ndarray:
-    """mu*(theta) from the shadow-price subnetwork."""
-    theta.check_dims(model.problem)
-    z = _stacked_input(model, theta)
-    h1 = model.W0 @ z  # (k, m2) candidate shadow prices per region
-    mu = np.zeros(model.problem.m2, dtype=model.dtype)
-    for j, region in enumerate(model.regions):
-        v = model.direction[j]
-        if region.parent_id is None:
-            pre = v * h1[j]
-        else:
-            pre = v * (h1[j] - h1[region.parent_id])
-        mu += v * np.maximum(pre, 0.0).astype(model.dtype)
-    return mu
+def _forward_rows(model: ClosedFormModel, Theta: np.ndarray):
+    """The network on a block of stacked thetas, all rows at once.
+
+    Every matrix product goes through ``rowwise_matvec`` and every other
+    step is elementwise or a reduction over a row's own last axis, so a
+    row's results do not depend on the other rows of the block."""
+    problem = model.problem
+    n, m1 = problem.n, problem.m1
+    neg_B, W, parent, lower, upper, A_C_T, neg_rhs = model._layers
+    dtype = W.dtype
+    # shadow-price subnetwork: candidate prices h per region, the tree
+    # incidence (h_j - h_parent, with the zero row as the roots' parent),
+    # then v * relu(v * .), which for v = +-1 is a clip to the half-line
+    # of v's sign
+    Z = np.subtract(neg_B, Theta, dtype=dtype)
+    H = rowwise_matvec(W, Z).reshape(len(Theta), problem.m2, len(parent))
+    D = H - H.take(parent, -1)
+    Mu = np.add.reduce(D.clip(lower, upper), -1, initial=0.0)  # +0.0 start clears -0.0
+    # solution subnetwork: the base inverse maps [z_c + A_C^T mu; z_e]
+    # (rounded from float64) to (x, lambda)
+    rhs = (neg_rhs - Theta[:, :n + m1]).astype(dtype, copy=False)
+    rhs[:, :n] += rowwise_matvec(A_C_T, Mu)
+    S = rowwise_matvec(model.base_inverse, rhs)
+    X = S[:, :n]
+    x = X.astype(np.float64)
+    Qx_c = rowwise_matvec(problem.Q, x) + problem.C + Theta[:, :n]
+    objective = np.add.reduce(x * Qx_c, -1) + problem.C0
+    return X, S[:, n:], Mu, objective
+
+
+def forward_chunks(
+    model: ClosedFormModel, Theta: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Evaluate the network on an (N, d) float64 array of stacked thetas
+    ([theta_c, theta_e, theta_C] per row), ``model.chunk_rows`` rows at a
+    time, so its temporaries stay bounded for any N.
+
+    Yields (rows, X, Lam, Mu, objective) per chunk, where ``rows`` is the
+    chunk's slice of Theta and the others have shapes (r, n), (r, m1),
+    (r, m2) and (r,); X, Lam and Mu are at model precision, the objective
+    at float64.  An empty Theta yields one empty chunk.  Rows are
+    independent: each row's results are bitwise what :func:`forward`
+    gives for that theta, whatever N and the other rows.
+    """
+    Theta = np.asarray(Theta, dtype=np.float64)
+    if Theta.ndim != 2 or Theta.shape[1] != model.problem.d:
+        raise ProblemFormatError(
+            f"theta array must have shape (N, {model.problem.d}), got {Theta.shape}"
+        )
+    step = model.chunk_rows
+    for lo in range(0, max(len(Theta), 1), step):
+        rows = Theta[lo:lo + step]
+        yield (rows, *_forward_rows(model, rows))
+
+
+def forward_array(
+    model: ClosedFormModel, Theta: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(X, Lam, Mu, objective) for all N rows of Theta: the chunks of
+    :func:`forward_chunks`, joined."""
+    parts = [chunk[1:] for chunk in forward_chunks(model, Theta)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def forward(model: ClosedFormModel, theta: ParameterPoint) -> PrimalDualSolution:
-    """Full solution: shadow prices, then (x, lambda) via the base inverse."""
-    problem = model.problem
-    dtype = model.dtype
-    mu = forward_mu(model, theta)
-    top = (
-        (-problem.C - theta.theta_c).astype(dtype)
-        + problem.A_C.T.astype(dtype) @ mu
-    )
-    bottom = (-problem.b_e - theta.theta_e).astype(dtype)
-    sol = model.base_inverse @ np.concatenate([top, bottom]).astype(dtype)
-    x = sol[: problem.n]
-    lam = sol[problem.n:]
-    return PrimalDualSolution(
-        x=x, lam=lam, mu=mu, objective=objective_value(problem, x, theta)
-    )
+    """Full solution at one theta: the one-row case of :func:`forward_array`."""
+    theta.check_dims(model.problem)
+    Theta = np.concatenate([theta.theta_c, theta.theta_e, theta.theta_C])[None]
+    X, Lam, Mu, objective = _forward_rows(model, Theta)
+    return PrimalDualSolution(x=X[0], lam=Lam[0], mu=Mu[0], objective=objective[0])
+
+
+def forward_mu(model: ClosedFormModel, theta: ParameterPoint) -> np.ndarray:
+    """mu*(theta) from the shadow-price subnetwork."""
+    return forward(model, theta).mu
 
 
 def expand(
@@ -253,9 +349,18 @@ def cast(model: ClosedFormModel, precision: int) -> ClosedFormModel:
 def batch_forward(
     model: ClosedFormModel, thetas: Sequence[ParameterPoint]
 ) -> List[PrimalDualSolution]:
-    """Evaluate many parameter points; identical (bitwise, at fixed
-    precision) to mapping :func:`forward` elementwise, order preserved."""
-    return [forward(model, theta) for theta in thetas]
+    """Evaluate many parameter points with :func:`forward_array`;
+    identical (bitwise, at fixed precision) to mapping :func:`forward`
+    elementwise, order preserved."""
+    d = model.problem.d
+    Theta = np.array(
+        [theta.check_dims(model.problem).stacked() for theta in thetas]
+    ).reshape(len(thetas), d)
+    X, Lam, Mu, objective = forward_array(model, Theta)
+    return [
+        PrimalDualSolution(x=x, lam=lam, mu=mu, objective=obj)
+        for x, lam, mu, obj in zip(X, Lam, Mu, objective)
+    ]
 
 
 def region_maps(

@@ -7,15 +7,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import lagrangian_gradients, solve_active_set
+from .core import lagrangian_gradients, rowwise_matvec, solve_active_set
 from .errors import Infeasible, SingularActiveJacobian
 from .problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
-__all__ = ["KktReport", "OracleResult", "kkt_report", "brute_force_solve", "is_feasible"]
+__all__ = [
+    "KktReport",
+    "OracleResult",
+    "kkt_report",
+    "kkt_batch",
+    "kkt_means",
+    "brute_force_solve",
+    "is_feasible",
+]
 
 #: Hard guard on enumeration size.
 MAX_ENUM_M2 = 24
@@ -98,6 +106,56 @@ def kkt_report(
         kkt4=kkt4,
         scalar=float(stacked.mean()),
     )
+
+
+def kkt_batch(
+    problem: MpQpProblem,
+    X: np.ndarray,
+    Lam: np.ndarray,
+    Mu: np.ndarray,
+    Theta: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`kkt_report`'s five violation vectors for N solutions at
+    once, at float64: (N, n), (N, m1), (N, m2), (N, m2) and (N, m2)
+    arrays for kkt1, kkt2_eq, kkt2_ineq, kkt3 and kkt4.
+
+    Row i is the report of (X[i], Lam[i], Mu[i]) at the stacked theta
+    Theta[i].  The products run through ``rowwise_matvec``, so a row's
+    values do not depend on the other rows; they match ``kkt_report``,
+    which uses BLAS products, up to rounding."""
+    n, m1 = problem.n, problem.m1
+    x, lam, mu = (np.asarray(a, dtype=np.float64) for a in (X, Lam, Mu))
+    dL_dx = (
+        rowwise_matvec(2.0 * problem.Q, x)
+        + problem.C
+        + Theta[:, :n]
+        - rowwise_matvec(problem.A_e.T, lam)
+        - rowwise_matvec(problem.A_C.T, mu)
+    )
+    dL_dlam = problem.b_e + Theta[:, n:n + m1] - rowwise_matvec(problem.A_e, x)
+    dL_dmu = problem.b_C + Theta[:, n + m1:] - rowwise_matvec(problem.A_C, x)
+    return (
+        dL_dx ** 2,
+        dL_dlam ** 2,
+        np.maximum(0.0, dL_dmu) ** 2,
+        np.maximum(0.0, -mu) + 0.0,  # + 0.0 clears negative zeros
+        (mu * dL_dmu) ** 2,
+    )
+
+
+def kkt_means(
+    problem: MpQpProblem,
+    X: np.ndarray,
+    Lam: np.ndarray,
+    Mu: np.ndarray,
+    Theta: np.ndarray,
+) -> np.ndarray:
+    """(N, 5) per-row means of :func:`kkt_batch`'s five vectors (an empty
+    vector's mean is 0)."""
+    return np.column_stack([
+        v.sum(-1) / max(v.shape[1], 1)
+        for v in kkt_batch(problem, X, Lam, Mu, Theta)
+    ])
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,17 @@ class TestDiscoverCommand:
             "discover", "--problem", problem_file, "--theta0", "1,2,3",
         ]) == EXIT_CODES["usage"]
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--theta0", "nan,100"), ("--theta0", "100,inf"),
+        ("--extent", "nan,800"), ("--extent", "800,-inf"),
+    ])
+    def test_non_finite_vector_is_usage_error(self, problem_file, capsys, flag, value):
+        argv = ["discover", "--problem", problem_file, "--steps", "20", flag, value]
+        if flag == "--extent":
+            argv += ["--theta0", "100,100"]
+        assert main(argv) == EXIT_CODES["usage"]
+        assert flag in capsys.readouterr().err
+
     def test_case_input(self, case_file, tmp_path):
         out = tmp_path / "model6.json"
         assert main([
@@ -106,8 +117,11 @@ class TestDiscoverCommand:
 
 class TestPredictCommand:
     def test_csv_batch(self, problem_file, model_2d_file, tmp_path, capsys):
+        # a header, a comment and a blank line; an m1-column row and a
+        # d-column (stacked) row in one file
         thetas = tmp_path / "thetas.csv"
-        thetas.write_text("150,150\n400,400\n")
+        stacked_400 = ",".join(["0"] * 6 + ["400", "400"] + ["0"] * 6)
+        thetas.write_text(f"theta1,theta2\n# load levels\n150,150\n\n{stacked_400}\n")
         out = tmp_path / "solutions.csv"
         assert main([
             "predict", "--problem", problem_file, "--model", model_2d_file,
@@ -118,11 +132,24 @@ class TestPredictCommand:
         assert float(rows[1]["x1"]) == pytest.approx(20.0, abs=1e-6)
         assert float(rows[1]["kkt4"]) < 1e-10
         assert "evaluated in" in capsys.readouterr().err
+        assert open(out, "rb").read().count(b"\r\n") == 3
+
+        # the same rows as JSON-lines records give the same output
+        records = tmp_path / "thetas.jsonl"
+        records.write_text('{"theta_e": [150, 150]}\n\n{"theta_e": [400, 400]}\n')
+        out_jsonl = tmp_path / "solutions-jsonl.csv"
+        assert main([
+            "predict", "--problem", problem_file, "--model", model_2d_file,
+            "--thetas", str(records), "--out", str(out_jsonl),
+        ]) == 0
+        assert out_jsonl.read_bytes() == out.read_bytes()
 
     def test_malformed_theta_row(self, problem_file, model_2d_file, tmp_path, capsys):
         thetas = tmp_path / "thetas.csv"
-        # wrong length, then a non-finite row after a good one
-        for text, line in (("1,2,3,4,5\n", 1), ("150,150\nnan,100\n", 2)):
+        # wrong length, then a non-finite row after a good one, then an
+        # inf row whose line number counts comment and blank lines
+        for text, line in (("1,2,3,4,5\n", 1), ("150,150\nnan,100\n", 2),
+                           ("# load\n150,150\n\n100,inf\n", 4)):
             thetas.write_text(text)
             assert main([
                 "predict", "--problem", problem_file, "--model", model_2d_file,
@@ -238,6 +265,16 @@ class TestImportCase:
             "import-case", "--matpower", str(mfile),
         ]) == EXIT_CODES["format"]
 
+
+    def test_gen_without_gencost_row_exit_code(self, tmp_path):
+        mfile = tmp_path / "nocost.m"
+        mfile.write_text(MATPOWER_TEXT.replace(
+            "    1 0 0 99 -99 1.0 100 1 200 0;\n",
+            "    1 0 0 99 -99 1.0 100 1 200 0;\n    2 0 0 99 -99 1.0 100 1 50 0;\n",
+        ))
+        assert main([
+            "import-case", "--matpower", str(mfile),
+        ]) == EXIT_CODES["format"]
 
     def test_gen_row_without_limits_exit_code(self, tmp_path):
         mfile = tmp_path / "nolimits.m"

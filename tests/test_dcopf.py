@@ -315,6 +315,21 @@ class TestMatpowerImport:
         with pytest.raises(DisconnectedNetwork):
             parse_matpower(text)
 
+    def test_gen_without_gencost_row_rejected(self):
+        # an in-service generator after the last gencost row
+        text = MATPOWER_TEXT.replace(
+            "    2 0 0 99 -99 1.0 100 1 80  0;\n",
+            "    2 0 0 99 -99 1.0 100 1 80  0;\n    3 0 0 99 -99 1.0 100 1 40  0;\n",
+        )
+        with pytest.raises(ProblemFormatError, match="gencost"):
+            parse_matpower(text)
+
+    @pytest.mark.parametrize("row", ["2 0 0;", "2 0 0 3 0.04 20;"])
+    def test_short_gencost_row_rejected(self, row):
+        text = MATPOWER_TEXT.replace("2 0 0 3 0.04 20 0;", row)
+        with pytest.raises(ProblemFormatError, match="gencost"):
+            parse_matpower(text)
+
     def test_gen_row_without_limits_rejected(self):
         text = MATPOWER_TEXT.replace("2 0 0 99 -99 1.0 100 1 80  0;", "2 0 0 99 -99 1.0 100 1;")
         with pytest.raises(ProblemFormatError):

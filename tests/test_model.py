@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from cfqp.core import solve_active_set
-from cfqp.errors import DuplicateRegion
+from cfqp.errors import DuplicateRegion, ProblemFormatError
 from cfqp.model import (
     batch_forward,
     cast,
     expand,
     forward,
+    forward_array,
     forward_mu,
     init_model,
     locate_region,
@@ -126,6 +127,47 @@ class TestBatchForward:
             assert np.array_equal(got.lam, ref.lam)
             assert np.array_equal(got.mu, ref.mu)
             assert got.objective == ref.objective
+
+
+class TestForwardArray:
+    @staticmethod
+    def thetas(problem, count, seed):
+        """Stacked thetas on the discovery sweeps, with small offsets in
+        every column so that theta_c and theta_C enter too."""
+        rng = np.random.default_rng(seed)
+        out = rng.uniform(-1.0, 1.0, (count, problem.d))
+        axis = rng.integers(2, size=count)
+        out[:, problem.n:problem.n + 2] = 100.0
+        out[np.arange(count), problem.n + axis] += rng.uniform(0.0, 800.0, count)
+        return out
+
+    @pytest.mark.parametrize("precision", [64, 32])
+    def test_rows_equal_forward_bitwise(self, model_2d, precision):
+        problem = model_2d.problem
+        model = cast(model_2d, precision)
+        chunk = model.chunk_rows
+        assert 1 < chunk < 1000
+        for count in (1, chunk, chunk + 1, 3 * chunk + 5):
+            Theta = self.thetas(problem, count, seed=count)
+            X, Lam, Mu, objective = forward_array(model, Theta)
+            assert X.shape == (count, problem.n) and X.dtype == model.dtype
+            assert objective.shape == (count,)
+            for i, row in enumerate(Theta):
+                ref = forward(model, ParameterPoint.from_stacked(problem, row))
+                assert np.array_equal(X[i], ref.x)
+                assert np.array_equal(Lam[i], ref.lam)
+                assert np.array_equal(Mu[i], ref.mu)
+                assert objective[i] == ref.objective
+
+    def test_empty_input_gives_empty_arrays(self, model_2d):
+        p = model_2d.problem
+        X, Lam, Mu, objective = forward_array(model_2d, np.empty((0, p.d)))
+        assert X.shape == (0, p.n) and Lam.shape == (0, p.m1)
+        assert Mu.shape == (0, p.m2) and objective.shape == (0,)
+
+    def test_wrong_width_rejected(self, model_2d):
+        with pytest.raises(ProblemFormatError):
+            forward_array(model_2d, np.zeros((3, model_2d.problem.d - 1)))
 
 
 class TestCast:

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from cfqp.errors import Infeasible
+from cfqp.model import forward, forward_array
 from cfqp.oracle import (
     MAX_ENUM_M2,
     ORACLE_TOL,
     brute_force_solve,
     is_feasible,
+    kkt_means,
     kkt_report,
 )
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
+
+from conftest import on_sweep_samples_2d
 
 
 class TestBruteForceFrozenValues:
@@ -173,3 +177,26 @@ class TestKktReport:
         assert set(d["kkt1_groups"]) == {"P_g", "delta"}
         for stats in d["kkt1_groups"].values():
             assert set(stats) == {"mean", "max"}
+
+    def test_batched_means_match_per_row_reports(self, model_2d, two_param):
+        """kkt_means against per-row kkt_report, inside the certified
+        domain and far outside it (theta = (5000, 5000) breaks
+        theta1 + theta2 <= 1000, and its KKT4 is about 1e20).  The two
+        sum the same products in different orders, so the tolerance is
+        relative for large residuals and, for rounding-sized ones, an
+        absolute slack two decades under the 1e-18 KKT level."""
+        names = ("kkt1", "kkt2_eq", "kkt2_ineq", "kkt3", "kkt4")
+        thetas = on_sweep_samples_2d(two_param, 100, seed=4) + [
+            ParameterPoint.of_theta_e(two_param, te)
+            for te in ([5000.0, 5000.0], [850.0, 100.0], [-300.0, 50.0])
+        ]
+        Theta = np.array([t.stacked() for t in thetas])
+        X, Lam, Mu, _ = forward_array(model_2d, Theta)
+        got = kkt_means(two_param, X, Lam, Mu, Theta)
+        ref = np.array([
+            [np.mean(getattr(kkt_report(two_param, forward(model_2d, t), t), k))
+             for k in names]
+            for t in thetas
+        ])
+        assert ref[-3, 4] > 1e19
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-20)
