@@ -222,7 +222,7 @@ def cmd_discover(args) -> int:
     else:
         if not args.extent:
             raise CliError("--extent is required for the scaled pattern")
-        scales = [float(s) for s in args.scales.split(",")]
+        scales = _parse_vector(args.scales, "--scales").tolist()
         pattern = scaled_base_pattern(
             theta0, scales, args.steps, _parse_vector(args.extent, "--extent")
         )
@@ -326,7 +326,7 @@ def cmd_gen_data(args) -> int:
     elif args.kind == "extreme":
         points = dcopf.extreme_dataset(case, steps=args.steps, problem=problem)
     else:
-        scales = [float(s) for s in args.scales.split(",")]
+        scales = _parse_vector(args.scales, "--scales").tolist()
         points = dcopf.scaled_dataset(
             case, scales, args.count, args.seed, problem=problem
         )
@@ -421,19 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=False):
-        p.add_argument("--problem", help="problem JSON file")
+    def add_case(p):
         p.add_argument("--case", help="power case JSON file")
         p.add_argument("--lines", action="store_true",
                        help="include line-flow limits when building from a case")
-        p.add_argument("--precision", type=int, choices=(32, 64), default=64)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+
+    def add_common(p, model=False):
+        p.add_argument("--problem", help="problem JSON file")
+        add_case(p)
         if model:
             p.add_argument("--model", required=True, help="model file")
 
     p = sub.add_parser("discover", help="run region discovery and write a model")
     add_common(p)
+    p.add_argument("--precision", type=int, choices=(32, 64), default=64)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--theta0", help="comma-separated theta_e anchor (default zeros)")
     p.add_argument("--pattern", choices=("axis", "scaled"), default="axis")
     p.add_argument("--steps", type=int, default=200)
@@ -461,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate theta datasets from a case")
     p.add_argument("kind", choices=("local", "extreme", "scaled"))
-    add_common(p)
+    add_case(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--scales", default="1,1.125,1.25,1.375,1.5,1.625,1.75,1.875,2")
@@ -471,6 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="model batch vs oracle timing")
     add_common(p, model=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--jitter", type=float, default=1.0,
                    help="theta_e jitter radius around the root witness")

@@ -1,8 +1,10 @@
 """Dense linear-algebra kernels: Jacobian assembly, factorization,
 active-set solves, region slopes, Lagrangian gradients, objective.
 
-All operations accept a ``dtype`` so the whole pipeline can run in
-float32 or float64.
+Active-set solves accept a ``dtype`` so they can run in float32 or
+float64.  The network's weights (the base Jacobian and the region
+slopes) are always built at float64; a model rounds them to its own
+precision.
 """
 
 from __future__ import annotations
@@ -81,10 +83,10 @@ class JacobianFactors:
         return self._inv
 
 
-def assemble_base_jacobian(problem: MpQpProblem, dtype=np.float64) -> np.ndarray:
+def assemble_base_jacobian(problem: MpQpProblem) -> np.ndarray:
     """J = [[2Q, -A_e^T], [-A_e, 0]], square of size n + m1."""
     n, m1 = problem.n, problem.m1
-    J = np.zeros((n + m1, n + m1), dtype=dtype)
+    J = np.zeros((n + m1, n + m1))
     J[:n, :n] = 2.0 * problem.Q
     J[:n, n:] = -problem.A_e.T
     J[n:, :n] = -problem.A_e
@@ -167,7 +169,7 @@ def solve_active_set(
     )
 
 
-def region_slopes(problem: MpQpProblem, B: ActiveSet, dtype=np.float64) -> np.ndarray:
+def region_slopes(problem: MpQpProblem, B: ActiveSet) -> np.ndarray:
     """Affine sensitivity of mu to the stacked input z = -B - theta for
     the critical region generated by active set B: the (m2, d) block
     with mu(theta) = grad_mu @ z.
@@ -179,7 +181,7 @@ def region_slopes(problem: MpQpProblem, B: ActiveSet, dtype=np.float64) -> np.nd
     from mu through the base inverse (see ``model.region_maps``).
     """
     B.validate(problem)
-    J = assemble_active_jacobian(problem, B, dtype=dtype)
+    J = assemble_active_jacobian(problem, B)
     try:
         inv = JacobianFactors(J).inverse()
     except SingularJacobian as exc:
@@ -190,7 +192,7 @@ def region_slopes(problem: MpQpProblem, B: ActiveSet, dtype=np.float64) -> np.nd
     idx = B.as_index_array()
     # Columns of the stacked input that actually enter the KKT system.
     cols = np.concatenate([np.arange(n + m1), n + m1 + idx]).astype(np.intp)
-    grad_mu = np.zeros((problem.m2, problem.d), dtype=dtype)
+    grad_mu = np.zeros((problem.m2, problem.d))
     grad_mu[np.ix_(idx, cols)] = inv[n + m1:, :]
     return grad_mu
 

@@ -11,6 +11,11 @@ built from region slopes:
 * solution subnetwork: the fixed base inverse J^{-1} recovers
   (x, lambda) from mu* and theta.
 
+Every weight follows from the problem: W0 holds each region's float64
+``core.region_slopes`` block and the base inverse is derived from the
+problem, so a model is its region tree.  The precision only sets the
+dtype forward rounds the weights to and evaluates in.
+
 The model is immutable; ``expand`` returns a new model value.
 ``forward_chunks`` and ``forward_array`` evaluate the network on an
 array of thetas with row-independent products; ``forward`` is their
@@ -19,6 +24,7 @@ one-row case, bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +38,13 @@ from .core import (
     region_slopes,
     rowwise_matvec,
 )
-from .errors import DigestMismatch, DuplicateRegion, MalformedModel, ProblemFormatError
+from .errors import (
+    DigestMismatch,
+    DuplicateRegion,
+    MalformedModel,
+    ProblemFormatError,
+    SingularActiveJacobian,
+)
 from .problem import (
     ActiveSet,
     MpQpProblem,
@@ -59,7 +71,7 @@ __all__ = [
 ]
 
 _FORMAT = "cfqp-model"
-_VERSION = 2
+_VERSION = 3
 
 #: Elements the largest temporary of one :func:`forward_chunks` chunk may
 #: hold (2 MiB at float64); it sets :attr:`ClosedFormModel.chunk_rows`.
@@ -84,11 +96,12 @@ class ClosedFormModel:
     precision: int
     regions: Tuple[RegionEntry, ...]
     direction: Tuple[int, ...]
-    W0: np.ndarray  # (k, m2, d) stacked grad_mu blocks
-    base_inverse: np.ndarray  # (n+m1, n+m1)
-    problem_digest: str
+    W0: np.ndarray  # (k, m2, d) stacked float64 grad_mu blocks
 
     def __post_init__(self):
+        resolve_dtype(self.precision)
+        if len(self.direction) != len(self.regions) or not set(self.direction) <= {1, -1}:
+            raise MalformedModel("direction must give +1 or -1 for every region")
         for row, region in enumerate(self.regions):
             if region.id != row:
                 raise MalformedModel(f"region id {region.id} is stored at row {row}")
@@ -96,12 +109,9 @@ class ClosedFormModel:
                 raise MalformedModel(
                     f"region {row} has parent {region.parent_id}, not an earlier region"
                 )
-        w0 = np.ascontiguousarray(self.W0)
+        w0 = np.ascontiguousarray(self.W0, dtype=np.float64)
         w0.setflags(write=False)
         object.__setattr__(self, "W0", w0)
-        inv = np.ascontiguousarray(self.base_inverse)
-        inv.setflags(write=False)
-        object.__setattr__(self, "base_inverse", inv)
 
     @property
     def k(self) -> int:
@@ -110,6 +120,17 @@ class ClosedFormModel:
     @property
     def dtype(self) -> np.dtype:
         return resolve_dtype(self.precision)
+
+    @cached_property
+    def base_inverse(self) -> np.ndarray:
+        """The solution layer J^{-1}, (n+m1, n+m1), at float64."""
+        inv = np.ascontiguousarray(factorize(assemble_base_jacobian(self.problem)).inverse())
+        inv.setflags(write=False)
+        return inv
+
+    @cached_property
+    def problem_digest(self) -> str:
+        return self.problem.digest()
 
     @cached_property
     def chunk_rows(self) -> int:
@@ -124,7 +145,7 @@ class ClosedFormModel:
     @cached_property
     def _layers(self) -> tuple:
         """The network's constants in the layout the array kernel reads,
-        built once per model, at model precision unless noted:
+        built once per model, rounded to model precision unless noted:
 
         * -B, the negated stacked coefficients, (d,)
         * W0 reordered to (m2 * (k+1), d): per constraint, the k
@@ -135,6 +156,7 @@ class ClosedFormModel:
           for direction +1, (-inf, 0] for -1 and [0, 0] for the zero row
         * A_C^T, (n, m2)
         * -[C, b_e] at float64, (n + m1,)
+        * the base inverse, (n+m1, n+m1)
         """
         dtype = self.dtype
         p = self.problem
@@ -151,16 +173,8 @@ class ClosedFormModel:
             np.append(np.where(v > 0, np.inf, 0.0), 0.0).astype(dtype),
             np.ascontiguousarray(p.A_C.T, dtype=dtype),
             -p.stacked_coefficients()[:p.n + p.m1],
+            self.base_inverse.astype(dtype),
         )
-
-    @cached_property
-    def _inverse64(self) -> np.ndarray:
-        """The solution layer at float64 for region maps.  A 32-bit
-        model derives it from the problem (never serialized): its own
-        float32 inverse is too coarse to place region boundaries."""
-        if self.base_inverse.dtype == np.float64:
-            return self.base_inverse
-        return factorize(assemble_base_jacobian(self.problem)).inverse()
 
     def incidence_matrix(self) -> np.ndarray:
         """Dense k x k signed incidence: root column (0,0)=+1; column j
@@ -182,26 +196,15 @@ def init_model(
     precision: int = 64,
 ) -> ClosedFormModel:
     """One-region model anchored at the confirmed active set of theta0."""
-    dtype = resolve_dtype(precision)
     theta0.check_dims(problem)
     root = RegionEntry(id=0, active_set=B0, parent_id=None, witness_theta=theta0)
-    base_inv = factorize(assemble_base_jacobian(problem, dtype=dtype)).inverse()
     return ClosedFormModel(
         problem=problem,
         precision=precision,
         regions=(root,),
         direction=(1,),
-        W0=region_slopes(problem, B0, dtype=dtype)[None],
-        base_inverse=base_inv,
-        problem_digest=problem.digest(),
+        W0=region_slopes(problem, B0)[None],
     )
-
-
-def _stacked_input(model: ClosedFormModel, theta: ParameterPoint) -> np.ndarray:
-    """z = -B - theta at model precision."""
-    dtype = model.dtype
-    B = model.problem.stacked_coefficients(dtype)
-    return (-B - theta.stacked(dtype)).astype(dtype)
 
 
 def _forward_rows(model: ClosedFormModel, Theta: np.ndarray):
@@ -212,7 +215,7 @@ def _forward_rows(model: ClosedFormModel, Theta: np.ndarray):
     row's results do not depend on the other rows of the block."""
     problem = model.problem
     n, m1 = problem.n, problem.m1
-    neg_B, W, parent, lower, upper, A_C_T, neg_rhs = model._layers
+    neg_B, W, parent, lower, upper, A_C_T, neg_rhs, base_inverse = model._layers
     dtype = W.dtype
     # shadow-price subnetwork: candidate prices h per region, the tree
     # incidence (h_j - h_parent, with the zero row as the roots' parent),
@@ -226,7 +229,7 @@ def _forward_rows(model: ClosedFormModel, Theta: np.ndarray):
     # (rounded from float64) to (x, lambda)
     rhs = (neg_rhs - Theta[:, :n + m1]).astype(dtype, copy=False)
     rhs[:, :n] += rowwise_matvec(A_C_T, Mu)
-    S = rowwise_matvec(model.base_inverse, rhs)
+    S = rowwise_matvec(base_inverse, rhs)
     X = S[:, :n]
     x = X.astype(np.float64)
     Qx_c = rowwise_matvec(problem.Q, x) + problem.C + Theta[:, :n]
@@ -303,8 +306,8 @@ def expand(
             raise DuplicateRegion(
                 f"active set {sorted(new_set)} is already region {r.id}"
             )
-    grad_mu = region_slopes(problem, new_set, dtype=model.dtype)
-    z = _stacked_input(model, probe_theta)
+    grad_mu = region_slopes(problem, new_set)
+    z = -problem.stacked_coefficients() - probe_theta.stacked()
     delta = (grad_mu - model.W0[parent_id]) @ z
     pick = int(np.argmax(np.abs(delta)))
     v = 1 if delta[pick] >= 0.0 else -1
@@ -314,19 +317,18 @@ def expand(
         parent_id=parent_id,
         witness_theta=probe_theta,
     )
-    return ClosedFormModel(
-        problem=problem,
-        precision=model.precision,
+    return dataclasses.replace(
+        model,
         regions=model.regions + (entry,),
         direction=model.direction + (v,),
         W0=np.concatenate([model.W0, grad_mu[None]]),
-        base_inverse=model.base_inverse,
-        problem_digest=model.problem_digest,
     )
 
 
 def cast(model: ClosedFormModel, precision: int) -> ClosedFormModel:
-    """Re-express a model's weights at another precision.
+    """The same model evaluated at another precision.  The weights stay
+    float64, so casting is lossless and a model built at 32 bits
+    evaluates bitwise like the cast of its 64-bit twin.
 
     Useful for evaluating a 64-bit-discovered model at 32 bits on
     problems whose magnitudes put 32-bit KKT noise above any workable
@@ -334,16 +336,7 @@ def cast(model: ClosedFormModel, precision: int) -> ClosedFormModel:
     """
     if precision == model.precision:
         return model
-    dtype = resolve_dtype(precision)
-    return ClosedFormModel(
-        problem=model.problem,
-        precision=precision,
-        regions=model.regions,
-        direction=model.direction,
-        W0=model.W0.astype(dtype),
-        base_inverse=model.base_inverse.astype(dtype),
-        problem_digest=model.problem_digest,
-    )
+    return dataclasses.replace(model, precision=precision)
 
 
 def batch_forward(
@@ -375,10 +368,10 @@ def region_maps(
     """
     problem = model.problem
     n = problem.n
-    z = (-problem.stacked_coefficients() - theta.stacked()).astype(np.float64)
-    mu = np.asarray(model.W0, dtype=np.float64) @ z
+    z = -problem.stacked_coefficients() - theta.stacked()
+    mu = model.W0 @ z
     z_e = np.broadcast_to(z[n:n + problem.m1], (model.k, problem.m1))
-    x = np.hstack([z[:n] + mu @ problem.A_C, z_e]) @ model._inverse64[:n].T
+    x = np.hstack([z[:n] + mu @ problem.A_C, z_e]) @ model.base_inverse[:n].T
     return x, mu
 
 
@@ -420,9 +413,11 @@ def _incidence_triplets(model: ClosedFormModel) -> List[Tuple[int, int, int]]:
 
 
 def serialize(model: ClosedFormModel) -> bytes:
-    """Versioned JSON container holding the network's weights: the region
-    tree, W0 and the base inverse.  Floats survive bit-exactly at the
-    stored precision because shortest-repr doubles round-trip."""
+    """Versioned JSON container holding the region tree: per region its
+    id, active set, parent, direction and witness, plus the incidence
+    triplets.  The weights are derived from the problem when loading.
+    Witnesses survive bit-exactly because shortest-repr doubles
+    round-trip."""
     regions = [
         {
             "id": r.id,
@@ -434,7 +429,6 @@ def serialize(model: ClosedFormModel) -> bytes:
                 "theta_e": r.witness_theta.theta_e.tolist(),
                 "theta_C": r.witness_theta.theta_C.tolist(),
             },
-            "grad_mu": model.W0[r.id].tolist(),
         }
         for r in model.regions
     ]
@@ -445,13 +439,13 @@ def serialize(model: ClosedFormModel) -> bytes:
         "digest": model.problem_digest,
         "regions": regions,
         "incidence": [list(t) for t in _incidence_triplets(model)],
-        "base_inverse": model.base_inverse.tolist(),
     }
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
 def deserialize(data: bytes, problem: MpQpProblem) -> ClosedFormModel:
-    """Load a serialized model, re-verifying the problem digest."""
+    """Load a serialized model, re-verifying the problem digest and
+    deriving each region's W0 block from its active set."""
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -468,8 +462,6 @@ def deserialize(data: bytes, problem: MpQpProblem) -> ClosedFormModel:
             "model was built for a different problem (digest mismatch)"
         )
     try:
-        precision = int(payload["precision"])
-        dtype = resolve_dtype(precision)
         records = payload["regions"]
         regions = tuple(
             RegionEntry(
@@ -477,30 +469,23 @@ def deserialize(data: bytes, problem: MpQpProblem) -> ClosedFormModel:
                 active_set=ActiveSet(rec["active_set"]).validate(problem),
                 parent_id=None if rec["parent"] is None else int(rec["parent"]),
                 witness_theta=ParameterPoint(
-                    np.asarray(rec["witness"]["theta_c"], dtype=np.float64),
-                    np.asarray(rec["witness"]["theta_e"], dtype=np.float64),
-                    np.asarray(rec["witness"]["theta_C"], dtype=np.float64),
-                ),
+                    *(rec["witness"][name] for name in ("theta_c", "theta_e", "theta_C"))
+                ).check_dims(problem),
             )
             for rec in records
         )
-        W0 = np.asarray([rec["grad_mu"] for rec in records], dtype=dtype)
-        if W0.shape != (len(records), problem.m2, problem.d):
-            raise MalformedModel("grad_mu shape does not match the problem")
-        base_inverse = np.asarray(payload["base_inverse"], dtype=dtype)
-        if base_inverse.shape != (problem.n + problem.m1, problem.n + problem.m1):
-            raise MalformedModel("base_inverse shape does not match the problem")
+        if not all(np.isfinite(r.witness_theta.stacked()).all() for r in regions):
+            raise MalformedModel("a region witness has non-finite entries")
         model = ClosedFormModel(
             problem=problem,
-            precision=precision,
+            precision=int(payload["precision"]),
             regions=regions,
             direction=tuple(int(rec["direction"]) for rec in records),
-            W0=W0,
-            base_inverse=base_inverse,
-            problem_digest=payload["digest"],
+            W0=np.stack([region_slopes(problem, r.active_set) for r in regions]),
         )
         stored = sorted(tuple(t) for t in payload.get("incidence", []))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ProblemFormatError,
+            SingularActiveJacobian) as exc:
         raise MalformedModel(f"model payload is structurally invalid: {exc}") from exc
     if stored != _incidence_triplets(model):
         raise MalformedModel("incidence triplets inconsistent with region tree")

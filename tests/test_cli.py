@@ -106,6 +106,15 @@ class TestDiscoverCommand:
         assert main(argv) == EXIT_CODES["usage"]
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scales", ["nan,1", "inf"])
+    def test_non_finite_scales_is_usage_error(self, problem_file, capsys, scales):
+        assert main([
+            "discover", "--problem", problem_file, "--theta0", "100,100",
+            "--pattern", "scaled", "--scales", scales, "--extent", "100,100",
+            "--steps", "5",
+        ]) == EXIT_CODES["usage"]
+        assert "--scales" in capsys.readouterr().err
+
     def test_case_input(self, case_file, tmp_path):
         out = tmp_path / "model6.json"
         assert main([
@@ -156,6 +165,16 @@ class TestPredictCommand:
                 "--thetas", str(thetas),
             ]) == EXIT_CODES["usage"]
             assert f"{thetas}:{line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--precision", "32"], ["--tol", "5"], ["--seed", "1"]],
+                             ids=["precision", "tol", "seed"])
+    def test_unread_flag_is_usage_error(self, problem_file, model_2d_file, tmp_path, flag):
+        thetas = tmp_path / "thetas.csv"
+        thetas.write_text("150,150\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--problem", problem_file, "--model", model_2d_file,
+                  "--thetas", str(thetas), *flag])
+        assert exc.value.code == EXIT_CODES["usage"]
 
     def test_wrong_problem_digest(self, case_file, model_2d_file, tmp_path):
         thetas = tmp_path / "thetas.csv"
@@ -232,6 +251,16 @@ class TestGenDataAndKktReport:
         records = [json.loads(l) for l in data.read_text().splitlines()]
         assert len(records) == 60
         assert {r["scale"] for r in records} == {1.0, 1.5, 2.0}
+
+    @pytest.mark.parametrize("scales", ["nan,1", "inf"])
+    def test_non_finite_scales_is_usage_error(self, case_file, tmp_path, capsys, scales):
+        data = tmp_path / "scaled.jsonl"
+        assert main([
+            "gen-data", "scaled", "--case", case_file, "--count", "2",
+            "--scales", scales, "--out", str(data),
+        ]) == EXIT_CODES["usage"]
+        assert "--scales" in capsys.readouterr().err
+        assert not data.exists()
 
     def test_gen_data_determinism(self, case_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -171,11 +171,11 @@ class TestForwardArray:
 
 
 class TestCast:
-    def test_cast_changes_dtype_only(self, model_2d):
+    def test_cast_changes_dtype_only(self, model_2d, theta0_2d):
         m32 = cast(model_2d, 32)
         assert m32.precision == 32
-        assert m32.W0.dtype == np.float32
-        assert m32.base_inverse.dtype == np.float32
+        got = forward(m32, theta0_2d)
+        assert got.x.dtype == got.lam.dtype == got.mu.dtype == np.float32
         assert m32.direction == model_2d.direction
         assert [r.active_set for r in m32.regions] == [
             r.active_set for r in model_2d.regions
@@ -186,6 +186,29 @@ class TestCast:
         got = forward(cast(model_2d, 32), theta0_2d)
         ref = forward(model_2d, theta0_2d)
         assert np.allclose(got.x, ref.x, rtol=1e-4)
+
+    @staticmethod
+    def rebuild(model, precision):
+        """model's region tree grown again with init_model and expand."""
+        root = model.regions[0]
+        out = init_model(model.problem, root.active_set, root.witness_theta, precision)
+        for r in model.regions[1:]:
+            out = expand(out, r.parent_id, r.active_set, r.witness_theta)
+        return out
+
+    @staticmethod
+    def assert_forward_equal(a, b):
+        Theta = TestForwardArray.thetas(a.problem, 50, seed=8)
+        for got, want in zip(forward_array(a, Theta), forward_array(b, Theta)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_32_bit_build_equals_cast_of_64_bit_build(self, model_2d):
+        m32 = self.rebuild(model_2d, 32)
+        assert m32.direction == model_2d.direction
+        self.assert_forward_equal(m32, cast(self.rebuild(model_2d, 64), 32))
+
+    def test_cast_round_trip_is_lossless(self, model_2d):
+        self.assert_forward_equal(cast(cast(model_2d, 32), 64), model_2d)
 
 
 class TestLocateRegion:

@@ -95,12 +95,14 @@ class TestRoundTripProperty:
 
     def test_payload_holds_only_network_weights(self, model_2d):
         data = json.loads(serialize(model_2d))
-        assert data["version"] == 2
+        assert data["version"] == 3
+        assert set(data) == {
+            "format", "version", "precision", "digest", "regions", "incidence",
+        }
         assert set(data["regions"][0]) == {
-            "id", "active_set", "parent", "direction", "witness", "grad_mu",
+            "id", "active_set", "parent", "direction", "witness",
         }
         assert len(data["incidence"]) == 2 * model_2d.k - 1
-        assert "base_inverse" in data
 
     def test_2d_model_round_trip_bitwise(self, model_2d, theta0_2d):
         clone = deserialize(serialize(model_2d), model_2d.problem)
@@ -140,6 +142,14 @@ class TestRejection:
             region["grad_lambda"] = [[0.0] * model_2d.problem.d] * model_2d.problem.m1
         with pytest.raises(MalformedModel, match="version 1"):
             deserialize(json.dumps(data).encode(), model_2d.problem)
+        # nor a version 2 payload (stored grad_mu blocks and base inverse)
+        data = json.loads(serialize(model_2d))
+        data["version"] = 2
+        for region, block in zip(data["regions"], model_2d.W0):
+            region["grad_mu"] = block.tolist()
+        data["base_inverse"] = model_2d.base_inverse.tolist()
+        with pytest.raises(MalformedModel, match="version 2.*re-run discover"):
+            deserialize(json.dumps(data).encode(), model_2d.problem)
 
     def test_region_id_must_equal_row(self, model_2d):
         data = json.loads(serialize(model_2d))
@@ -155,7 +165,20 @@ class TestRejection:
 
     def test_wrong_shape(self, model_2d):
         data = json.loads(serialize(model_2d))
-        data["regions"][0]["grad_mu"] = [[0.0]]
+        data["regions"][0]["witness"]["theta_e"] = [0.0]
+        with pytest.raises(MalformedModel):
+            deserialize(json.dumps(data).encode(), model_2d.problem)
+        # a non-finite witness and a direction other than +-1 (with the
+        # incidence kept consistent) are rejected too
+        data = json.loads(serialize(model_2d))
+        data["regions"][2]["witness"]["theta_e"][0] = float("nan")
+        with pytest.raises(MalformedModel):
+            deserialize(json.dumps(data).encode(), model_2d.problem)
+        data = json.loads(serialize(model_2d))
+        data["regions"][2]["direction"] = 2
+        for triplet in data["incidence"]:
+            if triplet[1] == 2:
+                triplet[2] *= 2
         with pytest.raises(MalformedModel):
             deserialize(json.dumps(data).encode(), model_2d.problem)
 
