@@ -109,14 +109,23 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
     return vec
 
 
+def _parse_theta_e(problem: MpQpProblem, text: str, flag: str) -> np.ndarray:
+    vec = _parse_vector(text, flag)
+    if vec.shape != (problem.m1,):
+        raise CliError(f"{flag} must list {problem.m1} equality-RHS entries, got {vec.size}")
+    return vec
+
+
+def _parse_scales(text: str) -> List[float]:
+    scales = _parse_vector(text, "--scales").tolist()
+    if not scales or sorted(scales) != scales:
+        raise CliError(f"--scales {text!r} must be a nonempty ascending list")
+    return scales
+
+
 def _theta_from_args(problem: MpQpProblem, args) -> ParameterPoint:
     if getattr(args, "theta0", None):
-        vec = _parse_vector(args.theta0, "--theta0")
-        if vec.shape != (problem.m1,):
-            raise CliError(
-                f"--theta0 must list {problem.m1} equality-RHS entries, got {vec.size}"
-            )
-        return ParameterPoint.of_theta_e(problem, vec)
+        return ParameterPoint.of_theta_e(problem, _parse_theta_e(problem, args.theta0, "--theta0"))
     return ParameterPoint.zeros(problem)
 
 
@@ -196,13 +205,17 @@ def _is_number(tok: str) -> bool:
 
 
 def cmd_discover(args) -> int:
+    if args.steps < 2:
+        raise CliError(f"--steps must be >= 2, got {args.steps}")
+    if args.tol is not None and not 0.0 < args.tol < np.inf:
+        raise CliError(f"--tol must be positive and finite, got {args.tol}")
     problem = _load_problem(args)
     theta0 = _theta_from_args(problem, args)
     tol = args.tol if args.tol is not None else default_tol(args.precision)
 
     if args.pattern == "axis":
         if args.extent:
-            extent = _parse_vector(args.extent, "--extent")
+            extent = _parse_theta_e(problem, args.extent, "--extent")
             pattern = axis_sweep_pattern(theta0, extent, args.steps)
         else:
             # Default: sweep each theta_e axis both ways, out to the
@@ -222,9 +235,9 @@ def cmd_discover(args) -> int:
     else:
         if not args.extent:
             raise CliError("--extent is required for the scaled pattern")
-        scales = _parse_vector(args.scales, "--scales").tolist()
         pattern = scaled_base_pattern(
-            theta0, scales, args.steps, _parse_vector(args.extent, "--extent")
+            theta0, _parse_scales(args.scales), args.steps,
+            _parse_theta_e(problem, args.extent, "--extent"),
         )
 
     log = DiscoveryLog(args.log)
@@ -314,6 +327,9 @@ def cmd_kkt_report(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    size, flag = (args.steps, "--steps") if args.kind == "extreme" else (args.count, "--count")
+    if size < 1:
+        raise CliError(f"{flag} must be >= 1, got {size}")
     case = _load_case(args)
     if args.lines:
         problem, _ = dcopf.build_dcopf_with_lines(case)
@@ -326,7 +342,7 @@ def cmd_gen_data(args) -> int:
     elif args.kind == "extreme":
         points = dcopf.extreme_dataset(case, steps=args.steps, problem=problem)
     else:
-        scales = _parse_vector(args.scales, "--scales").tolist()
+        scales = _parse_scales(args.scales)
         points = dcopf.scaled_dataset(
             case, scales, args.count, args.seed, problem=problem
         )

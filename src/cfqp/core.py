@@ -20,10 +20,8 @@ from .problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
 __all__ = [
     "JacobianFactors",
-    "assemble_base_jacobian",
     "assemble_active_jacobian",
     "factorize",
-    "solve_with_mu",
     "solve_active_set",
     "region_slopes",
     "lagrangian_gradients",
@@ -83,20 +81,11 @@ class JacobianFactors:
         return self._inv
 
 
-def assemble_base_jacobian(problem: MpQpProblem) -> np.ndarray:
-    """J = [[2Q, -A_e^T], [-A_e, 0]], square of size n + m1."""
-    n, m1 = problem.n, problem.m1
-    J = np.zeros((n + m1, n + m1))
-    J[:n, :n] = 2.0 * problem.Q
-    J[:n, n:] = -problem.A_e.T
-    J[n:, :n] = -problem.A_e
-    return J
-
-
 def assemble_active_jacobian(
     problem: MpQpProblem, B: ActiveSet, dtype=np.float64
 ) -> np.ndarray:
-    """J_B = [[2Q, -A_e^T, -A_B^T], [-A_e, 0, 0], [-A_B, 0, 0]]."""
+    """J_B = [[2Q, -A_e^T, -A_B^T], [-A_e, 0, 0], [-A_B, 0, 0]].  The
+    empty active set gives the base Jacobian [[2Q, -A_e^T], [-A_e, 0]]."""
     B.validate(problem)
     n, m1 = problem.n, problem.m1
     A_B = problem.A_C[B.as_index_array()]
@@ -117,21 +106,14 @@ def factorize(J: np.ndarray) -> JacobianFactors:
     return JacobianFactors(np.asarray(J))
 
 
-def solve_with_mu(
-    problem: MpQpProblem,
-    factors: JacobianFactors,
-    mu: np.ndarray,
-    theta: ParameterPoint,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Recover (x, lambda) from known inequality multipliers:
-    [x; lambda] = J^{-1} [-C - theta_c + A_C^T mu; -b_e - theta_e]."""
-    theta.check_dims(problem)
-    dtype = factors.dtype
-    mu = np.asarray(mu, dtype=dtype)
-    top = (-problem.C - theta.theta_c).astype(dtype) + problem.A_C.T.astype(dtype) @ mu
-    bottom = (-problem.b_e - theta.theta_e).astype(dtype)
-    sol = factors.solve(np.concatenate([top, bottom]))
-    return sol[: problem.n], sol[problem.n:]
+def _active_factors(problem: MpQpProblem, B: ActiveSet, dtype) -> JacobianFactors:
+    """The LU factors of J_B; a singular J_B is SingularActiveJacobian."""
+    try:
+        return JacobianFactors(assemble_active_jacobian(problem, B, dtype=dtype))
+    except SingularJacobian as exc:
+        raise SingularActiveJacobian(
+            f"active set {sorted(B)} yields a singular KKT system: {exc}"
+        ) from exc
 
 
 def solve_active_set(
@@ -143,13 +125,7 @@ def solve_active_set(
     objective value filled in.
     """
     theta.check_dims(problem)
-    J = assemble_active_jacobian(problem, B, dtype=dtype)
-    try:
-        factors = JacobianFactors(J)
-    except SingularJacobian as exc:
-        raise SingularActiveJacobian(
-            f"active set {sorted(B)} yields a singular KKT system: {exc}"
-        ) from exc
+    factors = _active_factors(problem, B, dtype)
     idx = B.as_index_array()
     rhs = np.concatenate(
         [
@@ -178,16 +154,9 @@ def region_slopes(problem: MpQpProblem, B: ActiveSet) -> np.ndarray:
     zero-padded matrix whose columns follow the fixed layout
     [cost (n) | equality (m1) | inequality (m2)]; rows and inequality
     columns of non-active constraints stay zero.  x and lambda follow
-    from mu through the base inverse (see ``model.region_maps``).
+    from mu through the base inverse (see ``model.region_residuals``).
     """
-    B.validate(problem)
-    J = assemble_active_jacobian(problem, B)
-    try:
-        inv = JacobianFactors(J).inverse()
-    except SingularJacobian as exc:
-        raise SingularActiveJacobian(
-            f"active set {sorted(B)} yields a singular KKT system: {exc}"
-        ) from exc
+    inv = _active_factors(problem, B, np.float64).inverse()
     n, m1 = problem.n, problem.m1
     idx = B.as_index_array()
     # Columns of the stacked input that actually enter the KKT system.

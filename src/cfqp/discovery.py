@@ -29,7 +29,7 @@ from .model import (
     forward,
     init_model,
     locate_region,
-    region_maps,
+    region_residuals,
 )
 from .oracle import brute_force_solve, is_feasible, kkt_report
 from .problem import ActiveSet, MpQpProblem, ParameterPoint
@@ -53,6 +53,14 @@ _DEFAULT_TOL = {64: 1e-10, 32: 1e-4}
 
 _MAX_HALVINGS = 20
 _MAX_EXPANSIONS_PER_POINT = 16
+
+#: Normalized violation below which identify_transition finds no change.
+_TRANSITION_TOL = 1e-9
+
+#: feasible_extent's largest step length, and its bisection resolution
+#: relative to max(1, step length).
+_EXTENT_CAP = 1e9
+_EXTENT_RESOLUTION = 1e-6
 
 
 def default_tol(precision: int) -> float:
@@ -129,51 +137,30 @@ def identify_transition(
     model: ClosedFormModel,
     current_region: RegionEntry,
     theta: ParameterPoint,
-    tol: float = 1e-9,
 ) -> Transition:
     """Which single constraint change explains a KKT violation at theta.
 
-    Add(k): the non-active constraint with the largest positive residual
-    b_k + theta_k - A_k x(theta), with x from the current region's
-    affine map.  Drop(k): the active constraint whose candidate
-    multiplier is most negative.  When both occur the larger normalized
-    magnitude wins (add on ties).
+    From the current region's row of :func:`region_residuals`:
+    Add(k) is the non-active constraint with the largest positive
+    normalized residual, Drop(k) the active constraint with the largest
+    normalized negated multiplier.  When both occur the larger wins (add
+    on ties); the lowest index wins among equal entries.
     """
     theta.check_dims(problem)
-    xs, mus = region_maps(model, theta)
-    x, mu_cand = xs[current_region.id], mus[current_region.id]
-    rhs = problem.b_C + theta.theta_C
-    resid = rhs - problem.A_C @ x
-
-    active = set(current_region.active_set)
-    add_k, add_val = None, 0.0
-    for k in range(1, problem.m2 + 1):
-        if k in active:
-            continue
-        if resid[k - 1] > add_val:
-            add_k, add_val = k, float(resid[k - 1])
-    drop_k, drop_val = None, 0.0
-    for k in active:
-        v = float(mu_cand[k - 1])
-        if -v > drop_val:
-            drop_k, drop_val = k, -v
-
-    rhs_scale = max(1.0, float(np.abs(rhs).max()) if problem.m2 else 1.0)
-    mu_scale = max(
-        1.0,
-        float(np.abs(mu_cand[[k - 1 for k in active]]).max()) if active else 1.0,
-    )
-    add_norm = add_val / rhs_scale if add_k is not None else 0.0
-    drop_norm = drop_val / mu_scale if drop_k is not None else 0.0
-
-    if add_norm <= tol and drop_norm <= tol:
+    primal, dual = region_residuals(model, theta)
+    row = current_region.id
+    add = np.where(model.active_mask[row], -np.inf, primal[row])
+    drop = dual[row]
+    add_norm = float(add.max(initial=0.0))
+    drop_norm = float(drop.max(initial=0.0))
+    if add_norm <= _TRANSITION_TOL and drop_norm <= _TRANSITION_TOL:
         raise UnresolvableTransition(
             "no violated constraint and no negative candidate multiplier "
             f"beyond tolerance at theta (add={add_norm:g}, drop={drop_norm:g})"
         )
     if add_norm >= drop_norm:
-        return Transition("add", add_k)
-    return Transition("drop", drop_k)
+        return Transition("add", int(np.argmax(add)) + 1)
+    return Transition("drop", int(np.argmax(drop)) + 1)
 
 
 def axis_sweep_pattern(
@@ -229,21 +216,20 @@ def feasible_extent(
     problem: MpQpProblem,
     theta0: ParameterPoint,
     direction: ParameterPoint,
-    cap: float = 1e9,
-    resolution: float = 1e-6,
 ) -> float:
-    """Largest step length t such that theta0 + t * direction stays
-    feasible, found by bracketing and bisection against the oracle."""
+    """Largest step length t, up to _EXTENT_CAP, such that
+    theta0 + t * direction stays feasible, found by bracketing and
+    bisection against the oracle."""
     theta0.check_dims(problem)
     if not is_feasible(problem, theta0):
         raise InfeasibleStart("feasible_extent called from an infeasible point")
     lo, hi = 0.0, 1.0
-    while hi < cap and is_feasible(problem, theta0 + direction.scale(hi)):
+    while hi < _EXTENT_CAP and is_feasible(problem, theta0 + direction.scale(hi)):
         lo, hi = hi, hi * 2.0
-    if hi >= cap:
-        if is_feasible(problem, theta0 + direction.scale(cap)):
-            return cap
-    while hi - lo > resolution * max(1.0, abs(lo)):
+    if hi >= _EXTENT_CAP:
+        if is_feasible(problem, theta0 + direction.scale(_EXTENT_CAP)):
+            return _EXTENT_CAP
+    while hi - lo > _EXTENT_RESOLUTION * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
         if is_feasible(problem, theta0 + direction.scale(mid)):
             lo = mid

@@ -33,7 +33,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    assemble_base_jacobian,
+    assemble_active_jacobian,
     factorize,
     region_slopes,
     rowwise_matvec,
@@ -57,14 +57,13 @@ __all__ = [
     "RegionEntry",
     "ClosedFormModel",
     "init_model",
-    "forward_mu",
     "forward",
     "forward_array",
     "forward_chunks",
     "expand",
     "cast",
     "batch_forward",
-    "region_maps",
+    "region_residuals",
     "locate_region",
     "serialize",
     "deserialize",
@@ -76,6 +75,10 @@ _VERSION = 3
 #: Elements the largest temporary of one :func:`forward_chunks` chunk may
 #: hold (2 MiB at float64); it sets :attr:`ClosedFormModel.chunk_rows`.
 _CHUNK_ELEMENTS = 1 << 18
+
+#: Largest normalized critical-region violation :func:`locate_region`
+#: accepts.
+LOCATE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -124,13 +127,23 @@ class ClosedFormModel:
     @cached_property
     def base_inverse(self) -> np.ndarray:
         """The solution layer J^{-1}, (n+m1, n+m1), at float64."""
-        inv = np.ascontiguousarray(factorize(assemble_base_jacobian(self.problem)).inverse())
+        J = assemble_active_jacobian(self.problem, ActiveSet())
+        inv = np.ascontiguousarray(factorize(J).inverse())
         inv.setflags(write=False)
         return inv
 
     @cached_property
     def problem_digest(self) -> str:
         return self.problem.digest()
+
+    @cached_property
+    def active_mask(self) -> np.ndarray:
+        """(k, m2) boolean mask of each region's active constraints."""
+        mask = np.zeros((self.k, self.problem.m2), dtype=bool)
+        for row, region in enumerate(self.regions):
+            mask[row, region.active_set.as_index_array()] = True
+        mask.setflags(write=False)
+        return mask
 
     @cached_property
     def chunk_rows(self) -> int:
@@ -281,11 +294,6 @@ def forward(model: ClosedFormModel, theta: ParameterPoint) -> PrimalDualSolution
     return PrimalDualSolution(x=X[0], lam=Lam[0], mu=Mu[0], objective=objective[0])
 
 
-def forward_mu(model: ClosedFormModel, theta: ParameterPoint) -> np.ndarray:
-    """mu*(theta) from the shadow-price subnetwork."""
-    return forward(model, theta).mu
-
-
 def expand(
     model: ClosedFormModel,
     parent_id: int,
@@ -356,51 +364,56 @@ def batch_forward(
     ]
 
 
-def region_maps(
+def region_residuals(
     model: ClosedFormModel, theta: ParameterPoint
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Every region's own affine solution at theta, in float64: the
-    (k, n) primal points and (k, m2) candidate multipliers.
+    """The critical-region test of every region at theta, in float64.
 
-    Region i's multipliers are mu_i = W0[i] z with z = -B - theta; its
-    primal point is the solution layer applied to
-    [z_c + A_C^T mu_i; z_e], exactly as :func:`forward` recovers x.
+    Region i's own affine map gives multipliers mu_i = W0[i] z, with
+    z = -B - theta, and the primal point x_i that the solution layer
+    recovers from [z_c + A_C^T mu_i; z_e], as :func:`forward` does.
+    Region i contains theta when x_i is primal feasible and its active
+    multipliers are nonnegative.  Returns two (k, m2) arrays:
+
+    * primal residuals b_C + theta_C - A_C x_i, divided by the data
+      scale max(1, |b_C + theta_C|);
+    * negated multipliers -mu_i, divided by the scale of region i's
+      active multipliers max(1, |mu_i[B_i]|), and -inf off its active
+      set B_i.
+
+    A positive entry is a violation.  The products are row-independent
+    (``rowwise_matvec``), so a region's residuals do not depend on the
+    other regions.
     """
     problem = model.problem
     n = problem.n
     z = -problem.stacked_coefficients() - theta.stacked()
-    mu = model.W0 @ z
-    z_e = np.broadcast_to(z[n:n + problem.m1], (model.k, problem.m1))
-    x = np.hstack([z[:n] + mu @ problem.A_C, z_e]) @ model.base_inverse[:n].T
-    return x, mu
+    mu = rowwise_matvec(model.W0, z[None])
+    rhs = np.hstack([
+        z[:n] + rowwise_matvec(problem.A_C.T, mu),
+        np.broadcast_to(z[n:n + problem.m1], (model.k, problem.m1)),
+    ])
+    x = rowwise_matvec(model.base_inverse[:n], rhs)
+    b = problem.b_C + theta.theta_C
+    primal = (b - rowwise_matvec(problem.A_C, x)) / np.abs(b).max(initial=1.0)
+    mu_scale = np.abs(mu, where=model.active_mask, out=np.zeros_like(mu)).max(-1, initial=1.0)
+    dual = np.where(model.active_mask, -mu / mu_scale[:, None], -np.inf)
+    return primal, dual
 
 
-def locate_region(
-    model: ClosedFormModel, theta: ParameterPoint, tol: float = 1e-7
-) -> Optional[RegionEntry]:
+def locate_region(model: ClosedFormModel, theta: ParameterPoint) -> Optional[RegionEntry]:
     """Which discovered critical region contains theta, if any.
 
-    A region contains theta when its own affine map gives a primal
-    feasible point with nonnegative active multipliers (the defining
-    inequalities of the critical region).  Tolerances are relative to
-    the data scale.
+    A region's violation is its largest :func:`region_residuals` entry
+    (its multiplier part is 0 for an empty active set, and its primal
+    part 0 when m2 = 0).  The region of smallest violation answers when
+    that violation is at most LOCATE_TOL; the first region wins a tie.
     """
-    problem = model.problem
-    xs, mus = region_maps(model, theta)
-    rhs = problem.b_C + theta.theta_C
-    rhs_scale = max(1.0, float(np.abs(rhs).max()) if problem.m2 else 1.0)
-    best = None
-    best_violation = np.inf
-    for region, x, mu in zip(model.regions, xs, mus):
-        primal = float((rhs - problem.A_C @ x).max()) if problem.m2 else 0.0
-        idx = region.active_set.as_index_array()
-        dual = float(-mu[idx].min()) if len(idx) else 0.0
-        mu_scale = max(1.0, float(np.abs(mu[idx]).max()) if len(idx) else 1.0)
-        violation = max(primal / rhs_scale, dual / mu_scale)
-        if violation <= tol and violation < best_violation:
-            best = region
-            best_violation = violation
-    return best
+    primal, dual = region_residuals(model, theta)
+    dual = np.where(model.active_mask.any(-1), dual.max(-1, initial=-np.inf), 0.0)
+    violation = np.maximum(primal.max(-1, initial=-np.inf), dual)
+    best = int(np.argmin(violation))
+    return model.regions[best] if violation[best] <= LOCATE_TOL else None
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ __all__ = [
 #: Hard guard on enumeration size.
 MAX_ENUM_M2 = 24
 
-#: Default oracle acceptance tolerance on dual negativity and primal
+#: Oracle acceptance tolerance on dual negativity and primal
 #: violation (64-bit).  Chosen strictly tighter than every downstream
 #: acceptance threshold this oracle certifies.
 ORACLE_TOL = 1e-8
@@ -173,18 +173,16 @@ class OracleResult:
 def brute_force_solve(
     problem: MpQpProblem,
     theta: ParameterPoint,
-    tol: float = ORACLE_TOL,
-    max_cardinality: Optional[int] = None,
 ) -> OracleResult:
     """Enumerate active subsets and return the KKT-optimal one.
 
     Enumeration is pruned by rank: an active-set KKT system is singular
     whenever |B| > n - m1, and any superset of a rank-deficient row
     selection stays rank-deficient, so those branches are skipped.
-    Acceptance requires mu_B >= -tol and all inequality residuals
-    <= tol (both scaled by the data magnitude); among acceptors the
-    minimal KktReport scalar wins, ties broken by smaller cardinality
-    then lexicographic order.
+    Acceptance requires mu_B >= -ORACLE_TOL and all inequality
+    residuals <= ORACLE_TOL (both scaled by the data magnitude); among
+    acceptors the minimal KktReport scalar wins, ties broken by smaller
+    cardinality then lexicographic order.
 
     The ``degenerate`` flag marks weakly active constraints (a binding
     constraint with mu ~ 0) or boundary ties between active sets.
@@ -195,13 +193,12 @@ def brute_force_solve(
             f"brute_force_solve is limited to m2 <= {MAX_ENUM_M2}, got {problem.m2}"
         )
     n, m1, m2 = problem.n, problem.m1, problem.m2
-    cap = n - m1 if max_cardinality is None else min(max_cardinality, n - m1)
-    cap = max(0, min(cap, m2))
+    cap = max(0, min(n - m1, m2))
 
     rhs_scale = max(
         1.0, float(np.abs(problem.b_C + theta.theta_C).max()) if m2 else 1.0
     )
-    primal_tol = tol * rhs_scale
+    primal_tol = ORACLE_TOL * rhs_scale
 
     best = None  # (scalar, cardinality, indices, sol, weakly_active)
     singular: list[frozenset] = []
@@ -220,13 +217,13 @@ def brute_force_solve(
             idx = B.as_index_array()
             mu_B = sol.mu[idx]
             dual_scale = max(1.0, float(np.abs(mu_B).max()) if k else 1.0)
-            if k and mu_B.min() < -tol * dual_scale:
+            if k and mu_B.min() < -ORACLE_TOL * dual_scale:
                 continue
             _, _, dL_dmu = lagrangian_gradients(problem, sol, theta)
             if m2 and dL_dmu.max() > primal_tol:
                 continue
             report = kkt_report(problem, sol, theta)
-            weak = bool(k and mu_B.min() <= tol * dual_scale)
+            weak = bool(k and mu_B.min() <= ORACLE_TOL * dual_scale)
             key = (report.scalar, k, combo)
             candidates += 1
             if best is None or key < best[0]:
@@ -239,10 +236,10 @@ def brute_force_solve(
     )
 
 
-def is_feasible(problem: MpQpProblem, theta: ParameterPoint, tol: float = ORACLE_TOL) -> bool:
+def is_feasible(problem: MpQpProblem, theta: ParameterPoint) -> bool:
     """True iff brute_force_solve succeeds at this theta."""
     try:
-        brute_force_solve(problem, theta, tol=tol)
+        brute_force_solve(problem, theta)
         return True
     except Infeasible:
         return False

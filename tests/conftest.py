@@ -7,7 +7,8 @@ import pytest
 from cfqp import dcopf
 from cfqp.cases import case6, two_parameter_problem, two_parameter_theta0
 from cfqp.core import solve_active_set
-from cfqp.discovery import Direction, SearchPattern, axis_sweep_pattern, discover
+from cfqp.discovery import Direction, SearchPattern, Transition, axis_sweep_pattern, discover
+from cfqp.errors import UnresolvableTransition
 from cfqp.problem import ParameterPoint
 
 
@@ -106,3 +107,77 @@ def region_grad_x(problem, B):
         x0 - solve_active_set(problem, B, ParameterPoint.from_stacked(problem, unit[j])).x
         for j in range(problem.d)
     ])
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the per-region critical-region test, as it was written
+# before model.region_residuals: one region (and one constraint) at a time.
+
+
+def reference_region_maps(model, theta):
+    """Every region's own affine solution at theta, in float64: the
+    (k, n) primal points and (k, m2) candidate multipliers."""
+    problem = model.problem
+    n = problem.n
+    z = -problem.stacked_coefficients() - theta.stacked()
+    mu = model.W0 @ z
+    z_e = np.broadcast_to(z[n:n + problem.m1], (model.k, problem.m1))
+    x = np.hstack([z[:n] + mu @ problem.A_C, z_e]) @ model.base_inverse[:n].T
+    return x, mu
+
+
+def reference_locate_region(model, theta, tol=1e-7):
+    problem = model.problem
+    xs, mus = reference_region_maps(model, theta)
+    rhs = problem.b_C + theta.theta_C
+    rhs_scale = max(1.0, float(np.abs(rhs).max()) if problem.m2 else 1.0)
+    best = None
+    best_violation = np.inf
+    for region, x, mu in zip(model.regions, xs, mus):
+        primal = float((rhs - problem.A_C @ x).max()) if problem.m2 else 0.0
+        idx = region.active_set.as_index_array()
+        dual = float(-mu[idx].min()) if len(idx) else 0.0
+        mu_scale = max(1.0, float(np.abs(mu[idx]).max()) if len(idx) else 1.0)
+        violation = max(primal / rhs_scale, dual / mu_scale)
+        if violation <= tol and violation < best_violation:
+            best = region
+            best_violation = violation
+    return best
+
+
+def reference_identify_transition(problem, model, current_region, theta, tol=1e-9):
+    theta.check_dims(problem)
+    xs, mus = reference_region_maps(model, theta)
+    x, mu_cand = xs[current_region.id], mus[current_region.id]
+    rhs = problem.b_C + theta.theta_C
+    resid = rhs - problem.A_C @ x
+
+    active = set(current_region.active_set)
+    add_k, add_val = None, 0.0
+    for k in range(1, problem.m2 + 1):
+        if k in active:
+            continue
+        if resid[k - 1] > add_val:
+            add_k, add_val = k, float(resid[k - 1])
+    drop_k, drop_val = None, 0.0
+    for k in active:
+        v = float(mu_cand[k - 1])
+        if -v > drop_val:
+            drop_k, drop_val = k, -v
+
+    rhs_scale = max(1.0, float(np.abs(rhs).max()) if problem.m2 else 1.0)
+    mu_scale = max(
+        1.0,
+        float(np.abs(mu_cand[[k - 1 for k in active]]).max()) if active else 1.0,
+    )
+    add_norm = add_val / rhs_scale if add_k is not None else 0.0
+    drop_norm = drop_val / mu_scale if drop_k is not None else 0.0
+
+    if add_norm <= tol and drop_norm <= tol:
+        raise UnresolvableTransition(
+            "no violated constraint and no negative candidate multiplier "
+            f"beyond tolerance at theta (add={add_norm:g}, drop={drop_norm:g})"
+        )
+    if add_norm >= drop_norm:
+        return Transition("add", add_k)
+    return Transition("drop", drop_k)

@@ -339,3 +339,36 @@ class TestBench:
         assert "model batch" in out
         assert "oracle" in out
         assert "speedup" in out
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--steps", "1"], "--steps"),
+    (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--extent", "5"], "--extent"),
+    (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--tol", "nan"], "--tol"),
+    (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--tol", "inf"], "--tol"),
+    (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--tol=-1"], "--tol"),
+    (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--pattern", "scaled",
+      "--scales", "2,1", "--extent", "100,100", "--steps", "5"], "--scales"),
+    (["gen-data", "local", "--case", "CASE", "--count", "0"], "--count"),
+    (["gen-data", "scaled", "--case", "CASE", "--count", "0"], "--count"),
+    (["gen-data", "scaled", "--case", "CASE", "--count", "2", "--scales", "2,1"], "--scales"),
+    (["gen-data", "extreme", "--case", "CASE", "--steps", "0"], "--steps"),
+], ids=["discover-steps", "discover-extent-length", "discover-tol-nan",
+        "discover-tol-inf", "discover-tol-negative", "discover-scales-order",
+        "local-count", "scaled-count", "gen-data-scales-order", "extreme-steps"])
+def test_bad_argument_is_usage_error(
+    problem_file, case_file, tmp_path, capsys, monkeypatch, argv, flag
+):
+    """A bad argument exits 2 naming its flag, before any feasibility
+    bisection and before any output is written."""
+    import cfqp.cli
+
+    def no_bisection(*args):
+        raise AssertionError("feasible_extent called before the arguments were checked")
+
+    monkeypatch.setattr(cfqp.cli, "feasible_extent", no_bisection)
+    out = tmp_path / "out"
+    inputs = {"PROBLEM": problem_file, "CASE": case_file}
+    assert main([inputs.get(a, a) for a in argv] + ["--out", str(out)]) == EXIT_CODES["usage"]
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

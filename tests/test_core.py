@@ -3,13 +3,11 @@ import pytest
 
 from cfqp.core import (
     assemble_active_jacobian,
-    assemble_base_jacobian,
     factorize,
     lagrangian_gradients,
     objective_value,
     region_slopes,
     solve_active_set,
-    solve_with_mu,
 )
 from cfqp.errors import SingularActiveJacobian, SingularJacobian
 from cfqp.model import forward, init_model
@@ -18,7 +16,7 @@ from cfqp.problem import ActiveSet, ParameterPoint
 
 class TestJacobians:
     def test_base_jacobian_blocks(self, two_param):
-        J = assemble_base_jacobian(two_param)
+        J = assemble_active_jacobian(two_param, ActiveSet())
         n, m1 = two_param.n, two_param.m1
         assert J.shape == (n + m1, n + m1)
         assert np.array_equal(J[:n, :n], 2.0 * two_param.Q)
@@ -85,12 +83,18 @@ class TestSolveActiveSet:
         )
 
     def test_solve_with_mu_consistency(self, two_param):
+        """The active-set solution's mu, pushed through the base KKT
+        system [x; lambda] = J^{-1} [-C - theta_c + A_C^T mu; -b_e - theta_e],
+        gives back its x and lambda."""
         theta = ParameterPoint.of_theta_e(two_param, [100.0, 100.0])
         sol = solve_active_set(two_param, ActiveSet([3, 4]), theta)
-        factors = factorize(assemble_base_jacobian(two_param))
-        x, lam = solve_with_mu(two_param, factors, sol.mu, theta)
-        assert np.allclose(x, sol.x, atol=1e-9)
-        assert np.allclose(lam, sol.lam, atol=1e-6)
+        factors = factorize(assemble_active_jacobian(two_param, ActiveSet()))
+        x_lam = factors.solve(np.concatenate([
+            -two_param.C - theta.theta_c + two_param.A_C.T @ sol.mu,
+            -two_param.b_e - theta.theta_e,
+        ]))
+        assert np.allclose(x_lam[:two_param.n], sol.x, atol=1e-9)
+        assert np.allclose(x_lam[two_param.n:], sol.lam, atol=1e-6)
 
     def test_float32_dtype_propagates(self, two_param):
         theta = ParameterPoint.of_theta_e(two_param, [100.0, 100.0])

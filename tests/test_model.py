@@ -9,7 +9,6 @@ from cfqp.model import (
     expand,
     forward,
     forward_array,
-    forward_mu,
     init_model,
     locate_region,
 )
@@ -38,7 +37,7 @@ class TestInitAndForward:
             theta_e = [100.0, 100.0]
             theta_e[axis] += float(rng.uniform(0.0, 800.0))
             theta = ParameterPoint.of_theta_e(problem, theta_e)
-            assert forward_mu(model_2d, theta).min() >= -1e-9
+            assert forward(model_2d, theta).mu.min() >= -1e-9
 
     def test_digest_binding(self, model_2d, two_param):
         assert model_2d.problem_digest == two_param.digest()
@@ -70,7 +69,7 @@ class TestExpansionStructure:
             parent = rows[model_2d.regions[j].parent_id]
             v = model_2d.direction[j]
             expected = expected + v * np.maximum(v * (h1[j] - h1[parent]), 0.0)
-        assert np.allclose(forward_mu(model_2d, theta), expected)
+        assert np.allclose(forward(model_2d, theta).mu, expected)
 
     def test_duplicate_region_rejected(self, two_param, theta0_2d):
         model = init_model(two_param, ActiveSet([3, 4]), theta0_2d)

@@ -1,14 +1,23 @@
 """Property-based invariants (hypothesis) for the solver stack."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from cfqp.core import solve_active_set
-from cfqp.model import forward, forward_mu, cast, locate_region
+from cfqp.discovery import identify_transition
+from cfqp.errors import UnresolvableTransition
+from cfqp.model import RegionEntry, cast, forward, locate_region, region_residuals
 from cfqp.oracle import brute_force_solve, kkt_report
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
 
-from conftest import region_grad_x
+from conftest import (
+    box_pattern,
+    reference_identify_transition,
+    reference_locate_region,
+    region_grad_x,
+)
 
 
 def box_qp(n, q_vals, c_vals, bound):
@@ -89,7 +98,7 @@ def test_mu_nonnegative_in_region(two_param, model_2d, t, axis):
     theta_e = [100.0, 100.0]
     theta_e[axis] += t
     theta = ParameterPoint.of_theta_e(two_param, theta_e)
-    assert forward_mu(model_2d, theta).min() >= -1e-9
+    assert forward(model_2d, theta).mu.min() >= -1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -144,3 +153,139 @@ def test_active_set_canonical(idx):
     assert tuple(s) == tuple(sorted(set(idx)))
     assert s == set(idx)
     assert hash(s) == hash(ActiveSet(reversed(idx)))
+
+
+# ---------------------------------------------------------------------------
+# The batched critical-region test against the per-region reference loops
+# (conftest.reference_locate_region, reference_identify_transition).
+
+
+def transition_or_none(identify, model, region, theta):
+    try:
+        return identify(model.problem, model, region, theta)
+    except UnresolvableTransition:
+        return None
+
+
+def assert_matches_reference(model, theta):
+    """locate_region, and identify_transition from every region, give
+    what the reference loops give; returns the located region."""
+    got = locate_region(model, theta)
+    want = reference_locate_region(model, theta)
+    assert (None if got is None else got.id) == (None if want is None else want.id)
+    for region in model.regions:
+        assert (transition_or_none(identify_transition, model, region, theta)
+                == transition_or_none(reference_identify_transition, model, region, theta))
+    return got
+
+
+def box_sweep_point(problem, t, axis):
+    """A point on the box pattern's sweeps: the load buses' theta_e moved
+    by t together (axis None) or one at a time."""
+    theta_e = np.zeros(problem.m1)
+    theta_e[slice(3, None) if axis is None else axis] = t
+    return ParameterPoint.of_theta_e(problem, theta_e)
+
+
+bits = st.sampled_from([64, 32])
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(min_value=0.0, max_value=800.0), axis=st.integers(0, 1), bits=bits)
+def test_region_test_matches_reference_on_2d_sweeps(two_param, model_2d, t, axis, bits):
+    theta_e = [100.0, 100.0]
+    theta_e[axis] += t
+    theta = ParameterPoint.of_theta_e(two_param, theta_e)
+    assert assert_matches_reference(cast(model_2d, bits), theta) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(min_value=-56.0, max_value=56.0),
+       axis=st.sampled_from([None, 3, 4, 5]), bits=bits)
+def test_region_test_matches_reference_on_box_sweeps(box_model, t, axis, bits):
+    assert not box_model.regions[0].active_set  # the root's active set is empty
+    theta = box_sweep_point(box_model.problem, t, axis)
+    assert assert_matches_reference(cast(box_model, bits), theta) is not None
+
+
+@settings(max_examples=30, deadline=None)
+@given(u=st.floats(min_value=1e3, max_value=1e6), v=st.floats(min_value=1e3, max_value=1e6),
+       t=st.floats(min_value=1e3, max_value=1e6), sign=st.sampled_from([1.0, -1.0]),
+       axis=st.sampled_from([None, 3, 4, 5]), bits=bits)
+def test_far_outside_every_region_locates_nowhere(
+    two_param, model_2d, box_model, u, v, t, sign, axis, bits
+):
+    """Points far beyond the feasible set (the two-parameter problem needs
+    theta1 + theta2 <= 1000; the box problem cannot move a load by 1000 MW)."""
+    far_2d = ParameterPoint.of_theta_e(two_param, [u, v])
+    assert assert_matches_reference(cast(model_2d, bits), far_2d) is None
+    far_box = box_sweep_point(box_model.problem, sign * t, axis)
+    assert assert_matches_reference(cast(box_model, bits), far_box) is None
+
+
+def with_twin(model, region):
+    """The model with a copy of ``region`` appended as its child: the copy
+    has the same active set and weights, so the same violation anywhere."""
+    twin = RegionEntry(id=model.k, active_set=region.active_set,
+                       parent_id=region.id, witness_theta=region.witness_theta)
+    return dataclasses.replace(
+        model, regions=model.regions + (twin,), direction=model.direction + (1,),
+        W0=np.concatenate([model.W0, model.W0[region.id][None]]),
+    )
+
+
+def test_exact_violation_tie_goes_to_first_region(model_2d, box_model):
+    for model in (model_2d, box_model):
+        for region in model.regions:
+            theta = region.witness_theta
+            located = locate_region(model, theta)
+            twinned = with_twin(model, located)
+            primal, dual = region_residuals(twinned, theta)
+            assert np.array_equal(primal[located.id], primal[-1])
+            assert np.array_equal(dual[located.id], dual[-1])
+            assert assert_matches_reference(twinned, theta).id == located.id
+
+
+def alone(model, region):
+    """A one-region model holding only ``region``, to test it by itself."""
+    root = RegionEntry(id=0, active_set=region.active_set, parent_id=None,
+                       witness_theta=region.witness_theta)
+    return dataclasses.replace(model, regions=(root,), direction=(1,),
+                               W0=model.W0[region.id][None])
+
+
+def test_region_boundaries_differ_from_reference_only_in_rounding_ties(box_model):
+    """Within a few ulps of the boundary where a region's constraint became
+    active, the two regions on either side both contain theta to rounding.
+    The batched test sums its products in another order than the reference
+    loop, so there the two may pick different regions, but only regions
+    that the reference itself finds to contain theta to 1e-12."""
+    problem = box_model.problem
+    _, pattern = box_pattern(problem)
+    checked = 0
+    for direction in pattern.directions:
+        start, step = direction.start.stacked(), direction.step.stacked()
+
+        def at(t):
+            return ParameterPoint.from_stacked(problem, start + t * step)
+
+        for region in box_model.regions[1:]:
+            parent = box_model.regions[region.parent_id]
+            (added,) = set(region.active_set) - set(parent.active_set)
+            # the parent's normalized residual of the added constraint is
+            # affine along the sweep; its root is the boundary
+            r0, r1 = (region_residuals(box_model, at(t))[0][parent.id, added - 1]
+                      for t in (0.0, 1.0))
+            if r1 == r0 or not 0.0 < -r0 / (r1 - r0) < direction.max_steps:
+                continue
+            boundary = -r0 / (r1 - r0)
+            for ulps in range(-20, 21):
+                theta = at(boundary * (1.0 + ulps * 1e-15))
+                got = locate_region(box_model, theta)
+                want = reference_locate_region(box_model, theta)
+                assert got is not None and want is not None
+                if got.id != want.id:
+                    for pick in (got, want):
+                        assert reference_locate_region(alone(box_model, pick), theta, 1e-12)
+                checked += 1
+    assert checked > 100
