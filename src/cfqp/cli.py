@@ -165,17 +165,21 @@ def _jsonl_thetas(problem: MpQpProblem, path: str, text: str) -> Tuple[List[dict
 def _read_thetas(problem: MpQpProblem, path: str) -> np.ndarray:
     """Dataset rows as an (N, d) array of stacked thetas: JSON-lines
     records, or CSV rows of either m1 (theta_e only) or d (stacked)
-    numeric columns, with an optional header line and '#' comments."""
+    numeric columns, with '#' comments, blank lines and an optional
+    header: the first other row, if it has a non-numeric field."""
     text = Path(path).read_text()
     if path.endswith(".jsonl") or text.lstrip()[:1] == "{":
         return _jsonl_thetas(problem, path, text)[1]
     pad_c, pad_C = [0.0] * problem.n, [0.0] * problem.m2
     rows, lines = [], []
+    first = True
     for lineno, row in enumerate(csv.reader(text.splitlines()), 1):
-        if not row or row[0].strip().startswith("#"):
-            continue
-        if lineno == 1 and any(not _is_number(tok) for tok in row if tok.strip()):
-            continue  # header row
+        if len(row) < 2 and not "".join(row).strip() or row[0].strip().startswith("#"):
+            continue  # blank (empty or whitespace-only) or comment line
+        if first:
+            first = False
+            if any(not _is_number(tok) for tok in row if tok.strip()):
+                continue  # header row
         try:
             vals = [float(tok) for tok in row if tok.strip() != ""]
         except ValueError as exc:
@@ -198,6 +202,18 @@ def _is_number(tok: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def _csv_rows(table: np.ndarray) -> str:
+    """CSV lines (CRLF-terminated) of a float64 table, each cell the
+    shortest repr of its value, calling ``repr`` once per distinct bit
+    pattern: complementary slackness and feasibility make many cells
+    exactly 0.  Keying on the bits, not the value, keeps -0.0 apart
+    from 0.0."""
+    bits, where = np.unique(table.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    cells = text[where.reshape(table.shape)]
+    return "".join(",".join(row) + "\r\n" for row in cells.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +294,7 @@ def cmd_predict(args) -> int:
             table = np.hstack([
                 X, Lam, Mu, objective[:, None], kkt_means(problem, X, Lam, Mu, rows),
             ])
-            out.write("".join(",".join(map(repr, r)) + "\r\n" for r in table.tolist()))
+            out.write(_csv_rows(table))
     finally:
         if args.out:
             out.close()

@@ -4,10 +4,12 @@ A :class:`ClosedFormModel` is the exact piecewise-linear solution map
 built from region slopes:
 
 * shadow-price subnetwork: first layer W0 stacks each region's
-  ``grad_mu`` block; the incidence layer combines candidate shadow
-  prices of a region with its discovery-tree parent; ReLU applies to
-  the combined differences; the direction vector signs each block's
-  contribution.  mu*(theta) is the signed sum of all blocks.
+  ``grad_mu`` block, of which forward multiplies only the nonzero rows
+  (those of the region's active constraints); the incidence layer
+  combines candidate shadow prices of a region with its discovery-tree
+  parent; ReLU applies to the combined differences; the direction
+  vector signs each block's contribution.  mu*(theta) is the signed
+  sum of all blocks.
 * solution subnetwork: the fixed base inverse J^{-1} recovers
   (x, lambda) from mu* and theta.
 
@@ -72,8 +74,9 @@ __all__ = [
 _FORMAT = "cfqp-model"
 _VERSION = 3
 
-#: Elements the largest temporary of one :func:`forward_chunks` chunk may
-#: hold (2 MiB at float64); it sets :attr:`ClosedFormModel.chunk_rows`.
+#: Elements the largest temporaries of one :func:`forward_chunks` chunk may
+#: hold together (2 MiB at float64); it sets
+#: :attr:`ClosedFormModel.chunk_rows`.
 _CHUNK_ELEMENTS = 1 << 18
 
 #: Largest normalized critical-region violation :func:`locate_region`
@@ -148,11 +151,13 @@ class ClosedFormModel:
     @cached_property
     def chunk_rows(self) -> int:
         """Rows :func:`forward_chunks` evaluates at a time, so that its
-        largest temporaries, the (rows, m2 * (k+1), d) first-layer
-        products and the (rows, n+m1, n+m1) solution-layer products,
-        stay within _CHUNK_ELEMENTS."""
+        largest temporaries together, the (rows, nnz, d) products of
+        W0's nnz nonzero rows, the (rows, m2, k+1) shadow prices and the
+        (rows, n+m1, n+m1) solution-layer products, stay within
+        _CHUNK_ELEMENTS."""
         p = self.problem
-        per_row = max(p.m2 * (self.k + 1) * p.d, (p.n + p.m1) ** 2)
+        nnz = np.count_nonzero(self.W0.any(-1))
+        per_row = nnz * p.d + p.m2 * (self.k + 1) + (p.n + p.m1) ** 2
         return max(1, _CHUNK_ELEMENTS // per_row)
 
     @cached_property
@@ -161,8 +166,10 @@ class ClosedFormModel:
         built once per model, rounded to model precision unless noted:
 
         * -B, the negated stacked coefficients, (d,)
-        * W0 reordered to (m2 * (k+1), d): per constraint, the k
-          regions' rows and a zero row k
+        * the nonzero rows of W0, (nnz, d), and their indices in the
+          stacked layout of m2 * (k+1) rows: per constraint, the k
+          regions' rows and a zero row k.  Row j of region i's block is
+          zero unless j is in B_i, so only sum |B_i| rows remain.
         * each row's parent, (k+1,); a root and the zero row take the
           zero row
         * lower and upper ReLU clip bounds per row, (k+1,) each: [0, inf)
@@ -174,12 +181,12 @@ class ClosedFormModel:
         dtype = self.dtype
         p = self.problem
         k = self.k
-        W = np.zeros((p.m2, k + 1, p.d), dtype=dtype)
-        W[:, :k] = self.W0.transpose(1, 0, 2)
+        j, i = np.nonzero(self.W0.any(-1).T)  # stacked order: constraint, then region
         v = np.array(self.direction)
         return (
             -p.stacked_coefficients(dtype),
-            W.reshape(-1, p.d),
+            self.W0[i, j].astype(dtype),
+            j * (k + 1) + i,
             np.array([k if r.parent_id is None else r.parent_id
                       for r in self.regions] + [k], dtype=np.intp),
             np.append(np.where(v > 0, 0.0, -np.inf), 0.0).astype(dtype),
@@ -228,16 +235,21 @@ def _forward_rows(model: ClosedFormModel, Theta: np.ndarray):
     row's results do not depend on the other rows of the block."""
     problem = model.problem
     n, m1 = problem.n, problem.m1
-    neg_B, W, parent, lower, upper, A_C_T, neg_rhs, base_inverse = model._layers
+    neg_B, W, nonzero, parent, lower, upper, A_C_T, neg_rhs, base_inverse = model._layers
     dtype = W.dtype
-    # shadow-price subnetwork: candidate prices h per region, the tree
+    # shadow-price subnetwork: candidate prices h per region (only W0's
+    # nonzero rows are multiplied; the rest of H stays +0.0), the tree
     # incidence (h_j - h_parent, with the zero row as the roots' parent),
     # then v * relu(v * .), which for v = +-1 is a clip to the half-line
     # of v's sign
     Z = np.subtract(neg_B, Theta, dtype=dtype)
-    H = rowwise_matvec(W, Z).reshape(len(Theta), problem.m2, len(parent))
+    H = np.zeros((len(Theta), problem.m2 * len(parent)), dtype=dtype)
+    H[:, nonzero] = rowwise_matvec(W, Z)
+    H = H.reshape(len(Theta), problem.m2, len(parent))
     D = H - H.take(parent, -1)
-    Mu = np.add.reduce(D.clip(lower, upper), -1, initial=0.0)  # +0.0 start clears -0.0
+    # the +0.0 start clears -0.0, so leaving out the zero rows (whose
+    # products are -0.0 where z < 0) keeps Mu bitwise unchanged
+    Mu = np.add.reduce(D.clip(lower, upper), -1, initial=0.0)
     # solution subnetwork: the base inverse maps [z_c + A_C^T mu; z_e]
     # (rounded from float64) to (x, lambda)
     rhs = (neg_rhs - Theta[:, :n + m1]).astype(dtype, copy=False)

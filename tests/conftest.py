@@ -6,7 +6,7 @@ import pytest
 
 from cfqp import dcopf
 from cfqp.cases import case6, two_parameter_problem, two_parameter_theta0
-from cfqp.core import solve_active_set
+from cfqp.core import rowwise_matvec, solve_active_set
 from cfqp.discovery import Direction, SearchPattern, Transition, axis_sweep_pattern, discover
 from cfqp.errors import UnresolvableTransition
 from cfqp.problem import ParameterPoint
@@ -181,3 +181,51 @@ def reference_identify_transition(problem, model, current_region, theta, tol=1e-
     if add_norm >= drop_norm:
         return Transition("add", add_k)
     return Transition("drop", drop_k)
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of the dense first layer, as it was written before the
+# model kept only W0's nonzero rows: every region's full (m2, d) block,
+# zero rows included, is multiplied.
+
+
+def reference_dense_layers(model):
+    """The array kernel's constants with W0 reordered to (m2 * (k+1), d):
+    per constraint, the k regions' rows and a zero row k."""
+    dtype = model.dtype
+    p = model.problem
+    k = model.k
+    W = np.zeros((p.m2, k + 1, p.d), dtype=dtype)
+    W[:, :k] = model.W0.transpose(1, 0, 2)
+    v = np.array(model.direction)
+    return (
+        -p.stacked_coefficients(dtype),
+        W.reshape(-1, p.d),
+        np.array([k if r.parent_id is None else r.parent_id
+                  for r in model.regions] + [k], dtype=np.intp),
+        np.append(np.where(v > 0, 0.0, -np.inf), 0.0).astype(dtype),
+        np.append(np.where(v > 0, np.inf, 0.0), 0.0).astype(dtype),
+        np.ascontiguousarray(p.A_C.T, dtype=dtype),
+        -p.stacked_coefficients()[:p.n + p.m1],
+        model.base_inverse.astype(dtype),
+    )
+
+
+def reference_dense_forward(model, Theta):
+    """(X, Lam, Mu, objective) of the network with the dense first layer."""
+    problem = model.problem
+    n, m1 = problem.n, problem.m1
+    neg_B, W, parent, lower, upper, A_C_T, neg_rhs, base_inverse = reference_dense_layers(model)
+    dtype = W.dtype
+    Z = np.subtract(neg_B, Theta, dtype=dtype)
+    H = rowwise_matvec(W, Z).reshape(len(Theta), problem.m2, len(parent))
+    D = H - H.take(parent, -1)
+    Mu = np.add.reduce(D.clip(lower, upper), -1, initial=0.0)  # +0.0 start clears -0.0
+    rhs = (neg_rhs - Theta[:, :n + m1]).astype(dtype, copy=False)
+    rhs[:, :n] += rowwise_matvec(A_C_T, Mu)
+    S = rowwise_matvec(base_inverse, rhs)
+    X = S[:, :n]
+    x = X.astype(np.float64)
+    Qx_c = rowwise_matvec(problem.Q, x) + problem.C + Theta[:, :n]
+    objective = np.add.reduce(x * Qx_c, -1) + problem.C0
+    return X, S[:, n:], Mu, objective

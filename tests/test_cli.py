@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cfqp.cases import bundled_case_json, bundled_problem_json
-from cfqp.cli import EXIT_CODES, main
-from cfqp.model import deserialize
+from cfqp.cli import EXIT_CODES, _csv_rows, main
+from cfqp.model import cast, deserialize, forward_array, serialize
+from cfqp.oracle import kkt_means
 from cfqp.problem import MpQpProblem
 
 MATPOWER_TEXT = """
@@ -153,6 +154,36 @@ class TestPredictCommand:
         ]) == 0
         assert out_jsonl.read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("text", ["# note\nth1,th2\n100,100\n", "\nth1,th2\n100,100\n",
+                                      "  \nth1,th2\n \n100,100\n"],
+                             ids=["comment", "blank", "whitespace"])
+    def test_header_after_comment_or_blank_line(self, problem_file, model_2d_file, tmp_path,
+                                                text):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("100,100\n")
+        thetas = tmp_path / "thetas.csv"
+        thetas.write_text(text)
+        for path in (plain, thetas):
+            assert main([
+                "predict", "--problem", problem_file, "--model", model_2d_file,
+                "--thetas", str(path), "--out", f"{path}.out",
+            ]) == 0
+        assert open(f"{thetas}.out", "rb").read() == open(f"{plain}.out", "rb").read()
+
+    @pytest.mark.parametrize("text", ["", "# no rows\n\n"], ids=["empty", "comments"])
+    def test_no_theta_rows_writes_header_only(self, problem_file, model_2d_file, tmp_path,
+                                              text):
+        thetas = tmp_path / "thetas.csv"
+        thetas.write_text(text)
+        out = tmp_path / "solutions.csv"
+        assert main([
+            "predict", "--problem", problem_file, "--model", model_2d_file,
+            "--thetas", str(thetas), "--out", str(out),
+        ]) == 0
+        data = out.read_bytes()
+        assert data.startswith(b"x1,") and data.endswith(b",kkt4\r\n")
+        assert data.count(b"\n") == 1
+
     def test_malformed_theta_row(self, problem_file, model_2d_file, tmp_path, capsys):
         thetas = tmp_path / "thetas.csv"
         # wrong length, then a non-finite row after a good one, then an
@@ -193,6 +224,48 @@ class TestPredictCommand:
             "predict", "--problem", problem_file, "--model", str(broken),
             "--thetas", str(thetas),
         ]) == EXIT_CODES["format"]
+
+
+def repr_rows(table):
+    """The plain CSV formatting predict's output must equal."""
+    return "".join(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
+
+
+class TestPredictFormatting:
+    def test_csv_rows_match_repr(self, model_2d):
+        # 32-bit network values promoted to float64, next to signed zeros
+        # in one column, repeats and extreme magnitudes
+        Theta = np.tile([0.0] * 6 + [100.0, 100.0] + [0.0] * 6, (8, 1))
+        Theta[:, 6:8] += np.linspace(0.0, 700.0, 8)[:, None]
+        outputs = forward_array(cast(model_2d, 32), Theta)
+        assert outputs[0].dtype == np.float32
+        special = np.resize([
+            [0.0, 1e16, 5e-324, 1e-05, 0.1],
+            [-0.0, 1e16, -5e-324, 1e-05, 0.1],
+            [0.0, -1e16, 5e-324, -1e-05, 2.5],
+        ], (len(Theta), 5))
+        table = np.hstack([*outputs[:3], outputs[3][:, None], special])
+        assert table.dtype == np.float64
+        assert _csv_rows(table) == repr_rows(table)
+        assert "-0.0" in _csv_rows(table)
+
+    def test_predict_output_matches_repr(self, problem_file, model_2d_file, tmp_path):
+        problem = MpQpProblem.from_json(open(problem_file).read())
+        model = cast(deserialize(open(model_2d_file, "rb").read(), problem), 32)
+        model_32 = tmp_path / "model32.json"
+        model_32.write_bytes(serialize(model))
+        Theta = np.zeros((40, problem.d))
+        Theta[:, problem.n:problem.n + 2] = np.linspace(100.0, 500.0, 80).reshape(40, 2)
+        thetas = tmp_path / "thetas.csv"
+        thetas.write_text("".join(",".join(map(repr, row)) + "\n" for row in Theta.tolist()))
+        out = tmp_path / "solutions.csv"
+        assert main([
+            "predict", "--problem", problem_file, "--model", str(model_32),
+            "--thetas", str(thetas), "--out", str(out),
+        ]) == 0
+        X, Lam, Mu, objective = forward_array(model, Theta)
+        table = np.hstack([X, Lam, Mu, objective[:, None], kkt_means(problem, X, Lam, Mu, Theta)])
+        assert out.read_bytes().split(b"\r\n", 1)[1] == repr_rows(table).encode()
 
 
 class TestGenDataAndKktReport:

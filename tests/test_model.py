@@ -15,6 +15,8 @@ from cfqp.model import (
 from cfqp.oracle import brute_force_solve, kkt_report
 from cfqp.problem import ActiveSet, ParameterPoint
 
+from conftest import reference_dense_forward
+
 
 class TestInitAndForward:
     def test_root_model_matches_active_set_solver(self, two_param, theta0_2d):
@@ -167,6 +169,35 @@ class TestForwardArray:
     def test_wrong_width_rejected(self, model_2d):
         with pytest.raises(ProblemFormatError):
             forward_array(model_2d, np.zeros((3, model_2d.problem.d - 1)))
+
+
+class TestSparseFirstLayer:
+    """forward_array multiplies only W0's nonzero rows; it must stay
+    bitwise the dense first layer kept in conftest."""
+
+    @staticmethod
+    def thetas(problem, count, seed):
+        """Random stacked thetas, the last one at z = -B - theta = -1 in
+        every entry, where every product of a dense all-zero row is -0.0
+        (a sum that starts from its first term gives -0.0)."""
+        rng = np.random.default_rng(seed)
+        out = rng.uniform(-1.0, 1.0, (count, problem.d))
+        out[:, problem.n:problem.n + problem.m1] *= 400.0
+        out[-1] = 1.0 - problem.stacked_coefficients()
+        return out
+
+    @pytest.mark.parametrize("precision", [64, 32])
+    @pytest.mark.parametrize("fixture", ["model_2d", "box_model"])
+    def test_matches_dense_layer_bitwise(self, request, fixture, precision):
+        model = cast(request.getfixturevalue(fixture), precision)
+        problem = model.problem
+        assert np.count_nonzero(model.W0.any(-1)) < model.W0.shape[0] * problem.m2
+        for count in (1, model.chunk_rows, model.chunk_rows + 1):
+            Theta = self.thetas(problem, count, seed=count)
+            for got, want in zip(forward_array(model, Theta),
+                                 reference_dense_forward(model, Theta)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestCast:
