@@ -164,13 +164,17 @@ def _jsonl_thetas(problem: MpQpProblem, path: str, text: str) -> Tuple[List[dict
 
 def _read_thetas(problem: MpQpProblem, path: str) -> np.ndarray:
     """Dataset rows as an (N, d) array of stacked thetas: JSON-lines
-    records, or CSV rows of either m1 (theta_e only) or d (stacked)
-    numeric columns, with '#' comments, blank lines and an optional
-    header: the first other row, if it has a non-numeric field."""
+    records, or CSV rows with '#' comments, blank lines and an optional
+    header: the first other row, if it has a non-numeric field.  A header
+    naming theta_e1..theta_e{m1} (as ``gen-data --format csv`` writes)
+    selects those columns; otherwise a row has either m1 (theta_e only)
+    or d (stacked) numeric columns."""
     text = Path(path).read_text()
     if path.endswith(".jsonl") or text.lstrip()[:1] == "{":
         return _jsonl_thetas(problem, path, text)[1]
     pad_c, pad_C = [0.0] * problem.n, [0.0] * problem.m2
+    names = [f"theta_e{i+1}" for i in range(problem.m1)]
+    columns = None
     rows, lines = [], []
     first = True
     for lineno, row in enumerate(csv.reader(text.splitlines()), 1):
@@ -179,7 +183,12 @@ def _read_thetas(problem: MpQpProblem, path: str) -> np.ndarray:
         if first:
             first = False
             if any(not _is_number(tok) for tok in row if tok.strip()):
+                header = [tok.strip() for tok in row]
+                if names and set(names) <= set(header):
+                    columns = [header.index(name) for name in names]
                 continue  # header row
+        if columns is not None:
+            row = [row[c] if c < len(row) else "" for c in columns]
         try:
             vals = [float(tok) for tok in row if tok.strip() != ""]
         except ValueError as exc:
@@ -392,6 +401,10 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.count < 1:
+        raise CliError(f"--count must be >= 1, got {args.count}")
+    if not np.isfinite(args.jitter):
+        raise CliError(f"--jitter must be finite, got {args.jitter}")
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
     rng = np.random.default_rng(args.seed)

@@ -24,6 +24,7 @@ __all__ = [
     "factorize",
     "solve_active_set",
     "region_slopes",
+    "gradient_rows",
     "lagrangian_gradients",
     "objective_value",
     "rowwise_matvec",
@@ -39,15 +40,14 @@ _PIVOT_RTOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-6}
 
 class JacobianFactors:
     """Partial-pivoted LU factors of a square matrix, with singularity
-    detection and on-demand explicit inverse."""
+    detection and an explicit inverse on request."""
 
-    __slots__ = ("matrix", "_lu", "_piv", "_inv", "dtype")
+    __slots__ = ("_lu", "_piv", "dtype")
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("factorize expects a square matrix")
-        self.matrix = matrix
         self.dtype = matrix.dtype
         with warnings.catch_warnings():
             # Exactly-singular matrices are detected by the pivot check
@@ -64,21 +64,14 @@ class JacobianFactors:
             )
         self._lu = lu
         self._piv = piv
-        self._inv = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=self.dtype)
         return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
 
     def inverse(self) -> np.ndarray:
-        """Explicit inverse, cached (matrices here are small and the
-        inverse is reused many times)."""
-        if self._inv is None:
-            eye = np.eye(self.matrix.shape[0], dtype=self.dtype)
-            inv = scipy.linalg.lu_solve((self._lu, self._piv), eye, check_finite=False)
-            inv.setflags(write=False)
-            self._inv = inv
-        return self._inv
+        """Explicit inverse (the matrices here are small)."""
+        return self.solve(np.eye(self._lu.shape[0], dtype=self.dtype))
 
 
 def assemble_active_jacobian(
@@ -166,29 +159,37 @@ def region_slopes(problem: MpQpProblem, B: ActiveSet) -> np.ndarray:
     return grad_mu
 
 
-def lagrangian_gradients(
-    problem: MpQpProblem, sol: PrimalDualSolution, theta: ParameterPoint
+def gradient_rows(
+    problem: MpQpProblem, X: np.ndarray, Lam: np.ndarray, Mu: np.ndarray, Theta: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact affine Lagrangian gradients (no clipping):
+    """Exact affine Lagrangian gradients (no clipping) of N solutions at
+    once, at float64, as (N, n), (N, m1) and (N, m2) arrays:
 
     dL/dx      = 2 Q x + C + theta_c - A_e^T lambda - A_C^T mu
     dL/dlambda = b_e + theta_e - A_e x
     dL/dmu     = b_C + theta_C - A_C x
-    """
+
+    Row i is that of (X[i], Lam[i], Mu[i]) at the stacked theta Theta[i].
+    The products run through ``rowwise_matvec``, so a row's values do
+    not depend on the other rows."""
+    n, m1 = problem.n, problem.m1
+    x, lam, mu = (np.asarray(a, dtype=np.float64) for a in (X, Lam, Mu))
+    dL_dx = (rowwise_matvec(2.0 * problem.Q, x) + problem.C + Theta[:, :n]
+             - rowwise_matvec(problem.A_e.T, lam)
+             - rowwise_matvec(problem.A_C.T, mu))
+    dL_dlam = problem.b_e + Theta[:, n:n + m1] - rowwise_matvec(problem.A_e, x)
+    dL_dmu = problem.b_C + Theta[:, n + m1:] - rowwise_matvec(problem.A_C, x)
+    return dL_dx, dL_dlam, dL_dmu
+
+
+def lagrangian_gradients(
+    problem: MpQpProblem, sol: PrimalDualSolution, theta: ParameterPoint
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gradient_rows` of one solution: dL/dx, dL/dlambda and
+    dL/dmu, bitwise equal to its row in any batch."""
     theta.check_dims(problem)
-    x = np.asarray(sol.x, dtype=np.float64)
-    lam = np.asarray(sol.lam, dtype=np.float64)
-    mu = np.asarray(sol.mu, dtype=np.float64)
-    dL_dx = (
-        2.0 * problem.Q @ x
-        + problem.C
-        + theta.theta_c
-        - problem.A_e.T @ lam
-        - problem.A_C.T @ mu
-    )
-    dL_dlambda = problem.b_e + theta.theta_e - problem.A_e @ x
-    dL_dmu = problem.b_C + theta.theta_C - problem.A_C @ x
-    return dL_dx, dL_dlambda, dL_dmu
+    X, Lam, Mu, Theta = (v[None] for v in (sol.x, sol.lam, sol.mu, theta.stacked()))
+    return tuple(g[0] for g in gradient_rows(problem, X, Lam, Mu, Theta))
 
 
 def objective_value(problem: MpQpProblem, x: np.ndarray, theta: ParameterPoint) -> float:

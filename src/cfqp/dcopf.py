@@ -257,9 +257,6 @@ class DcOpfIndexMap:
     box_rows: Tuple[Tuple[int, int], ...]    # per generator: (upper row, lower row), 1-based
     flow_rows: Tuple[Tuple[int, int], ...]   # per line: (upper row, lower row), 1-based
 
-    def theta_e_index(self, bus_id: int) -> int:
-        return self.bus_ids.index(bus_id)
-
     def full_angles(self, x: np.ndarray) -> np.ndarray:
         """Reconstruct per-bus voltage angles, zero at the slack bus."""
         out = np.zeros(len(self.bus_ids))

@@ -11,8 +11,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import lagrangian_gradients, rowwise_matvec, solve_active_set
-from .errors import Infeasible, SingularActiveJacobian
+from .core import gradient_rows, lagrangian_gradients, solve_active_set
+from .errors import Infeasible, ProblemFormatError, SingularActiveJacobian
 from .problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
 __all__ = [
@@ -84,56 +84,8 @@ class KktReport:
         return out
 
 
-def kkt_report(
-    problem: MpQpProblem, sol: PrimalDualSolution, theta: ParameterPoint
-) -> KktReport:
-    """Evaluate the five KKT violation vectors at 64-bit (inputs of any
-    precision are promoted, so the report measures the true residual of
-    whatever solution it is handed)."""
-    dL_dx, dL_dlam, dL_dmu = lagrangian_gradients(problem, sol, theta)
-    mu = np.asarray(sol.mu, dtype=np.float64)
-    kkt1 = dL_dx ** 2
-    kkt2_eq = dL_dlam ** 2
-    kkt2_ineq = np.maximum(0.0, dL_dmu) ** 2
-    kkt3 = np.maximum(0.0, -mu) + 0.0  # + 0.0 clears negative zeros
-    kkt4 = (mu * dL_dmu) ** 2
-    stacked = np.concatenate([kkt1, kkt2_eq, kkt2_ineq, kkt3, kkt4])
-    return KktReport(
-        kkt1=kkt1,
-        kkt2_eq=kkt2_eq,
-        kkt2_ineq=kkt2_ineq,
-        kkt3=kkt3,
-        kkt4=kkt4,
-        scalar=float(stacked.mean()),
-    )
-
-
-def kkt_batch(
-    problem: MpQpProblem,
-    X: np.ndarray,
-    Lam: np.ndarray,
-    Mu: np.ndarray,
-    Theta: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`kkt_report`'s five violation vectors for N solutions at
-    once, at float64: (N, n), (N, m1), (N, m2), (N, m2) and (N, m2)
-    arrays for kkt1, kkt2_eq, kkt2_ineq, kkt3 and kkt4.
-
-    Row i is the report of (X[i], Lam[i], Mu[i]) at the stacked theta
-    Theta[i].  The products run through ``rowwise_matvec``, so a row's
-    values do not depend on the other rows; they match ``kkt_report``,
-    which uses BLAS products, up to rounding."""
-    n, m1 = problem.n, problem.m1
-    x, lam, mu = (np.asarray(a, dtype=np.float64) for a in (X, Lam, Mu))
-    dL_dx = (
-        rowwise_matvec(2.0 * problem.Q, x)
-        + problem.C
-        + Theta[:, :n]
-        - rowwise_matvec(problem.A_e.T, lam)
-        - rowwise_matvec(problem.A_C.T, mu)
-    )
-    dL_dlam = problem.b_e + Theta[:, n:n + m1] - rowwise_matvec(problem.A_e, x)
-    dL_dmu = problem.b_C + Theta[:, n + m1:] - rowwise_matvec(problem.A_C, x)
+def _violations(mu, dL_dx, dL_dlam, dL_dmu):
+    """The five violation vectors, elementwise from the gradients."""
     return (
         dL_dx ** 2,
         dL_dlam ** 2,
@@ -141,6 +93,35 @@ def kkt_batch(
         np.maximum(0.0, -mu) + 0.0,  # + 0.0 clears negative zeros
         (mu * dL_dmu) ** 2,
     )
+
+
+def _report(mu: np.ndarray, gradients) -> KktReport:
+    """The report of one solution, from its multipliers and gradients."""
+    vectors = _violations(np.asarray(mu, dtype=np.float64), *gradients)
+    return KktReport(*vectors, scalar=float(np.concatenate(vectors).mean()))
+
+
+def kkt_report(
+    problem: MpQpProblem, sol: PrimalDualSolution, theta: ParameterPoint
+) -> KktReport:
+    """Evaluate the five KKT violation vectors at 64-bit (inputs of any
+    precision are promoted, so the report measures the true residual of
+    whatever solution it is handed).  They are bitwise the row of
+    :func:`kkt_batch` for this solution."""
+    return _report(sol.mu, lagrangian_gradients(problem, sol, theta))
+
+
+def kkt_batch(
+    problem: MpQpProblem, X: np.ndarray, Lam: np.ndarray, Mu: np.ndarray, Theta: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`kkt_report`'s five violation vectors for N solutions at
+    once, at float64: (N, n), (N, m1), (N, m2), (N, m2) and (N, m2)
+    arrays for kkt1, kkt2_eq, kkt2_ineq, kkt3 and kkt4.
+
+    Row i is the report of (X[i], Lam[i], Mu[i]) at the stacked theta
+    Theta[i], bit for bit (see ``gradient_rows``)."""
+    mu = np.asarray(Mu, dtype=np.float64)
+    return _violations(mu, *gradient_rows(problem, X, Lam, mu, Theta))
 
 
 def kkt_means(
@@ -188,6 +169,8 @@ def brute_force_solve(
     constraint with mu ~ 0) or boundary ties between active sets.
     """
     theta.check_dims(problem)
+    if not np.isfinite(theta.stacked()).all():
+        raise ProblemFormatError("theta has non-finite entries")
     if problem.m2 > MAX_ENUM_M2:
         raise ValueError(
             f"brute_force_solve is limited to m2 <= {MAX_ENUM_M2}, got {problem.m2}"
@@ -219,10 +202,10 @@ def brute_force_solve(
             dual_scale = max(1.0, float(np.abs(mu_B).max()) if k else 1.0)
             if k and mu_B.min() < -ORACLE_TOL * dual_scale:
                 continue
-            _, _, dL_dmu = lagrangian_gradients(problem, sol, theta)
-            if m2 and dL_dmu.max() > primal_tol:
+            gradients = lagrangian_gradients(problem, sol, theta)
+            if m2 and gradients[2].max() > primal_tol:
                 continue
-            report = kkt_report(problem, sol, theta)
+            report = _report(sol.mu, gradients)
             weak = bool(k and mu_B.min() <= ORACLE_TOL * dual_scale)
             key = (report.scalar, k, combo)
             candidates += 1

@@ -154,6 +154,24 @@ class TestPredictCommand:
         ]) == 0
         assert out_jsonl.read_bytes() == out.read_bytes()
 
+    def test_gen_data_csv_input(self, case_file, tmp_path):
+        """predict reads gen-data's CSV (theta_e columns picked by name,
+        past the feasible and scale columns) as it reads its JSON-lines."""
+        model = tmp_path / "model6.json"
+        assert main(["discover", "--case", case_file, "--steps", "30",
+                     "--out", str(model)]) == 0
+        outputs = []
+        for fmt in ("csv", "jsonl"):
+            data = tmp_path / f"local.{fmt}"
+            out = tmp_path / f"solutions-{fmt}.csv"
+            assert main(["gen-data", "local", "--case", case_file, "--count", "20",
+                         "--seed", "2", "--format", fmt, "--out", str(data)]) == 0
+            assert main(["predict", "--case", case_file, "--model", str(model),
+                         "--thetas", str(data), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\r\n") == 21
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("text", ["# note\nth1,th2\n100,100\n", "\nth1,th2\n100,100\n",
                                       "  \nth1,th2\n \n100,100\n"],
                              ids=["comment", "blank", "whitespace"])
@@ -426,14 +444,21 @@ class TestBench:
     (["gen-data", "scaled", "--case", "CASE", "--count", "0"], "--count"),
     (["gen-data", "scaled", "--case", "CASE", "--count", "2", "--scales", "2,1"], "--scales"),
     (["gen-data", "extreme", "--case", "CASE", "--steps", "0"], "--steps"),
+    (["bench", "--case", "CASE", "--model", "MODEL", "--count", "-1"], "--count"),
+    (["bench", "--case", "CASE", "--model", "MODEL", "--count", "0"], "--count"),
+    (["bench", "--case", "CASE", "--model", "MODEL", "--jitter", "nan"], "--jitter"),
+    (["bench", "--case", "CASE", "--model", "MODEL", "--jitter", "inf"], "--jitter"),
 ], ids=["discover-steps", "discover-extent-length", "discover-tol-nan",
         "discover-tol-inf", "discover-tol-negative", "discover-scales-order",
-        "local-count", "scaled-count", "gen-data-scales-order", "extreme-steps"])
+        "local-count", "scaled-count", "gen-data-scales-order", "extreme-steps",
+        "bench-count-negative", "bench-count-zero", "bench-jitter-nan", "bench-jitter-inf"])
 def test_bad_argument_is_usage_error(
     problem_file, case_file, tmp_path, capsys, monkeypatch, argv, flag
 ):
     """A bad argument exits 2 naming its flag, before any feasibility
-    bisection and before any output is written."""
+    bisection and before any output is written.  bench has no --out; its
+    model path does not exist, so only a check made before the model is
+    read can give exit 2."""
     import cfqp.cli
 
     def no_bisection(*args):
@@ -441,7 +466,10 @@ def test_bad_argument_is_usage_error(
 
     monkeypatch.setattr(cfqp.cli, "feasible_extent", no_bisection)
     out = tmp_path / "out"
-    inputs = {"PROBLEM": problem_file, "CASE": case_file}
-    assert main([inputs.get(a, a) for a in argv] + ["--out", str(out)]) == EXIT_CODES["usage"]
+    inputs = {"PROBLEM": problem_file, "CASE": case_file, "MODEL": str(tmp_path / "none.json")}
+    argv = [inputs.get(a, a) for a in argv]
+    if argv[0] != "bench":
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_CODES["usage"]
     assert flag in capsys.readouterr().err
     assert not out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfqp.errors import Infeasible
+from cfqp.errors import Infeasible, ProblemFormatError
 from cfqp.model import forward, forward_array
 from cfqp.oracle import (
     MAX_ENUM_M2,
@@ -13,7 +13,7 @@ from cfqp.oracle import (
 )
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
-from conftest import on_sweep_samples_2d
+from conftest import local_samples_6bus, on_sweep_samples_2d
 
 
 class TestBruteForceFrozenValues:
@@ -95,6 +95,16 @@ class TestOracleSanity:
     def test_is_feasible(self, two_param):
         assert is_feasible(two_param, ParameterPoint.of_theta_e(two_param, [500.0, 499.0]))
         assert not is_feasible(two_param, ParameterPoint.of_theta_e(two_param, [500.0, 501.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_is_format_error(self, two_param, bad):
+        """A NaN fails no comparison, so it would pass every acceptance
+        test; a non-finite theta is rejected before enumeration."""
+        theta = ParameterPoint.of_theta_e(two_param, [bad, 100.0])
+        with pytest.raises(ProblemFormatError):
+            brute_force_solve(two_param, theta)
+        with pytest.raises(ProblemFormatError):
+            is_feasible(two_param, theta)
 
     def test_degenerate_flag_on_weakly_active_optimum(self):
         # min x^2 with x >= 0: the constraint is active with mu = 0.
@@ -178,25 +188,33 @@ class TestKktReport:
         for stats in d["kkt1_groups"].values():
             assert set(stats) == {"mean", "max"}
 
-    def test_batched_means_match_per_row_reports(self, model_2d, two_param):
+    def test_batched_means_match_per_row_reports(
+        self, model_2d, two_param, box_model, power_case
+    ):
         """kkt_means against per-row kkt_report, inside the certified
         domain and far outside it (theta = (5000, 5000) breaks
-        theta1 + theta2 <= 1000, and its KKT4 is about 1e20).  The two
-        sum the same products in different orders, so the tolerance is
-        relative for large residuals and, for rounding-sized ones, an
-        absolute slack two decades under the 1e-18 KKT level."""
+        theta1 + theta2 <= 1000, and its KKT4 is about 1e20), and on the
+        case6 box model.  Both run the same row kernel, so they agree bit
+        for bit."""
         names = ("kkt1", "kkt2_eq", "kkt2_ineq", "kkt3", "kkt4")
-        thetas = on_sweep_samples_2d(two_param, 100, seed=4) + [
+
+        def means(model, thetas):
+            problem = model.problem
+            Theta = np.array([t.stacked() for t in thetas])
+            X, Lam, Mu, _ = forward_array(model, Theta)
+            got = kkt_means(problem, X, Lam, Mu, Theta)
+            ref = np.array([
+                [np.mean(getattr(kkt_report(problem, forward(model, t), t), k))
+                 for k in names]
+                for t in thetas
+            ])
+            return got, ref
+
+        got, ref = means(model_2d, on_sweep_samples_2d(two_param, 100, seed=4) + [
             ParameterPoint.of_theta_e(two_param, te)
             for te in ([5000.0, 5000.0], [850.0, 100.0], [-300.0, 50.0])
-        ]
-        Theta = np.array([t.stacked() for t in thetas])
-        X, Lam, Mu, _ = forward_array(model_2d, Theta)
-        got = kkt_means(two_param, X, Lam, Mu, Theta)
-        ref = np.array([
-            [np.mean(getattr(kkt_report(two_param, forward(model_2d, t), t), k))
-             for k in names]
-            for t in thetas
         ])
         assert ref[-3, 4] > 1e19
-        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-20)
+        assert np.array_equal(got, ref)
+        got, ref = means(box_model, local_samples_6bus(power_case, box_model.problem, 100, 4))
+        assert np.array_equal(got, ref)

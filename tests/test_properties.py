@@ -3,13 +3,21 @@
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfqp.core import solve_active_set
+from cfqp.core import gradient_rows, lagrangian_gradients, solve_active_set
 from cfqp.discovery import identify_transition
-from cfqp.errors import UnresolvableTransition
-from cfqp.model import RegionEntry, cast, forward, locate_region, region_residuals
-from cfqp.oracle import brute_force_solve, kkt_report
+from cfqp.errors import Infeasible, UnresolvableTransition
+from cfqp.model import (
+    RegionEntry,
+    cast,
+    forward,
+    init_model,
+    locate_region,
+    region_residuals,
+)
+from cfqp.oracle import brute_force_solve, kkt_batch, kkt_report
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
 
 from conftest import (
@@ -130,6 +138,77 @@ def test_precision_ordering(two_param, model_2d, t, axis):
     s64 = kkt_report(two_param, forward(model_2d, theta), theta).scalar
     s32 = kkt_report(two_param, forward(cast(model_2d, 32), theta), theta).scalar
     assert s32 >= s64
+
+
+@pytest.fixture(scope="module")
+def line_model(line_problem):
+    """A one-region model of the line-limited case6 problem; away from
+    its root region its forward solutions carry large KKT residuals."""
+    problem, _ = line_problem
+    theta0 = ParameterPoint.zeros(problem)
+    return init_model(problem, brute_force_solve(problem, theta0).active_set, theta0)
+
+
+KKT_NAMES = ("kkt1", "kkt2_eq", "kkt2_ineq", "kkt3", "kkt4")
+
+
+def assert_rows_bitwise(problem, solutions, thetas):
+    """lagrangian_gradients and kkt_report of each solution are bit for
+    bit its row of gradient_rows and kkt_batch over all of them."""
+    Theta = np.array([t.stacked() for t in thetas])
+    X, Lam, Mu = (np.array([getattr(s, k) for s in solutions]) for k in ("x", "lam", "mu"))
+    grads = gradient_rows(problem, X, Lam, Mu, Theta)
+    batch = kkt_batch(problem, X, Lam, Mu, Theta)
+    for i, (sol, theta) in enumerate(zip(solutions, thetas)):
+        for row, one in zip(grads, lagrangian_gradients(problem, sol, theta)):
+            assert row[i].tobytes() == one.tobytes()
+        report = kkt_report(problem, sol, theta)
+        for row, name in zip(batch, KKT_NAMES):
+            assert row[i].tobytes() == getattr(report, name).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ts=st.lists(st.floats(min_value=0.0, max_value=800.0), min_size=1, max_size=3),
+    axis=st.integers(0, 1),
+    bits=st.sampled_from([64, 32]),
+)
+def test_kkt_rows_bitwise_2d(two_param, model_2d, ts, axis, bits):
+    thetas = []
+    for t in ts:
+        theta_e = [100.0, 100.0]
+        theta_e[axis] += t
+        thetas.append(ParameterPoint.of_theta_e(two_param, theta_e))
+    model = cast(model_2d, bits)
+    solutions = [forward(model, t) for t in thetas] + [
+        brute_force_solve(two_param, t).solution for t in thetas
+    ]
+    assert_rows_bitwise(two_param, solutions, thetas + thetas)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    ratios=st.lists(
+        st.lists(st.floats(min_value=0.6, max_value=1.4), min_size=6, max_size=6),
+        min_size=1, max_size=3,
+    ),
+    bits=st.sampled_from([64, 32]),
+)
+def test_kkt_rows_bitwise_case6_lines(power_case, line_problem, line_model, ratios, bits):
+    problem, _ = line_problem
+    P_d = power_case.demand_vector()
+    model = cast(line_model, bits)
+    solutions, thetas = [], []
+    for r in ratios:
+        theta = ParameterPoint.of_theta_e(problem, (1.0 - np.asarray(r)) * P_d)
+        solutions.append(forward(model, theta))
+        thetas.append(theta)
+        try:
+            solutions.append(brute_force_solve(problem, theta).solution)
+            thetas.append(theta)
+        except Infeasible:
+            pass
+    assert_rows_bitwise(problem, solutions, thetas)
 
 
 @settings(max_examples=40, deadline=None)
