@@ -41,6 +41,7 @@ from .model import (  # noqa: F401
 from .oracle import (  # noqa: F401
     MAX_ENUM_M2,
     brute_force_solve,
+    is_feasible,
     kkt_batch,
     kkt_means,
     kkt_report,
@@ -411,6 +412,15 @@ def cmd_bench(args) -> int:
     n, m1 = problem.n, problem.m1
     thetas = np.tile(model.regions[0].witness_theta.stacked(), (args.count, 1))
     thetas[:, n:n + m1] += rng.uniform(-1.0, 1.0, (args.count, m1)) * args.jitter
+    with_oracle = problem.m2 <= MAX_ENUM_M2
+    if with_oracle:
+        points = [ParameterPoint.from_stacked(problem, row) for row in thetas]
+        infeasible = sum(not is_feasible(problem, theta) for theta in points)
+        if infeasible:
+            raise CliError(
+                f"--jitter {args.jitter:g} puts {infeasible} of {args.count} points "
+                "outside the feasible domain; use a smaller --jitter"
+            )
 
     model_times = []
     for _ in range(5):
@@ -420,11 +430,10 @@ def cmd_bench(args) -> int:
     model_time = statistics.median(model_times)
     print(f"model batch: {args.count} points in {model_time:.4f} s (median of 5)")
 
-    if problem.m2 > MAX_ENUM_M2:
+    if not with_oracle:
         print(f"oracle skipped: m2={problem.m2} exceeds the enumeration "
               f"guard ({MAX_ENUM_M2}); model-only benchmark")
         return 0
-    points = [ParameterPoint.from_stacked(problem, row) for row in thetas]
     oracle_times = []
     for _ in range(5):
         start = time.perf_counter()

@@ -1,10 +1,9 @@
 """Dense linear-algebra kernels: Jacobian assembly, factorization,
 active-set solves, region slopes, Lagrangian gradients, objective.
 
-Active-set solves accept a ``dtype`` so they can run in float32 or
-float64.  The network's weights (the base Jacobian and the region
-slopes) are always built at float64; a model rounds them to its own
-precision.
+Everything here runs at float64.  The network's weights (the base
+Jacobian and the region slopes) are built here; a model rounds them to
+its own precision.
 """
 
 from __future__ import annotations
@@ -31,33 +30,28 @@ __all__ = [
 ]
 
 # Relative pivot threshold below which an LU factorization is declared
-# singular.  float32 needs a looser threshold than float64 because its
-# representation noise alone produces pivots around 1e-7 * scale; 1e-6
-# sits above that noise floor while staying below the smallest relative
-# pivot seen in well-conditioned KKT systems (~7e-6).
-_PIVOT_RTOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-6}
+# singular.
+_PIVOT_RTOL = 1e-12
 
 
 class JacobianFactors:
     """Partial-pivoted LU factors of a square matrix, with singularity
     detection and an explicit inverse on request."""
 
-    __slots__ = ("_lu", "_piv", "dtype")
+    __slots__ = ("_lu", "_piv")
 
     def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix)
+        matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("factorize expects a square matrix")
-        self.dtype = matrix.dtype
         with warnings.catch_warnings():
             # Exactly-singular matrices are detected by the pivot check
             # below; scipy's advisory warning is redundant here.
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
         scale = np.abs(matrix).max()
-        rtol = _PIVOT_RTOL.get(np.dtype(matrix.dtype), 1e-12)
         pivots = np.abs(np.diag(lu))
-        if scale == 0.0 or pivots.min() < rtol * scale:
+        if scale == 0.0 or pivots.min() < _PIVOT_RTOL * scale:
             raise SingularJacobian(
                 f"matrix is numerically singular (min pivot {pivots.min() if scale else 0.0:g}, "
                 f"scale {scale:g})"
@@ -66,17 +60,15 @@ class JacobianFactors:
         self._piv = piv
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=self.dtype)
+        rhs = np.asarray(rhs, dtype=np.float64)
         return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
 
     def inverse(self) -> np.ndarray:
         """Explicit inverse (the matrices here are small)."""
-        return self.solve(np.eye(self._lu.shape[0], dtype=self.dtype))
+        return self.solve(np.eye(self._lu.shape[0]))
 
 
-def assemble_active_jacobian(
-    problem: MpQpProblem, B: ActiveSet, dtype=np.float64
-) -> np.ndarray:
+def assemble_active_jacobian(problem: MpQpProblem, B: ActiveSet) -> np.ndarray:
     """J_B = [[2Q, -A_e^T, -A_B^T], [-A_e, 0, 0], [-A_B, 0, 0]].  The
     empty active set gives the base Jacobian [[2Q, -A_e^T], [-A_e, 0]]."""
     B.validate(problem)
@@ -84,8 +76,8 @@ def assemble_active_jacobian(
     A_B = problem.A_C[B.as_index_array()]
     k = len(B)
     size = n + m1 + k
-    J = np.zeros((size, size), dtype=dtype)
-    J[:n, :n] = 2.0 * problem.Q
+    J = np.zeros((size, size))
+    J[:n, :n] = problem.two_Q
     J[:n, n:n + m1] = -problem.A_e.T
     J[:n, n + m1:] = -A_B.T
     J[n:n + m1, :n] = -problem.A_e
@@ -99,10 +91,10 @@ def factorize(J: np.ndarray) -> JacobianFactors:
     return JacobianFactors(np.asarray(J))
 
 
-def _active_factors(problem: MpQpProblem, B: ActiveSet, dtype) -> JacobianFactors:
+def _active_factors(problem: MpQpProblem, B: ActiveSet) -> JacobianFactors:
     """The LU factors of J_B; a singular J_B is SingularActiveJacobian."""
     try:
-        return JacobianFactors(assemble_active_jacobian(problem, B, dtype=dtype))
+        return JacobianFactors(assemble_active_jacobian(problem, B))
     except SingularJacobian as exc:
         raise SingularActiveJacobian(
             f"active set {sorted(B)} yields a singular KKT system: {exc}"
@@ -110,7 +102,7 @@ def _active_factors(problem: MpQpProblem, B: ActiveSet, dtype) -> JacobianFactor
 
 
 def solve_active_set(
-    problem: MpQpProblem, B: ActiveSet, theta: ParameterPoint, dtype=np.float64
+    problem: MpQpProblem, B: ActiveSet, theta: ParameterPoint
 ) -> PrimalDualSolution:
     """Solve the KKT equality system for a given active set.
 
@@ -118,7 +110,7 @@ def solve_active_set(
     objective value filled in.
     """
     theta.check_dims(problem)
-    factors = _active_factors(problem, B, dtype)
+    factors = _active_factors(problem, B)
     idx = B.as_index_array()
     rhs = np.concatenate(
         [
@@ -126,12 +118,12 @@ def solve_active_set(
             (-problem.b_e - theta.theta_e),
             (-problem.b_C[idx] - theta.theta_C[idx]),
         ]
-    ).astype(dtype)
+    )
     sol = factors.solve(rhs)
     n, m1 = problem.n, problem.m1
     x = sol[:n]
     lam = sol[n:n + m1]
-    mu = np.zeros(problem.m2, dtype=dtype)
+    mu = np.zeros(problem.m2)
     mu[idx] = sol[n + m1:]
     return PrimalDualSolution(
         x=x, lam=lam, mu=mu, objective=objective_value(problem, x, theta)
@@ -149,7 +141,7 @@ def region_slopes(problem: MpQpProblem, B: ActiveSet) -> np.ndarray:
     columns of non-active constraints stay zero.  x and lambda follow
     from mu through the base inverse (see ``model.region_residuals``).
     """
-    inv = _active_factors(problem, B, np.float64).inverse()
+    inv = _active_factors(problem, B).inverse()
     n, m1 = problem.n, problem.m1
     idx = B.as_index_array()
     # Columns of the stacked input that actually enter the KKT system.
@@ -171,14 +163,18 @@ def gradient_rows(
 
     Row i is that of (X[i], Lam[i], Mu[i]) at the stacked theta Theta[i].
     The products run through ``rowwise_matvec``, so a row's values do
-    not depend on the other rows."""
+    not depend on the other rows.  A_e x and A_C x are one product over
+    the stacked rows, which sums each row as the separate products do;
+    the transposed products stay apart, since stacking them would change
+    the order of each sum."""
     n, m1 = problem.n, problem.m1
     x, lam, mu = (np.asarray(a, dtype=np.float64) for a in (X, Lam, Mu))
-    dL_dx = (rowwise_matvec(2.0 * problem.Q, x) + problem.C + Theta[:, :n]
+    dL_dx = (rowwise_matvec(problem.two_Q, x) + problem.C + Theta[:, :n]
              - rowwise_matvec(problem.A_e.T, lam)
              - rowwise_matvec(problem.A_C.T, mu))
-    dL_dlam = problem.b_e + Theta[:, n:n + m1] - rowwise_matvec(problem.A_e, x)
-    dL_dmu = problem.b_C + Theta[:, n + m1:] - rowwise_matvec(problem.A_C, x)
+    Ax = rowwise_matvec(problem.A_stacked, x)
+    dL_dlam = problem.b_e + Theta[:, n:n + m1] - Ax[:, :m1]
+    dL_dmu = problem.b_C + Theta[:, n + m1:] - Ax[:, m1:]
     return dL_dx, dL_dlam, dL_dmu
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "Generator",
     "Line",
     "PowerCase",
-    "FlowLimits",
     "DcOpfIndexMap",
     "DatasetPoint",
     "build_dcopf",
@@ -214,39 +213,6 @@ class PowerCase:
 
 
 @dataclass(frozen=True)
-class FlowLimits:
-    """Per-line MW limits and the signed line-to-bus incidence used in
-    the flow expression flow_l = susceptance_l * (H delta)_l."""
-
-    F_plus: np.ndarray
-    incidence: np.ndarray  # L x N, +1 at from bus, -1 at to bus
-
-    def __post_init__(self):
-        F = np.asarray(self.F_plus, dtype=np.float64)
-        if (F <= 0).any():
-            raise ProblemFormatError("flow limits must be positive")
-        object.__setattr__(self, "F_plus", F)
-        object.__setattr__(self, "incidence", np.asarray(self.incidence, dtype=np.float64))
-
-    @classmethod
-    def from_case(cls, case: PowerCase, default: Optional[float] = None) -> "FlowLimits":
-        ids = case.bus_ids
-        pos = {b: i for i, b in enumerate(ids)}
-        H = np.zeros((len(case.lines), len(ids)))
-        F = np.zeros(len(case.lines))
-        for l, ln in enumerate(case.lines):
-            H[l, pos[ln.from_bus]] = 1.0
-            H[l, pos[ln.to_bus]] = -1.0
-            lim = ln.limit if ln.limit is not None else default
-            if lim is None:
-                raise ProblemFormatError(
-                    f"line {ln.from_bus}-{ln.to_bus} has no flow limit"
-                )
-            F[l] = lim
-        return cls(F_plus=F, incidence=H)
-
-
-@dataclass(frozen=True)
 class DcOpfIndexMap:
     """Bookkeeping between the case and the reduced variable vector."""
 
@@ -267,7 +233,7 @@ class DcOpfIndexMap:
         return out
 
 
-def _build(case: PowerCase, limits: Optional[FlowLimits]):
+def _build(case: PowerCase, lines: bool):
     ids = case.bus_ids
     pos = {b: i for i, b in enumerate(ids)}
     N = len(ids)
@@ -309,16 +275,20 @@ def _build(case: PowerCase, limits: Optional[FlowLimits]):
         box_rows.append((2 * g_idx + 1, 2 * g_idx + 2))
 
     flow_rows = []
-    if limits is not None:
+    if lines:
         base = len(rows_A)
         for l, ln in enumerate(case.lines):
+            if ln.limit is None:
+                raise ProblemFormatError(
+                    f"line {ln.from_bus}-{ln.to_bus} has no flow limit"
+                )
             flow = np.zeros(n)
             for b, sign in ((ln.from_bus, 1.0), (ln.to_bus, -1.0)):
                 var = delta_vars[b]
                 if var is not None:
                     flow[var] = sign * ln.susceptance
             rows_A.extend([-flow, flow])          # flow <= F ; flow >= -F
-            rows_b.extend([-limits.F_plus[l], -limits.F_plus[l]])
+            rows_b.extend([-ln.limit, -ln.limit])
             flow_rows.append((base + 2 * l + 1, base + 2 * l + 2))
 
     problem = MpQpProblem(
@@ -347,18 +317,13 @@ def _build(case: PowerCase, limits: Optional[FlowLimits]):
 
 def build_dcopf(case: PowerCase) -> Tuple[MpQpProblem, DcOpfIndexMap]:
     """Reduce a case to an mp-QP with generator box constraints only."""
-    return _build(case, None)
+    return _build(case, False)
 
 
-def build_dcopf_with_lines(
-    case: PowerCase, limits: Optional[FlowLimits] = None
-) -> Tuple[MpQpProblem, DcOpfIndexMap]:
-    """As build_dcopf, plus two flow-limit rows per line."""
-    if limits is None:
-        limits = FlowLimits.from_case(case)
-    if len(limits.F_plus) != len(case.lines):
-        raise ProblemFormatError("one flow limit per line is required")
-    return _build(case, limits)
+def build_dcopf_with_lines(case: PowerCase) -> Tuple[MpQpProblem, DcOpfIndexMap]:
+    """As build_dcopf, plus two flow-limit rows per line; every line
+    needs a limit."""
+    return _build(case, True)
 
 
 def inject_renewable(
@@ -378,14 +343,19 @@ def _point_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
 
 
-def renewable_samples(
-    count: int, buses: int, seed: int, lam: float = 1.25, cap: float = 1.5
-) -> np.ndarray:
-    """Per-bus renewable outputs: exponential(rate lam) capped at ``cap``."""
+#: Renewable output per bus: exponential with this rate, capped.
+_RENEWABLE_RATE = 1.25
+_RENEWABLE_CAP = 1.5
+
+
+def renewable_samples(count: int, buses: int, seed: int) -> np.ndarray:
+    """Per-bus renewable outputs: exponential(rate 1.25) capped at 1.5."""
     out = np.empty((count, buses))
     for i in range(count):
         rng = _point_rng(seed, i)
-        out[i] = np.minimum(rng.exponential(scale=1.0 / lam, size=buses), cap)
+        out[i] = np.minimum(
+            rng.exponential(scale=1.0 / _RENEWABLE_RATE, size=buses), _RENEWABLE_CAP
+        )
     return out
 
 
@@ -425,15 +395,18 @@ def local_perturbation_dataset(
     return out
 
 
+#: Load at every bus but the swept one in the extreme dataset.
+_EXTREME_FLOOR = 0.01
+
+
 def extreme_dataset(
     case: PowerCase,
     steps: int = 100,
     problem: Optional[MpQpProblem] = None,
-    floor: float = 0.01,
 ) -> List[DatasetPoint]:
     """Per-bus extreme sweeps: one bus's demand runs from 0 to the sum
-    of generator upper limits while every other load is set to the
-    floor value."""
+    of generator upper limits while every other load is set to
+    _EXTREME_FLOOR (MW)."""
     if problem is None:
         problem, _ = build_dcopf(case)
     P_d = case.demand_vector()
@@ -441,7 +414,7 @@ def extreme_dataset(
     out = []
     for swept in range(len(P_d)):
         for value in np.linspace(0.0, total_cap, steps):
-            target = np.full_like(P_d, floor)
+            target = np.full_like(P_d, _EXTREME_FLOOR)
             target[swept] = value
             theta = ParameterPoint.of_theta_e(problem, P_d - target)
             out.append(DatasetPoint(theta=theta, feasible=is_feasible(problem, theta)))

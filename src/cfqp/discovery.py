@@ -342,7 +342,6 @@ def discover(
         return abandon(theta, di, pi, "expansion_limit")
 
     def halve(theta, lo_theta, di, pi, depth):
-        nonlocal model
         if depth >= _MAX_HALVINGS:
             return abandon(theta, di, pi, "halving_limit")
         mid = lo_theta + (theta - lo_theta).scale(0.5)
@@ -374,20 +373,15 @@ def discover(
         anchor = locate_region(model, direction.start)
         last_set = anchor.active_set if anchor is not None else seed.active_set
         # Anchor the sweep: the start point must itself pass.
-        start_ok = resolve(direction.start, theta0, di, 0)
+        resolve(direction.start, theta0, di, 0)
         if boundary_hit:
             continue
-        prev = direction.start if start_ok else None
+        # After an abandoned point (non-strict mode) the next one is
+        # anchored at the sweep start.
+        prev = direction.start
         for i in range(1, direction.max_steps + 1):
             target = direction.point(i)
-            if prev is None:
-                # Earlier points were abandoned (non-strict mode);
-                # try this one anchored at the sweep start.
-                prev = direction.start
-            if resolve(target, prev, di, i):
-                prev = target
-            else:
-                prev = None
+            prev = target if resolve(target, prev, di, i) else direction.start
             if boundary_hit:
                 break
     log.emit(event="end", regions=model.k,

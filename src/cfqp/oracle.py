@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -57,31 +57,6 @@ class KktReport:
         return np.concatenate(
             [self.kkt1, self.kkt2_eq, self.kkt2_ineq, self.kkt3, self.kkt4]
         )
-
-    def to_dict(self, problem: Optional[MpQpProblem] = None) -> dict:
-        """Per-condition mean and max, with the stationarity column split
-        per variable group when the problem declares groups."""
-
-        def stats(vec):
-            vec = np.asarray(vec)
-            if vec.size == 0:
-                return {"mean": 0.0, "max": 0.0}
-            return {"mean": float(vec.mean()), "max": float(vec.max())}
-
-        out = {
-            "kkt1": stats(self.kkt1),
-            "kkt2_eq": stats(self.kkt2_eq),
-            "kkt2_ineq": stats(self.kkt2_ineq),
-            "kkt3": stats(self.kkt3),
-            "kkt4": stats(self.kkt4),
-            "scalar": self.scalar,
-        }
-        if problem is not None and problem.variable_groups:
-            out["kkt1_groups"] = {
-                name: stats(self.kkt1[list(idx)])
-                for name, idx in problem.variable_groups.items()
-            }
-        return out
 
 
 def _violations(mu, dL_dx, dL_dlam, dL_dmu):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -161,6 +162,17 @@ class MpQpProblem:
     def d(self) -> int:
         return self.n + self.m1 + self.m2
 
+    @cached_property
+    def two_Q(self) -> np.ndarray:
+        """2Q, the Hessian of the objective, (n, n)."""
+        return _freeze(2.0 * self.Q)
+
+    @cached_property
+    def A_stacked(self) -> np.ndarray:
+        """[A_e; A_C], the equality rows above the inequality rows,
+        (m1 + m2, n)."""
+        return _freeze(np.vstack([self.A_e, self.A_C]))
+
     def stacked_coefficients(self, dtype=np.float64) -> np.ndarray:
         """B = [C, b_e, b_C], length d."""
         return np.concatenate([self.C, self.b_e, self.b_C]).astype(dtype)
@@ -261,9 +273,9 @@ class ParameterPoint:
         n, m1 = problem.n, problem.m1
         return cls(arr[:n], arr[n:n + m1], arr[n + m1:])
 
-    def stacked(self, dtype=np.float64) -> np.ndarray:
+    def stacked(self) -> np.ndarray:
         """[theta_c, theta_e, theta_C], aligned with B."""
-        return np.concatenate([self.theta_c, self.theta_e, self.theta_C]).astype(dtype)
+        return np.concatenate([self.theta_c, self.theta_e, self.theta_C])
 
     def check_dims(self, problem: MpQpProblem) -> "ParameterPoint":
         if (self.theta_c.shape != (problem.n,)

@@ -431,6 +431,23 @@ class TestBench:
         assert "oracle" in out
         assert "speedup" in out
 
+    def test_infeasible_jitter_is_usage_error(self, problem_file, tmp_path, capsys):
+        """Every jittered point is checked before any timing: a jitter
+        that leaves the feasible domain exits 2 and prints no timing."""
+        model = tmp_path / "model2d.json"
+        assert main([
+            "discover", "--problem", problem_file, "--theta0", "100,100",
+            "--steps", "40", "--out", str(model),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "bench", "--problem", problem_file, "--model", str(model),
+            "--count", "20", "--jitter", "2000",
+        ]) == EXIT_CODES["usage"]
+        captured = capsys.readouterr()
+        assert "--jitter" in captured.err and " of 20 points" in captured.err
+        assert "model batch" not in captured.out
+
 
 @pytest.mark.parametrize("argv,flag", [
     (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--steps", "1"], "--steps"),

@@ -96,12 +96,6 @@ class TestSolveActiveSet:
         assert np.allclose(x_lam[:two_param.n], sol.x, atol=1e-9)
         assert np.allclose(x_lam[two_param.n:], sol.lam, atol=1e-6)
 
-    def test_float32_dtype_propagates(self, two_param):
-        theta = ParameterPoint.of_theta_e(two_param, [100.0, 100.0])
-        sol = solve_active_set(two_param, ActiveSet([3, 4]), theta, dtype=np.float32)
-        assert sol.x.dtype == np.float32
-        assert np.allclose(sol.x[:2], [20.0, 20.0], atol=1e-3)
-
 
 class TestRegionSlopes:
     def test_affine_map_reproduces_solutions(self, two_param):

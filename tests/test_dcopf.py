@@ -4,7 +4,6 @@ import pytest
 from cfqp import dcopf
 from cfqp.dcopf import (
     Bus,
-    FlowLimits,
     Generator,
     Line,
     PowerCase,
@@ -156,6 +155,16 @@ class TestBuild:
         assert set_box == set_lines
         assert np.allclose(sol_box.x, sol_lines.x, atol=1e-8)
 
+    def test_problem_digests_pinned(self, box_problem, line_problem):
+        """Every coefficient bit of the case6 problems, with and without
+        line limits."""
+        assert box_problem[0].digest() == (
+            "5d233749fef0e1eef75764133555f9d7c75318937b2f281a076c67876e5785b1"
+        )
+        assert line_problem[0].digest() == (
+            "47ae718381b4daa1f78a9f9488c03e0ad4f8f43115cf81f1f94c73cf7d31d80c"
+        )
+
     def test_feeder_flow_equals_demand(self, power_case, line_problem):
         problem, index_map = line_problem
         theta = ParameterPoint.zeros(problem)
@@ -175,8 +184,14 @@ class TestBuild:
         assert kkt_report(problem, sol, theta).scalar < 1e-14
 
     def test_flow_limit_validation(self, power_case):
-        with pytest.raises(ProblemFormatError):
-            FlowLimits(F_plus=[-1.0], incidence=np.zeros((1, 6)))
+        for limit in (0.0, -1.0):
+            with pytest.raises(ProblemFormatError):
+                PowerCase(
+                    buses=power_case.buses,
+                    generators=power_case.generators,
+                    lines=(Line(1, 2, 5.0, limit),) + power_case.lines[1:],
+                    slack_bus=1,
+                )
         no_limit = PowerCase(
             buses=power_case.buses,
             generators=power_case.generators,

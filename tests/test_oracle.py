@@ -179,15 +179,6 @@ class TestKktReport:
         rep = kkt_report(two_param, sol32, theta)
         assert rep.kkt1.dtype == np.float64
 
-    def test_to_dict_groups(self, box_problem):
-        problem, _ = box_problem
-        theta = ParameterPoint.zeros(problem)
-        sol, _ = brute_force_solve(problem, theta)
-        d = kkt_report(problem, sol, theta).to_dict(problem)
-        assert set(d["kkt1_groups"]) == {"P_g", "delta"}
-        for stats in d["kkt1_groups"].values():
-            assert set(stats) == {"mean", "max"}
-
     def test_batched_means_match_per_row_reports(
         self, model_2d, two_param, box_model, power_case
     ):
