@@ -6,13 +6,11 @@ regions along sweeps from (100, 100) are {3,4}, {1,3,4}, {1,3,4,5} and
 {1,3,4,6}.  ``case6`` is a 6-bus power case with three generators,
 140 MW base loads and 200 MW line limits.
 
-The JSON files under ``cfqp/cases/`` are exports of these builders; the
-code here is the source of truth.
+``bundled_problem_json`` and ``bundled_case_json`` give the text of
+their JSON files, the form ``--problem`` and ``--case`` read.
 """
 
 from __future__ import annotations
-
-from importlib import resources
 
 import numpy as np
 
@@ -96,9 +94,10 @@ def case6() -> PowerCase:
 
 
 def bundled_problem_json() -> str:
-    """Path-independent access to the shipped two-parameter problem JSON."""
-    return resources.files("cfqp").joinpath("cases/two_parameter.json").read_text()
+    """The two-parameter problem as a ``--problem`` JSON file's text."""
+    return two_parameter_problem().to_json(indent=2) + "\n"
 
 
 def bundled_case_json() -> str:
-    return resources.files("cfqp").joinpath("cases/case6.json").read_text()
+    """case6 as a ``--case`` JSON file's text."""
+    return case6().to_json(indent=2) + "\n"

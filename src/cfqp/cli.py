@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import statistics
 import sys
 import time
@@ -81,33 +82,38 @@ def _exit_code(exc: Exception) -> int:
     return 1
 
 
+def _load_case(args) -> Tuple[dcopf.PowerCase, MpQpProblem]:
+    """The --case power case and its DC-OPF problem, with line-flow
+    limits under --lines."""
+    if not getattr(args, "case", None):
+        raise CliError("--case is required")
+    case = dcopf.PowerCase.from_json(Path(args.case).read_text())
+    build = dcopf.build_dcopf_with_lines if args.lines else dcopf.build_dcopf
+    return case, build(case)[0]
+
+
 def _load_problem(args) -> MpQpProblem:
     if getattr(args, "problem", None):
         return MpQpProblem.from_json(Path(args.problem).read_text())
     if getattr(args, "case", None):
-        case = dcopf.PowerCase.from_json(Path(args.case).read_text())
-        if getattr(args, "lines", False):
-            problem, _ = dcopf.build_dcopf_with_lines(case)
-        else:
-            problem, _ = dcopf.build_dcopf(case)
-        return problem
+        return _load_case(args)[1]
     raise CliError("one of --problem or --case is required")
 
 
-def _load_case(args) -> dcopf.PowerCase:
-    if not getattr(args, "case", None):
-        raise CliError("--case is required")
-    return dcopf.PowerCase.from_json(Path(args.case).read_text())
+def _floats(tokens) -> List[float]:
+    """The nonblank tokens (text cells, or the entries of a JSON list) as
+    finite floats; raises TypeError or ValueError otherwise."""
+    vals = [float(tok) for tok in tokens if not isinstance(tok, str) or tok.strip()]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("non-finite entries")
+    return vals
 
 
 def _parse_vector(text: str, flag: str) -> np.ndarray:
     try:
-        vec = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        return np.array(_floats(text.split(",")))
     except ValueError as exc:
         raise CliError(f"cannot parse {flag} {text!r}: {exc}")
-    if not np.isfinite(vec).all():
-        raise CliError(f"{flag} {text!r} has non-finite entries")
-    return vec
 
 
 def _parse_theta_e(problem: MpQpProblem, text: str, flag: str) -> np.ndarray:
@@ -130,88 +136,72 @@ def _theta_from_args(problem: MpQpProblem, args) -> ParameterPoint:
     return ParameterPoint.zeros(problem)
 
 
-def _theta_array(path: str, rows: list, lines: List[int], d: int) -> np.ndarray:
-    """Stack parsed theta rows into an (N, d) array; a non-finite entry
-    is a usage error naming its file:line."""
-    thetas = np.array(rows, dtype=np.float64).reshape(len(rows), d)
-    bad = np.flatnonzero(~np.isfinite(thetas).all(axis=1))
-    if bad.size:
-        raise CliError(f"{path}:{lines[bad[0]]}: theta has non-finite entries")
-    return thetas
+def _read_dataset(problem: MpQpProblem, path: str) -> Tuple[np.ndarray, np.ndarray]:
+    """A dataset's rows as an (N, d) array of stacked thetas and their N
+    feasible flags (True where a row gives none).
 
-
-def _jsonl_thetas(problem: MpQpProblem, path: str, text: str) -> Tuple[List[dict], np.ndarray]:
-    """The JSON-lines records and their (N, d) stacked thetas; theta_c and
-    theta_C default to zeros."""
-    records, rows, lines = [], [], []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            theta = ParameterPoint(
-                np.asarray(rec.get("theta_c", np.zeros(problem.n)), dtype=float),
-                np.asarray(rec["theta_e"], dtype=float),
-                np.asarray(rec.get("theta_C", np.zeros(problem.m2)), dtype=float),
-            ).check_dims(problem)
-        except (AttributeError, KeyError, TypeError, ValueError,
-                errors.ProblemFormatError) as exc:
-            raise CliError(f"{path}:{lineno}: bad dataset record: {exc!r}")
-        records.append(rec)
-        rows.append(theta.stacked())
-        lines.append(lineno)
-    return records, _theta_array(path, rows, lines, problem.d)
-
-
-def _read_thetas(problem: MpQpProblem, path: str) -> np.ndarray:
-    """Dataset rows as an (N, d) array of stacked thetas: JSON-lines
-    records, or CSV rows with '#' comments, blank lines and an optional
-    header: the first other row, if it has a non-numeric field.  A header
-    naming theta_e1..theta_e{m1} (as ``gen-data --format csv`` writes)
-    selects those columns; otherwise a row has either m1 (theta_e only)
-    or d (stacked) numeric columns."""
+    A JSON-lines file (``.jsonl``, or text starting with '{') holds one
+    record per line with ``theta_e`` and optionally ``theta_c``,
+    ``theta_C`` (zeros by default) and ``feasible``.  A CSV file may have
+    '#' comments, blank lines and a header: the first other row, if it
+    has a non-numeric field.  A header naming theta_e1..theta_e{m1} (as
+    ``gen-data --format csv`` writes) selects those columns and one named
+    ``feasible`` gives the flags (0 is false); otherwise a row has either
+    m1 (theta_e only) or d (stacked) numeric columns.  A malformed or
+    non-finite row is a usage error naming its file:line."""
     text = Path(path).read_text()
-    if path.endswith(".jsonl") or text.lstrip()[:1] == "{":
-        return _jsonl_thetas(problem, path, text)[1]
-    pad_c, pad_C = [0.0] * problem.n, [0.0] * problem.m2
-    names = [f"theta_e{i+1}" for i in range(problem.m1)]
-    columns = None
-    rows, lines = [], []
+    jsonl = path.endswith(".jsonl") or text.lstrip()[:1] == "{"
+    lines = text.splitlines()
+    del text  # the file is held once, as lines, and freed before the rows are stacked
+    n, m1, m2, d = problem.n, problem.m1, problem.m2, problem.d
+    pad_c, pad_C = [0.0] * n, [0.0] * m2
+    names = [f"theta_e{i+1}" for i in range(m1)]
+    columns = flag_at = None
     first = True
-    for lineno, row in enumerate(csv.reader(text.splitlines()), 1):
-        if len(row) < 2 and not "".join(row).strip() or row[0].strip().startswith("#"):
+    rows, flags = [], []
+    # csv.reader yields one row per line, so it runs in step with lines
+    for lineno, (line, row) in enumerate(zip(lines, lines if jsonl else csv.reader(lines)), 1):
+        if not line.strip() or not jsonl and line.lstrip().startswith("#"):
             continue  # blank (empty or whitespace-only) or comment line
-        if first:
-            first = False
-            if any(not _is_number(tok) for tok in row if tok.strip()):
-                header = [tok.strip() for tok in row]
-                if names and set(names) <= set(header):
-                    columns = [header.index(name) for name in names]
-                continue  # header row
-        if columns is not None:
-            row = [row[c] if c < len(row) else "" for c in columns]
+        flag = True
         try:
-            vals = [float(tok) for tok in row if tok.strip() != ""]
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: bad CSV row: {exc}")
-        if len(vals) == problem.m1:
-            vals = pad_c + vals + pad_C
-        elif len(vals) != problem.d:
-            raise CliError(
-                f"{path}:{lineno}: expected {problem.m1} or {problem.d} columns, "
-                f"got {len(vals)}"
-            )
+            if jsonl:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("not a JSON object")
+                parts = [rec.get("theta_c", pad_c), rec.get("theta_e"), rec.get("theta_C", pad_C)]
+                if [len(p) if isinstance(p, list) else None for p in parts] != [n, m1, m2]:
+                    raise ValueError(f"theta_c, theta_e and theta_C must be lists of {n}, "
+                                     f"{m1} and {m2} numbers")
+                flag = bool(rec.get("feasible", True))
+                vals = _floats(parts[0] + parts[1] + parts[2])
+            else:
+                if first:
+                    first = False
+                    try:
+                        [float(tok) for tok in row if tok.strip()]
+                    except ValueError:  # a non-numeric field: a header row
+                        header = [tok.strip() for tok in row]
+                        if names and set(names) <= set(header):
+                            columns = [header.index(name) for name in names]
+                        if "feasible" in header:
+                            flag_at = header.index("feasible")
+                        continue
+                if flag_at is not None:  # 0 is false; a missing cell, true
+                    flag = _floats(row[flag_at:flag_at + 1]) != [0.0]
+                if columns is not None:
+                    row = [row[c] if c < len(row) else "" for c in columns]
+                vals = _floats(row)
+                if len(vals) == m1:
+                    vals = pad_c + vals + pad_C
+            if len(vals) != d:
+                raise ValueError(f"expected {m1} or {d} columns, got {len(vals)}")
+        except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+            raise CliError(f"{path}:{lineno}: bad dataset row: {exc}")
         rows.append(vals)
-        lines.append(lineno)
-    return _theta_array(path, rows, lines, problem.d)
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
+        flags.append(flag)
+    del lines
+    return np.array(rows, dtype=np.float64).reshape(len(rows), d), np.array(flags, bool)
 
 
 def _csv_rows(table: np.ndarray) -> str:
@@ -289,7 +279,7 @@ def cmd_discover(args) -> int:
 def cmd_predict(args) -> int:
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
-    thetas = _read_thetas(problem, args.thetas)
+    thetas = _read_dataset(problem, args.thetas)[0]
     header = (
         [f"x{i+1}" for i in range(problem.n)]
         + [f"lambda{i+1}" for i in range(problem.m1)]
@@ -316,9 +306,9 @@ def cmd_predict(args) -> int:
 def cmd_kkt_report(args) -> int:
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
-    records, thetas = _jsonl_thetas(problem, args.dataset, Path(args.dataset).read_text())
-    thetas = thetas[[bool(rec.get("feasible", True)) for rec in records]]
-    skipped = len(records) - len(thetas)
+    thetas, feasible = _read_dataset(problem, args.dataset)
+    skipped = len(thetas) - int(feasible.sum())
+    thetas = thetas[feasible]
 
     if not len(thetas):
         print("warning: empty dataset (no feasible rows)", file=sys.stderr)
@@ -356,11 +346,7 @@ def cmd_gen_data(args) -> int:
     size, flag = (args.steps, "--steps") if args.kind == "extreme" else (args.count, "--count")
     if size < 1:
         raise CliError(f"{flag} must be >= 1, got {size}")
-    case = _load_case(args)
-    if args.lines:
-        problem, _ = dcopf.build_dcopf_with_lines(case)
-    else:
-        problem, _ = dcopf.build_dcopf(case)
+    case, problem = _load_case(args)
     if args.kind == "local":
         points = dcopf.local_perturbation_dataset(
             case, args.count, args.seed, problem=problem
@@ -511,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kkt-report", help="mean/worst KKT table on a dataset")
     add_common(p, model=True)
-    p.add_argument("--dataset", required=True, help="JSON-lines dataset with feasible flags")
+    p.add_argument("--dataset", required=True,
+                   help="CSV or JSON-lines dataset; rows flagged infeasible are skipped")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_kkt_report)
 

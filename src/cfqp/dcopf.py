@@ -371,14 +371,13 @@ def local_perturbation_dataset(
     case: PowerCase,
     count: int,
     seed: int,
-    problem: Optional[MpQpProblem] = None,
+    *,
+    problem: MpQpProblem,
 ) -> List[DatasetPoint]:
     """Demand at each bus scaled by an independent Uniform(0.6, 1.4)
     ratio; infeasible draws are flagged, never dropped."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if problem is None:
-        problem, _ = build_dcopf(case)
     P_d = case.demand_vector()
     out = []
     for i in range(count):
@@ -402,13 +401,12 @@ _EXTREME_FLOOR = 0.01
 def extreme_dataset(
     case: PowerCase,
     steps: int = 100,
-    problem: Optional[MpQpProblem] = None,
+    *,
+    problem: MpQpProblem,
 ) -> List[DatasetPoint]:
     """Per-bus extreme sweeps: one bus's demand runs from 0 to the sum
     of generator upper limits while every other load is set to
     _EXTREME_FLOOR (MW)."""
-    if problem is None:
-        problem, _ = build_dcopf(case)
     P_d = case.demand_vector()
     total_cap = sum(g.pmax for g in case.generators)
     out = []
@@ -426,15 +424,14 @@ def scaled_dataset(
     scales: Sequence[float],
     per_scale_count: int,
     seed: int,
-    problem: Optional[MpQpProblem] = None,
+    *,
+    problem: MpQpProblem,
 ) -> List[DatasetPoint]:
     """Local perturbations around a scaled base load: effective demand
     is r * k * P_d with r ~ Uniform(0.6, 1.4) per bus, for each scale k."""
     scales = [float(s) for s in scales]
     if sorted(scales) != scales:
         raise ValueError("scales must be ascending")
-    if problem is None:
-        problem, _ = build_dcopf(case)
     P_d = case.demand_vector()
     out = []
     for s_idx, k in enumerate(scales):

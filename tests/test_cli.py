@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -52,6 +53,15 @@ def model_2d_file(tmp_path, problem_file):
     ])
     assert code == 0
     return str(out)
+
+
+def test_bundled_json_is_pinned():
+    """The bundled fixtures are built by code; their JSON text, which
+    tests, scripts and the benchmark write out as input files, is fixed."""
+    assert hashlib.sha256(bundled_problem_json().encode()).hexdigest() == (
+        "c3988963bca17247246810c21a47b500fd811b71d9c0f8062c50f0f2cf3de2bd")
+    assert hashlib.sha256(bundled_case_json().encode()).hexdigest() == (
+        "f33414554946b6662b4c29eaaeda2b7fbaf698fa2d16d40a209a9287e4e822f2")
 
 
 class TestDiscoverCommand:
@@ -318,18 +328,45 @@ class TestGenDataAndKktReport:
         {"feasible": True},                          # no theta_e
         {"theta_e": [150.0, 150.0, 1.0]},            # wrong length
         {"theta_e": [float("nan"), 150.0]},          # non-finite
-    ], ids=["missing", "wrong_length", "non_finite"])
+        "150,150\n150,x\n",                          # CSV: not a number
+        "theta_e1,theta_e2,feasible\n150,150,yes\n",  # CSV: not a flag
+    ], ids=["missing", "wrong_length", "non_finite", "csv_row", "csv_flag"])
     def test_kkt_report_bad_record_is_usage_error(
         self, problem_file, model_2d_file, tmp_path, capsys, record
     ):
-        data = tmp_path / "data.jsonl"
-        data.write_text(json.dumps({"theta_e": [150.0, 150.0]}) + "\n"
-                        + json.dumps(record) + "\n")
+        if isinstance(record, str):
+            data = tmp_path / "data.csv"
+            data.write_text(record)
+        else:
+            data = tmp_path / "data.jsonl"
+            data.write_text(json.dumps({"theta_e": [150.0, 150.0]}) + "\n"
+                            + json.dumps(record) + "\n")
         assert main([
             "kkt-report", "--problem", problem_file, "--model", model_2d_file,
             "--dataset", str(data),
         ]) == EXIT_CODES["usage"]
         assert f"{data}:2:" in capsys.readouterr().err
+
+    def test_kkt_report_reads_gen_data_csv(self, case_file, tmp_path, capsys):
+        """kkt-report reads gen-data's CSV as it reads its JSON-lines twin:
+        at scale 2, 15 of the 20 rows are infeasible and the feasible
+        column leaves them out."""
+        model = tmp_path / "model6.json"
+        assert main(["discover", "--case", case_file, "--steps", "30",
+                     "--out", str(model)]) == 0
+        outputs = []
+        for fmt in ("csv", "jsonl"):
+            data = tmp_path / f"scaled.{fmt}"
+            out = tmp_path / f"kkt-{fmt}.csv"
+            assert main(["gen-data", "scaled", "--case", case_file, "--count", "20",
+                         "--seed", "7", "--scales", "1,1.5,2", "--format", fmt,
+                         "--out", str(data)]) == 0
+            capsys.readouterr()
+            assert main(["kkt-report", "--case", case_file, "--model", str(model),
+                         "--dataset", str(data), "--out", str(out)]) == 0
+            assert "infeasible rows excluded: 15" in capsys.readouterr().out
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_scaled_counts_printed(self, case_file, tmp_path, capsys):
         data = tmp_path / "scaled.jsonl"

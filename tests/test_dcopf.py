@@ -220,13 +220,16 @@ class TestRenewablesAndDatasets:
         assert (a >= 0.0).all() and (a <= 1.5).all()
 
     def test_counter_rng_is_order_independent(self, power_case):
-        long = local_perturbation_dataset(power_case, 20, seed=4)
-        short = local_perturbation_dataset(power_case, 5, seed=4)
+        problem = build_dcopf(power_case)[0]
+        long = local_perturbation_dataset(power_case, 20, seed=4, problem=problem)
+        short = local_perturbation_dataset(power_case, 5, seed=4, problem=problem)
         for a, b in zip(short, long[:5]):
             assert np.array_equal(a.theta.theta_e, b.theta.theta_e)
 
     def test_local_dataset_flags_infeasible(self, power_case):
-        points = local_perturbation_dataset(power_case, 100, seed=0)
+        points = local_perturbation_dataset(
+            power_case, 100, seed=0, problem=build_dcopf(power_case)[0]
+        )
         assert len(points) == 100
         assert all(p.feasible for p in points)  # 0.6..1.4 stays dispatchable
         for p in points:
@@ -235,14 +238,16 @@ class TestRenewablesAndDatasets:
 
     def test_scaled_dataset_and_survival(self, power_case):
         scales = [1.0, 1.5, 2.0]
-        points = scaled_dataset(power_case, scales, 60, seed=7)
+        points = scaled_dataset(power_case, scales, 60, seed=7,
+                                problem=build_dcopf(power_case)[0])
         counts = survival_counts(points)
         assert list(counts) == scales
         assert counts[1.0] >= counts[1.5] >= counts[2.0]
         assert counts[1.0] == 60 and counts[2.0] < 60
 
     def test_extreme_dataset_shape(self, power_case):
-        points = dcopf.extreme_dataset(power_case, steps=10)
+        points = dcopf.extreme_dataset(power_case, steps=10,
+                                       problem=build_dcopf(power_case)[0])
         assert len(points) == 60  # 6 buses x 10 steps
         assert any(not p.feasible for p in points)
         assert any(p.feasible for p in points)
