@@ -24,7 +24,6 @@ from .discovery import (
     DiscoveryLog,
     SearchPattern,
     axis_sweep_pattern,
-    default_tol,
     discover,
     feasible_extent,
     scaled_base_pattern,
@@ -223,11 +222,10 @@ def _csv_rows(table: np.ndarray) -> str:
 def cmd_discover(args) -> int:
     if args.steps < 2:
         raise CliError(f"--steps must be >= 2, got {args.steps}")
-    if args.tol is not None and not 0.0 < args.tol < np.inf:
+    if not 0.0 < args.tol < np.inf:
         raise CliError(f"--tol must be positive and finite, got {args.tol}")
     problem = _load_problem(args)
     theta0 = _theta_from_args(problem, args)
-    tol = args.tol if args.tol is not None else default_tol(args.precision)
 
     if args.pattern == "axis":
         if args.extent:
@@ -259,7 +257,7 @@ def cmd_discover(args) -> int:
     log = DiscoveryLog(args.log)
     start = time.perf_counter()
     model = discover(
-        problem, theta0, pattern, tol=tol, precision=args.precision, log=log,
+        problem, theta0, pattern, tol=args.tol, precision=args.precision, log=log,
         strict=not args.lenient,
     )
     elapsed = time.perf_counter() - start
@@ -475,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="run region discovery and write a model")
     add_common(p)
     p.add_argument("--precision", type=int, choices=(32, 64), default=64)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--theta0", help="comma-separated theta_e anchor (default zeros)")
     p.add_argument("--pattern", choices=("axis", "scaled"), default="axis")
     p.add_argument("--steps", type=int, default=200)

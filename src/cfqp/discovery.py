@@ -25,6 +25,7 @@ from .errors import (
 from .model import (
     ClosedFormModel,
     RegionEntry,
+    cast,
     expand,
     forward,
     init_model,
@@ -32,7 +33,7 @@ from .model import (
     region_residuals,
 )
 from .oracle import brute_force_solve, is_feasible, kkt_report
-from .problem import ActiveSet, MpQpProblem, ParameterPoint
+from .problem import ActiveSet, MpQpProblem, ParameterPoint, resolve_dtype
 
 __all__ = [
     "Direction",
@@ -44,12 +45,7 @@ __all__ = [
     "axis_sweep_pattern",
     "scaled_base_pattern",
     "feasible_extent",
-    "default_tol",
 ]
-
-#: Default KKT tolerance per precision: loose enough at 32-bit that
-#: representation noise does not trigger false region detections.
-_DEFAULT_TOL = {64: 1e-10, 32: 1e-4}
 
 _MAX_HALVINGS = 20
 _MAX_EXPANSIONS_PER_POINT = 16
@@ -61,10 +57,6 @@ _TRANSITION_TOL = 1e-9
 #: relative to max(1, step length).
 _EXTENT_CAP = 1e9
 _EXTENT_RESOLUTION = 1e-6
-
-
-def default_tol(precision: int) -> float:
-    return _DEFAULT_TOL[precision]
 
 
 @dataclass(frozen=True)
@@ -242,7 +234,7 @@ def discover(
     problem: MpQpProblem,
     theta0: ParameterPoint,
     pattern: SearchPattern,
-    tol: Optional[float] = None,
+    tol: float = 1e-10,
     precision: int = 64,
     log: Optional[DiscoveryLog] = None,
     strict: bool = True,
@@ -256,10 +248,13 @@ def discover(
     refined by local step halving (up to 20 levels).  With
     ``strict=False`` an unresolvable point is logged and skipped instead
     of aborting the run.
+
+    Discovery evaluates the model at float64 whatever ``precision`` is,
+    so the region tree depends only on the problem; ``precision`` sets
+    the dtype the returned model evaluates in (see :func:`cast`).
     """
     theta0.check_dims(problem)
-    if tol is None:
-        tol = default_tol(precision)
+    resolve_dtype(precision)
     if log is None:
         log = DiscoveryLog()
 
@@ -267,7 +262,7 @@ def discover(
         seed = brute_force_solve(problem, theta0)
     except Infeasible as exc:
         raise InfeasibleStart("discovery anchor theta0 is infeasible") from exc
-    model = init_model(problem, seed.active_set, theta0, precision=precision)
+    model = init_model(problem, seed.active_set, theta0)
     log.emit(event="init", active_set=list(seed.active_set), degenerate=seed.degenerate)
 
     current = model.regions[0]
@@ -386,4 +381,4 @@ def discover(
                 break
     log.emit(event="end", regions=model.k,
              active_sets=[list(r.active_set) for r in model.regions])
-    return model
+    return cast(model, precision)

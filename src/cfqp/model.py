@@ -347,13 +347,7 @@ def expand(
 
 def cast(model: ClosedFormModel, precision: int) -> ClosedFormModel:
     """The same model evaluated at another precision.  The weights stay
-    float64, so casting is lossless and a model built at 32 bits
-    evaluates bitwise like the cast of its 64-bit twin.
-
-    Useful for evaluating a 64-bit-discovered model at 32 bits on
-    problems whose magnitudes put 32-bit KKT noise above any workable
-    discovery tolerance.
-    """
+    float64, so casting is lossless."""
     if precision == model.precision:
         return model
     return dataclasses.replace(model, precision=precision)
@@ -470,7 +464,8 @@ def serialize(model: ClosedFormModel) -> bytes:
 
 def deserialize(data: bytes, problem: MpQpProblem) -> ClosedFormModel:
     """Load a serialized model, re-verifying the problem digest and
-    deriving each region's W0 block from its active set."""
+    deriving each region's W0 block from its active set.  Two regions
+    with one active set are malformed, as :func:`expand` refuses them."""
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -501,6 +496,10 @@ def deserialize(data: bytes, problem: MpQpProblem) -> ClosedFormModel:
         )
         if not all(np.isfinite(r.witness_theta.stacked()).all() for r in regions):
             raise MalformedModel("a region witness has non-finite entries")
+        sets = [r.active_set for r in regions]
+        for row, active_set in enumerate(sets):
+            if active_set in sets[:row]:
+                raise MalformedModel(f"region {row} repeats active set {sorted(active_set)}")
         model = ClosedFormModel(
             problem=problem,
             precision=int(payload["precision"]),

@@ -117,6 +117,9 @@ class MpQpProblem:
         m2 = A_C.shape[0]
         object.__setattr__(self, "A_C", _freeze(A_C))
         object.__setattr__(self, "b_C", _freeze(_as_vector("b_C", self.b_C, m2)))
+        for name in ("Q", "C", "C0", "A_e", "b_e", "A_C", "b_C"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ProblemFormatError(f"{name} has non-finite entries")
 
         if not np.allclose(self.Q, self.Q.T, atol=_SYM_TOL * max(1.0, np.abs(self.Q).max())):
             raise ProblemFormatError("Q must be symmetric")

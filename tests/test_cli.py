@@ -126,6 +126,19 @@ class TestDiscoverCommand:
         ]) == EXIT_CODES["usage"]
         assert "--scales" in capsys.readouterr().err
 
+    def test_32_bit_two_parameter_run(self, problem_file, capsys):
+        """Discovery runs at float64 at either precision, so the 32-bit
+        run finds criterion 1's four regions."""
+        assert main([
+            "discover", "--problem", problem_file, "--theta0", "100,100",
+            "--steps", "200", "--precision", "32",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert [line.split(": active set ")[1] for line in out.splitlines()
+                if ": active set " in line] == [
+            "[3, 4]", "[1, 3, 4]", "[1, 3, 4, 5]", "[1, 3, 4, 6]",
+        ]
+
     def test_case_input(self, case_file, tmp_path):
         out = tmp_path / "model6.json"
         assert main([
@@ -449,6 +462,16 @@ class TestImportCase:
         assert main([
             "discover", "--case", str(path), "--steps", "20",
         ]) == EXIT_CODES["format"]
+
+    def test_non_finite_problem_exit_code(self, tmp_path, capsys):
+        problem = json.loads(bundled_problem_json())
+        problem["A_e"][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(problem))  # writes the non-standard NaN token
+        assert main([
+            "discover", "--problem", str(path), "--theta0", "100,100", "--steps", "20",
+        ]) == EXIT_CODES["format"]
+        assert "A_e has non-finite entries" in capsys.readouterr().err
 
 
 class TestBench:

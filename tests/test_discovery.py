@@ -1,25 +1,26 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from cfqp.cli import build_parser
 from cfqp.discovery import (
     Direction,
     DiscoveryLog,
     SearchPattern,
     Transition,
     axis_sweep_pattern,
-    default_tol,
     discover,
     feasible_extent,
     identify_transition,
     scaled_base_pattern,
 )
 from cfqp.errors import InfeasibleStart, UnresolvableTransition
-from cfqp.model import init_model
+from cfqp.model import cast, init_model, serialize
 from cfqp.problem import ActiveSet, ParameterPoint
 
-from conftest import two_param_pattern
+from conftest import box_pattern, two_param_pattern
 
 
 class TestPatterns:
@@ -168,5 +169,22 @@ class TestDiscover:
         assert model.k == 3  # {3,4}, {1,3,4}, {1,3,4,5}
 
     def test_default_tol(self):
-        assert default_tol(64) == 1e-10
-        assert default_tol(32) == 1e-4
+        """One default tolerance, at every precision: the library's and
+        the command line's."""
+        assert inspect.signature(discover).parameters["tol"].default == 1e-10
+        assert build_parser().parse_args(["discover"]).tol == 1e-10
+
+    @pytest.mark.parametrize("run", ["two_parameter", "criterion_9_box"])
+    def test_32_bit_discovery_is_cast_of_64_bit(self, request, run):
+        if run == "two_parameter":
+            problem = request.getfixturevalue("two_param")
+            theta0 = request.getfixturevalue("theta0_2d")
+            pattern = two_param_pattern(theta0)
+        else:
+            problem, _ = request.getfixturevalue("box_problem")
+            theta0, pattern = box_pattern(problem, extent_up=87.0, extent_dn=56.0)
+        log64, log32 = DiscoveryLog(), DiscoveryLog()
+        model64 = discover(problem, theta0, pattern, log=log64)
+        model32 = discover(problem, theta0, pattern, precision=32, log=log32)
+        assert serialize(model32) == serialize(cast(model64, 32))
+        assert log32.records == log64.records

@@ -55,6 +55,14 @@ class TestValidation:
         with pytest.raises(ProblemFormatError):
             tiny_problem(b_C=np.zeros(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["Q", "C", "C0", "A_e", "b_e", "A_C", "b_C"])
+    def test_non_finite_coefficients_rejected(self, field, value):
+        coefficients = np.array(getattr(tiny_problem(), field))
+        coefficients.flat[0] = value
+        with pytest.raises(ProblemFormatError, match=f"^{field} has non-finite entries"):
+            tiny_problem(**{field: coefficients})
+
     def test_matrices_frozen(self):
         p = tiny_problem()
         with pytest.raises(ValueError):

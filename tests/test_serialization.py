@@ -182,6 +182,16 @@ class TestRejection:
         with pytest.raises(MalformedModel):
             deserialize(json.dumps(data).encode(), model_2d.problem)
 
+    def test_duplicate_active_set(self, model_2d):
+        # a copy of region 1 as a fifth region under the root, with
+        # consistent incidence triplets
+        data = json.loads(serialize(model_2d))
+        copy = dict(data["regions"][1], id=4, parent=0)
+        data["regions"].append(copy)
+        data["incidence"] += [[0, 4, -copy["direction"]], [4, 4, copy["direction"]]]
+        with pytest.raises(MalformedModel, match="region 4 repeats active set"):
+            deserialize(json.dumps(data).encode(), model_2d.problem)
+
     def test_not_json(self, model_2d):
         with pytest.raises(MalformedModel):
             deserialize(b"\x00\xff\x00binary", model_2d.problem)
