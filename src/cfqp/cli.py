@@ -69,9 +69,7 @@ _ERROR_FAMILY = [
 
 
 class CliError(Exception):
-    def __init__(self, message, code=EXIT_CODES["usage"]):
-        super().__init__(message)
-        self.code = code
+    """A bad command-line value or input file; exits with the usage code."""
 
 
 def _exit_code(exc: Exception) -> int:
@@ -535,7 +533,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_CODES["usage"]
     except errors.CfqpError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -214,10 +214,10 @@ class PowerCase:
 
 @dataclass(frozen=True)
 class DcOpfIndexMap:
-    """Bookkeeping between the case and the reduced variable vector."""
+    """Bookkeeping between the case and the reduced variable vector (the
+    generators are variables 0..G-1)."""
 
     bus_ids: Tuple[int, ...]            # ascending; equality row / theta_e order
-    gen_vars: Tuple[int, ...]           # variable index of each generator
     delta_vars: Mapping[int, Optional[int]]  # bus id -> delta variable (None at slack)
     slack_bus: int
     box_rows: Tuple[Tuple[int, int], ...]    # per generator: (upper row, lower row), 1-based
@@ -241,7 +241,6 @@ def _build(case: PowerCase, lines: bool):
     non_slack = [b for b in ids if b != case.slack_bus]
     n = G + len(non_slack)
 
-    gen_vars = tuple(range(G))
     delta_vars = {b: (None if b == case.slack_bus else G + non_slack.index(b)) for b in ids}
 
     Q = np.zeros((n, n))
@@ -306,7 +305,6 @@ def _build(case: PowerCase, lines: bool):
     )
     index_map = DcOpfIndexMap(
         bus_ids=tuple(ids),
-        gen_vars=gen_vars,
         delta_vars=delta_vars,
         slack_bus=case.slack_bus,
         box_rows=tuple(box_rows),

@@ -126,22 +126,17 @@ class OracleResult:
         return iter((self.solution, self.active_set))
 
 
-def brute_force_solve(
-    problem: MpQpProblem,
-    theta: ParameterPoint,
-) -> OracleResult:
-    """Enumerate active subsets and return the KKT-optimal one.
+def _accepted(problem: MpQpProblem, theta: ParameterPoint):
+    """Yield each accepted active set, in enumeration order, as
+    (key, solution, active_set, weakly_active) with key
+    (KktReport scalar, cardinality, indices).
 
     Enumeration is pruned by rank: an active-set KKT system is singular
     whenever |B| > n - m1, and any superset of a rank-deficient row
     selection stays rank-deficient, so those branches are skipped.
     Acceptance requires mu_B >= -ORACLE_TOL and all inequality
-    residuals <= ORACLE_TOL (both scaled by the data magnitude); among
-    acceptors the minimal KktReport scalar wins, ties broken by smaller
-    cardinality then lexicographic order.
-
-    The ``degenerate`` flag marks weakly active constraints (a binding
-    constraint with mu ~ 0) or boundary ties between active sets.
+    residuals <= ORACLE_TOL (both scaled by the data magnitude).  A
+    weakly active set has a binding constraint with mu ~ 0.
     """
     theta.check_dims(problem)
     if not np.isfinite(theta.stacked()).all():
@@ -158,9 +153,7 @@ def brute_force_solve(
     )
     primal_tol = ORACLE_TOL * rhs_scale
 
-    best = None  # (scalar, cardinality, indices, sol, weakly_active)
     singular: list[frozenset] = []
-    candidates = 0
     for k in range(cap + 1):
         for combo in itertools.combinations(range(1, m2 + 1), k):
             cset = frozenset(combo)
@@ -180,24 +173,29 @@ def brute_force_solve(
             gradients = lagrangian_gradients(problem, sol, theta)
             if m2 and gradients[2].max() > primal_tol:
                 continue
-            report = _report(sol.mu, gradients)
             weak = bool(k and mu_B.min() <= ORACLE_TOL * dual_scale)
-            key = (report.scalar, k, combo)
-            candidates += 1
-            if best is None or key < best[0]:
-                best = (key, sol, B, weak)
-    if best is None:
+            yield (_report(sol.mu, gradients).scalar, k, combo), sol, B, weak
+
+
+def brute_force_solve(
+    problem: MpQpProblem,
+    theta: ParameterPoint,
+) -> OracleResult:
+    """Enumerate every active subset and return the KKT-optimal one:
+    among the accepted sets the minimal KktReport scalar wins, ties
+    broken by smaller cardinality then lexicographic order.
+
+    The ``degenerate`` flag marks weakly active constraints (a binding
+    constraint with mu ~ 0) or boundary ties between active sets.
+    """
+    found = list(_accepted(problem, theta))
+    if not found:
         raise Infeasible("no active set satisfies the KKT conditions at this theta")
-    _, sol, B, weak = best
-    return OracleResult(
-        solution=sol, active_set=B, degenerate=weak or candidates > 1
-    )
+    _, sol, B, weak = min(found, key=lambda c: c[0])
+    return OracleResult(solution=sol, active_set=B, degenerate=weak or len(found) > 1)
 
 
 def is_feasible(problem: MpQpProblem, theta: ParameterPoint) -> bool:
-    """True iff brute_force_solve succeeds at this theta."""
-    try:
-        brute_force_solve(problem, theta)
-        return True
-    except Infeasible:
-        return False
+    """True iff some active set is accepted at this theta, i.e. iff
+    :func:`brute_force_solve` succeeds; stops at the first one."""
+    return next(_accepted(problem, theta), None) is not None

@@ -135,6 +135,8 @@ class MpQpProblem:
             seen = set()
             for name, idx in self.variable_groups.items():
                 idx = tuple(int(i) for i in idx)
+                if not idx:
+                    raise ProblemFormatError(f"variable group {name!r} is empty")
                 for i in idx:
                     if not (0 <= i < n):
                         raise ProblemFormatError(

@@ -360,6 +360,24 @@ class TestGenDataAndKktReport:
         ]) == EXIT_CODES["usage"]
         assert f"{data}:2:" in capsys.readouterr().err
 
+    def test_empty_variable_group_exit_code(self, tmp_path, capsys):
+        """A problem with an empty variable group is malformed, so both
+        commands that read it exit 6 before any work (kkt-report would
+        otherwise reduce over an empty KKT1 slice)."""
+        problem = json.loads(bundled_problem_json())
+        problem["variable_groups"] = {"a": list(range(6)), "b": []}
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps(problem))
+        model = tmp_path / "model.json"
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"theta_e": [150.0, 150.0]}) + "\n")
+        for argv in (
+            ["discover", "--theta0", "100,100", "--steps", "20", "--out", str(model)],
+            ["kkt-report", "--model", str(model), "--dataset", str(data)],
+        ):
+            assert main(argv + ["--problem", str(path)]) == EXIT_CODES["format"]
+            assert "variable group 'b' is empty" in capsys.readouterr().err
+
     def test_kkt_report_reads_gen_data_csv(self, case_file, tmp_path, capsys):
         """kkt-report reads gen-data's CSV as it reads its JSON-lines twin:
         at scale 2, 15 of the 20 rows are infeasible and the feasible

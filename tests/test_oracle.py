@@ -132,8 +132,9 @@ class TestOracleSanity:
             b_C=np.full(n, -10.0),
         )
         assert problem.m2 > MAX_ENUM_M2
-        with pytest.raises(ValueError):
-            brute_force_solve(problem, ParameterPoint.zeros(problem))
+        for oracle in (brute_force_solve, is_feasible):
+            with pytest.raises(ValueError):
+                oracle(problem, ParameterPoint.zeros(problem))
 
 
 class TestKktReport:

@@ -75,6 +75,8 @@ class TestValidation:
             tiny_problem(variable_groups={"a": [0, 2]})
         with pytest.raises(ProblemFormatError):
             tiny_problem(variable_groups={"a": [0], "b": [0]})
+        with pytest.raises(ProblemFormatError, match="'b' is empty"):
+            tiny_problem(variable_groups={"a": [0], "b": []})
 
     def test_stacked_coefficients_layout(self):
         p = tiny_problem(C=np.array([1.0, 2.0]), b_e=np.array([3.0]))

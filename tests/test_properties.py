@@ -17,7 +17,7 @@ from cfqp.model import (
     locate_region,
     region_residuals,
 )
-from cfqp.oracle import brute_force_solve, kkt_batch, kkt_report
+from cfqp.oracle import brute_force_solve, is_feasible, kkt_batch, kkt_report
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
 
 from conftest import (
@@ -209,6 +209,42 @@ def test_kkt_rows_bitwise_case6_lines(power_case, line_problem, line_model, rati
         except Infeasible:
             pass
     assert_rows_bitwise(problem, solutions, thetas)
+
+
+def solvable(problem, theta):
+    try:
+        brute_force_solve(problem, theta)
+        return True
+    except Infeasible:
+        return False
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    total=st.one_of(
+        st.floats(min_value=-500.0, max_value=2000.0),
+        st.floats(min_value=1.0 - 1e-9, max_value=1.0 + 1e-9).map(lambda f: 1000.0 * f),
+    ),
+    share=st.floats(min_value=-0.5, max_value=1.5),
+)
+def test_is_feasible_iff_solvable_2d(two_param, total, share):
+    """Across and just beyond theta1 + theta2 = 1000, the first accepted
+    active set exists exactly when the least one does."""
+    theta = ParameterPoint.of_theta_e(two_param, [share * total, (1.0 - share) * total])
+    assert is_feasible(two_param, theta) == solvable(two_param, theta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ratios=st.lists(st.floats(min_value=0.6, max_value=1.4), min_size=6, max_size=6),
+    scale=st.floats(min_value=1.0, max_value=2.0),
+)
+def test_is_feasible_iff_solvable_case6_lines(power_case, line_problem, ratios, scale):
+    """Criterion 7's demand draws: effective demand r * k * P_d."""
+    problem, _ = line_problem
+    P_d = power_case.demand_vector()
+    theta = ParameterPoint.of_theta_e(problem, P_d - np.asarray(ratios) * scale * P_d)
+    assert is_feasible(problem, theta) == solvable(problem, theta)
 
 
 @settings(max_examples=40, deadline=None)
