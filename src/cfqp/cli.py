@@ -8,14 +8,17 @@ exit code (see EXIT_CODES); all randomness flows through --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import math
+import os
 import statistics
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -133,31 +136,79 @@ def _theta_from_args(problem: MpQpProblem, args) -> ParameterPoint:
     return ParameterPoint.zeros(problem)
 
 
-def _read_dataset(problem: MpQpProblem, path: str) -> Tuple[np.ndarray, np.ndarray]:
-    """A dataset's rows as an (N, d) array of stacked thetas and their N
-    feasible flags (True where a row gives none).
+#: Characters of a dataset file :func:`_read_dataset` reads at a time
+#: (about 30,000 lines of six numbers, fewer of wider rows): the memory a
+#: block takes does not grow with the file.
+_BLOCK_CHARS = 1 << 21
 
-    A JSON-lines file (``.jsonl``, or text starting with '{') holds one
-    record per line with ``theta_e`` and optionally ``theta_c``,
-    ``theta_C`` (zeros by default) and ``feasible``.  A CSV file may have
-    '#' comments, blank lines and a header: the first other row, if it
-    has a non-numeric field.  A header naming theta_e1..theta_e{m1} (as
-    ``gen-data --format csv`` writes) selects those columns and one named
-    ``feasible`` gives the flags (0 is false); otherwise a row has either
-    m1 (theta_e only) or d (stacked) numeric columns.  A malformed or
-    non-finite row is a usage error naming its file:line."""
-    text = Path(path).read_text()
-    jsonl = path.endswith(".jsonl") or text.lstrip()[:1] == "{"
-    lines = text.splitlines()
-    del text  # the file is held once, as lines, and freed before the rows are stacked
+Block = Tuple[np.ndarray, np.ndarray]
+
+
+def _text_blocks(fh, size: int) -> Iterator[str]:
+    """An open text file's contents, ``size`` characters at a time and cut
+    after the last newline, so each piece but the last ends a line."""
+    carry = ""
+    for chunk in iter(lambda: fh.read(size), ""):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield carry + chunk[:cut]
+            carry = chunk[cut:]
+        else:
+            carry += chunk
+    if carry:
+        yield carry
+
+
+def _csv_header(problem: MpQpProblem, row: List[str]):
+    """None when the file's first CSV row holds numbers; when it is a
+    header (it has a non-numeric field), the columns it selects: the
+    indices of theta_e1..theta_e{m1} if it names them all, and that of
+    ``feasible``, each None if absent."""
+    try:
+        [float(tok) for tok in row if tok.strip()]
+        return None
+    except ValueError:
+        header = [tok.strip() for tok in row]
+        names = [f"theta_e{i+1}" for i in range(problem.m1)]
+        columns = flag_at = None
+        if names and set(names) <= set(header):
+            columns = [header.index(name) for name in names]
+        if "feasible" in header:
+            flag_at = header.index("feasible")
+        return columns, flag_at
+
+
+def _loadtxt_block(problem: MpQpProblem, lines: List[str]) -> Optional[Block]:
+    """A block of CSV lines parsed by ``np.loadtxt``, or None when the line
+    loop must read it: loadtxt raised (on '1_0', a blank cell, a quote or
+    '4,5,6 # tail', all of which the line loop reads or rejects itself),
+    gave a width other than m1 or d, or a non-finite value."""
+    n, m1, d = problem.n, problem.m1, problem.d
+    data = [line for line in lines if (s := line.lstrip()) and s[0] != "#"]  # no blank or comment
+    if not data:
+        return np.empty((0, d)), np.empty(0, bool)
+    try:
+        table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if table.shape[1] not in (m1, d) or not np.isfinite(table).all():
+        return None
+    if table.shape[1] != d:
+        table = np.hstack([np.zeros((len(table), n)), table, np.zeros((len(table), problem.m2))])
+    return table, np.ones(len(table), bool)
+
+
+def _line_loop(problem: MpQpProblem, path: str, lines: List[str], lineno: int, jsonl: bool,
+               columns: Optional[List[int]], flag_at: Optional[int]) -> Block:
+    """A block of lines, the first of them line ``lineno + 1``, read one
+    line at a time; ``columns`` and ``flag_at`` are what the CSV header
+    selects.  Each CSV line is split on its own, so a quoted cell left
+    open ends with its line.  A malformed or non-finite row is a usage
+    error naming its file:line."""
     n, m1, m2, d = problem.n, problem.m1, problem.m2, problem.d
     pad_c, pad_C = [0.0] * n, [0.0] * m2
-    names = [f"theta_e{i+1}" for i in range(m1)]
-    columns = flag_at = None
-    first = True
     rows, flags = [], []
-    # csv.reader yields one row per line, so it runs in step with lines
-    for lineno, (line, row) in enumerate(zip(lines, lines if jsonl else csv.reader(lines)), 1):
+    for lineno, line in enumerate(lines, lineno + 1):
         if not line.strip() or not jsonl and line.lstrip().startswith("#"):
             continue  # blank (empty or whitespace-only) or comment line
         flag = True
@@ -173,17 +224,7 @@ def _read_dataset(problem: MpQpProblem, path: str) -> Tuple[np.ndarray, np.ndarr
                 flag = bool(rec.get("feasible", True))
                 vals = _floats(parts[0] + parts[1] + parts[2])
             else:
-                if first:
-                    first = False
-                    try:
-                        [float(tok) for tok in row if tok.strip()]
-                    except ValueError:  # a non-numeric field: a header row
-                        header = [tok.strip() for tok in row]
-                        if names and set(names) <= set(header):
-                            columns = [header.index(name) for name in names]
-                        if "feasible" in header:
-                            flag_at = header.index("feasible")
-                        continue
+                row = next(csv.reader([line]))
                 if flag_at is not None:  # 0 is false; a missing cell, true
                     flag = _floats(row[flag_at:flag_at + 1]) != [0.0]
                 if columns is not None:
@@ -197,8 +238,56 @@ def _read_dataset(problem: MpQpProblem, path: str) -> Tuple[np.ndarray, np.ndarr
             raise CliError(f"{path}:{lineno}: bad dataset row: {exc}")
         rows.append(vals)
         flags.append(flag)
-    del lines
     return np.array(rows, dtype=np.float64).reshape(len(rows), d), np.array(flags, bool)
+
+
+def _read_dataset(problem: MpQpProblem, path: str) -> Iterator[Block]:
+    """A dataset's rows, a block at a time: per block an (r, d) array of
+    stacked thetas and their r feasible flags (True where a row gives
+    none).  At least one block is yielded, an empty one for a file with no
+    rows.
+
+    A JSON-lines file (``.jsonl``, or text starting with '{') holds one
+    record per line with ``theta_e`` and optionally ``theta_c``,
+    ``theta_C`` (zeros by default) and ``feasible``.  A CSV file may have
+    '#' comments, blank lines and a header: the first other row, if it
+    has a non-numeric field.  A header naming theta_e1..theta_e{m1} (as
+    ``gen-data --format csv`` writes) selects those columns and one named
+    ``feasible`` gives the flags (0 is false); otherwise a row has either
+    m1 (theta_e only) or d (stacked) numeric columns.  A malformed or
+    non-finite row is a usage error naming its file:line.
+
+    The file is read _BLOCK_CHARS characters at a time.  A CSV block
+    goes through ``np.loadtxt`` and, only where that rejects it (or the
+    header selects columns), through the line loop; both give the floats
+    ``float()`` gives.  JSON-lines blocks go through the line loop."""
+    jsonl = True if path.endswith(".jsonl") else None  # None: not known yet
+    first = True  # the first data line, which may be a header, is still to come
+    columns = flag_at = None
+    lineno = 0
+    with open(path) as fh:
+        for text in _text_blocks(fh, _BLOCK_CHARS):
+            lines = text.splitlines()
+            if jsonl is None and not text.isspace():
+                jsonl = text.lstrip()[0] == "{"
+            if first and not jsonl:
+                at = next((i for i, line in enumerate(lines)
+                           if (s := line.lstrip()) and s[0] != "#"), None)
+                if at is not None:
+                    first = False
+                    header = _csv_header(problem, next(csv.reader([lines[at]])))
+                    if header is not None:
+                        columns, flag_at = header
+                        lines[at] = ""  # now a blank line, which both readers skip
+            block = None
+            if not jsonl and columns is None and flag_at is None:
+                block = _loadtxt_block(problem, lines)
+            if block is None:
+                block = _line_loop(problem, path, lines, lineno, bool(jsonl), columns, flag_at)
+            yield block
+            lineno += len(lines)
+    if not lineno:
+        yield np.empty((0, problem.d)), np.empty(0, bool)
 
 
 def _csv_rows(table: np.ndarray) -> str:
@@ -206,11 +295,38 @@ def _csv_rows(table: np.ndarray) -> str:
     shortest repr of its value, calling ``repr`` once per distinct bit
     pattern: complementary slackness and feasibility make many cells
     exactly 0.  Keying on the bits, not the value, keeps -0.0 apart
-    from 0.0."""
+    from 0.0.  The cells and their separators are joined in one pass."""
     bits, where = np.unique(table.view(np.uint64), return_inverse=True)
     text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    cells = text[where.reshape(table.shape)]
-    return "".join(",".join(row) + "\r\n" for row in cells.tolist())
+    parts = np.empty((len(table), 2 * table.shape[1]), dtype=object)
+    parts[:, 0::2] = text[where.reshape(table.shape)]
+    parts[:, 1::2] = ","
+    parts[:, -1] = "\r\n"
+    return "".join(parts.ravel().tolist())
+
+
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """A text stream for ``path``, or stdout when there is none.  A regular
+    file is written under a temporary name beside it and moved into place
+    only when the block exits cleanly, so a failed run leaves no file."""
+    if path is None:
+        yield sys.stdout
+        return
+    target = Path(path)
+    if target.exists() and not target.is_file():  # a device or a pipe: write in place
+        with open(target, "w", newline="") as out:
+            yield out
+        return
+    target = target.resolve()  # through a symlink: replace the file, keep the link
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    out = open(tmp, "x", newline="")
+    try:
+        with out:
+            yield out
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -275,43 +391,44 @@ def cmd_discover(args) -> int:
 def cmd_predict(args) -> int:
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
-    thetas = _read_dataset(problem, args.thetas)[0]
     header = (
         [f"x{i+1}" for i in range(problem.n)]
         + [f"lambda{i+1}" for i in range(problem.m1)]
         + [f"mu{i+1}" for i in range(problem.m2)]
         + ["objective", "kkt1", "kkt2_eq", "kkt2_ineq", "kkt3", "kkt4"]
     )
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
     start = time.perf_counter()
-    try:
+    blocks = _read_dataset(problem, args.thetas)
+    first = next(blocks)  # read before any output, so a bad row in it prints nothing
+    count = 0
+    with _output(args.out) as out:
         out.write(",".join(header) + "\r\n")
-        for rows, X, Lam, Mu, objective in forward_chunks(model, thetas):
-            table = np.hstack([
-                X, Lam, Mu, objective[:, None], kkt_means(problem, X, Lam, Mu, rows),
-            ])
-            out.write(_csv_rows(table))
-    finally:
-        if args.out:
-            out.close()
+        for thetas, _ in itertools.chain([first], blocks):
+            count += len(thetas)
+            for rows, X, Lam, Mu, objective in forward_chunks(model, thetas):
+                table = np.hstack([
+                    X, Lam, Mu, objective[:, None], kkt_means(problem, X, Lam, Mu, rows),
+                ])
+                out.write(_csv_rows(table))
     elapsed = time.perf_counter() - start
-    print(f"batch of {len(thetas)} evaluated in {elapsed:.4f} s", file=sys.stderr)
+    print(f"batch of {count} evaluated in {elapsed:.4f} s", file=sys.stderr)
     return 0
 
 
 def cmd_kkt_report(args) -> int:
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
-    thetas, feasible = _read_dataset(problem, args.dataset)
-    skipped = len(thetas) - int(feasible.sum())
-    thetas = thetas[feasible]
+    parts, count, skipped = [], 0, 0
+    for thetas, feasible in _read_dataset(problem, args.dataset):
+        count += int(feasible.sum())
+        skipped += len(thetas) - int(feasible.sum())
+        parts += [kkt_batch(problem, X, Lam, Mu, rows)
+                  for rows, X, Lam, Mu, _ in forward_chunks(model, thetas[feasible])]
 
-    if not len(thetas):
+    if not count:
         print("warning: empty dataset (no feasible rows)", file=sys.stderr)
         return 0
 
-    parts = [kkt_batch(problem, X, Lam, Mu, rows)
-             for rows, X, Lam, Mu, _ in forward_chunks(model, thetas)]
     kkt1, kkt2_eq, kkt2_ineq, kkt3, kkt4 = (np.concatenate(v) for v in zip(*parts))
     groups = problem.variable_groups or {}
     columns = [(f"KKT1-{name}", kkt1[:, list(idx)]) for name, idx in groups.items()]
@@ -334,7 +451,7 @@ def cmd_kkt_report(args) -> int:
     print(f"{'condition':12s} {'mean':>12s} {'worst':>12s}")
     for name, mean, worst in rows:
         print(f"{name:12s} {mean:12.3e} {worst:12.3e}")
-    print(f"feasible rows: {len(thetas)}, infeasible rows excluded: {skipped}")
+    print(f"feasible rows: {count}, infeasible rows excluded: {skipped}")
     return 0
 
 

@@ -291,11 +291,11 @@ def discover(
             current = region
             last_set = region.active_set
 
-    def resolve(theta, lo_theta, di, pi, depth=0):
-        """Make ``theta`` pass ``tol``, expanding the model as needed.
-        ``lo_theta`` is the nearest point already known to pass.
-        Returns True on success, False when the point was abandoned
-        (only in non-strict mode or past the feasible boundary)."""
+    def expand_at(theta, di, pi, depth):
+        """Expand the model until ``theta`` passes ``tol``: True when it
+        does, False when the point was abandoned (only in non-strict mode
+        or past the feasible boundary), None when no single transition
+        resolves it and it must be approached by halving."""
         nonlocal model, current
         for _ in range(_MAX_EXPANSIONS_PER_POINT):
             scalar = evaluate(theta)
@@ -309,7 +309,7 @@ def discover(
             try:
                 tr = identify_transition(problem, model, current, theta)
             except UnresolvableTransition:
-                return halve(theta, lo_theta, di, pi, depth)
+                return None
             if tr.kind == "add":
                 new_set = ActiveSet(set(current.active_set) | {tr.constraint})
             else:
@@ -321,7 +321,7 @@ def discover(
                     r for r in model.regions if r.active_set == new_set
                 )
                 if existing.id == current.id:
-                    return halve(theta, lo_theta, di, pi, depth)
+                    return None
                 current = existing
                 continue
             except SingularActiveJacobian:
@@ -336,13 +336,25 @@ def discover(
             )
         return abandon(theta, di, pi, "expansion_limit")
 
-    def halve(theta, lo_theta, di, pi, depth):
-        if depth >= _MAX_HALVINGS:
-            return abandon(theta, di, pi, "halving_limit")
-        mid = lo_theta + (theta - lo_theta).scale(0.5)
-        if not resolve(mid, lo_theta, di, pi, depth + 1):
-            return False
-        return resolve(theta, mid, di, pi, depth + 1)
+    def resolve(theta, lo_theta, di, pi):
+        """Make ``theta`` pass ``tol``, expanding the model as needed.
+        ``lo_theta`` is the nearest point already known to pass.  A point
+        that needs halving is reached through the midpoint from its
+        ``lo_theta`` first, up to _MAX_HALVINGS levels deep: ``pending``
+        holds (point, known-passing point, depth) in depth-first order.
+        Returns True on success, False when a point was abandoned."""
+        pending = [(theta, lo_theta, 0)]
+        while pending:
+            theta, lo_theta, depth = pending.pop()
+            passed = expand_at(theta, di, pi, depth)
+            if passed is None:
+                if depth >= _MAX_HALVINGS:
+                    return abandon(theta, di, pi, "halving_limit")
+                mid = lo_theta + (theta - lo_theta).scale(0.5)
+                pending += [(theta, mid, depth + 1), (mid, lo_theta, depth + 1)]
+            elif not passed:
+                return False
+        return True
 
     def abandon(theta, di, pi, reason):
         nonlocal boundary_hit

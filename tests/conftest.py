@@ -1,11 +1,16 @@
 """Shared fixtures: bundled problems, standard search patterns and the
 discovered models the test suite reuses."""
 
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cfqp import dcopf
 from cfqp.cases import case6, two_parameter_problem, two_parameter_theta0
+from cfqp.cli import CliError, _floats
 from cfqp.core import rowwise_matvec, solve_active_set
 from cfqp.discovery import Direction, SearchPattern, Transition, axis_sweep_pattern, discover
 from cfqp.errors import UnresolvableTransition
@@ -229,3 +234,63 @@ def reference_dense_forward(model, Theta):
     Qx_c = rowwise_matvec(problem.Q, x) + problem.C + Theta[:, :n]
     objective = np.add.reduce(x * Qx_c, -1) + problem.C0
     return X, S[:, n:], Mu, objective
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of the dataset reader, as it was written before it read a
+# file in blocks: the whole text at once, one line at a time, one csv.reader
+# running in step with the lines.
+
+
+def reference_read_dataset(problem, path):
+    """A dataset's rows as an (N, d) array and their N feasible flags."""
+    text = Path(path).read_text()
+    jsonl = path.endswith(".jsonl") or text.lstrip()[:1] == "{"
+    lines = text.splitlines()
+    n, m1, m2, d = problem.n, problem.m1, problem.m2, problem.d
+    pad_c, pad_C = [0.0] * n, [0.0] * m2
+    names = [f"theta_e{i+1}" for i in range(m1)]
+    columns = flag_at = None
+    first = True
+    rows, flags = [], []
+    for lineno, (line, row) in enumerate(zip(lines, lines if jsonl else csv.reader(lines)), 1):
+        if not line.strip() or not jsonl and line.lstrip().startswith("#"):
+            continue
+        flag = True
+        try:
+            if jsonl:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("not a JSON object")
+                parts = [rec.get("theta_c", pad_c), rec.get("theta_e"), rec.get("theta_C", pad_C)]
+                if [len(p) if isinstance(p, list) else None for p in parts] != [n, m1, m2]:
+                    raise ValueError(f"theta_c, theta_e and theta_C must be lists of {n}, "
+                                     f"{m1} and {m2} numbers")
+                flag = bool(rec.get("feasible", True))
+                vals = _floats(parts[0] + parts[1] + parts[2])
+            else:
+                if first:
+                    first = False
+                    try:
+                        [float(tok) for tok in row if tok.strip()]
+                    except ValueError:
+                        header = [tok.strip() for tok in row]
+                        if names and set(names) <= set(header):
+                            columns = [header.index(name) for name in names]
+                        if "feasible" in header:
+                            flag_at = header.index("feasible")
+                        continue
+                if flag_at is not None:
+                    flag = _floats(row[flag_at:flag_at + 1]) != [0.0]
+                if columns is not None:
+                    row = [row[c] if c < len(row) else "" for c in columns]
+                vals = _floats(row)
+                if len(vals) == m1:
+                    vals = pad_c + vals + pad_C
+            if len(vals) != d:
+                raise ValueError(f"expected {m1} or {d} columns, got {len(vals)}")
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{path}:{lineno}: bad dataset row: {exc}")
+        rows.append(vals)
+        flags.append(flag)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), d), np.array(flags, bool)

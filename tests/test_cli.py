@@ -1,12 +1,15 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cfqp.cases import bundled_case_json, bundled_problem_json
-from cfqp.cli import EXIT_CODES, _csv_rows, main
+import cfqp.cli
+from cfqp.cases import bundled_case_json, bundled_problem_json, case6
+from cfqp.cli import EXIT_CODES, _csv_rows, _read_dataset, main
+from cfqp.dcopf import build_dcopf
 from cfqp.model import cast, deserialize, forward_array, serialize
 from cfqp.oracle import kkt_means
 from cfqp.problem import MpQpProblem
@@ -227,16 +230,51 @@ class TestPredictCommand:
 
     def test_malformed_theta_row(self, problem_file, model_2d_file, tmp_path, capsys):
         thetas = tmp_path / "thetas.csv"
+        out = tmp_path / "solutions.csv"
         # wrong length, then a non-finite row after a good one, then an
         # inf row whose line number counts comment and blank lines
         for text, line in (("1,2,3,4,5\n", 1), ("150,150\nnan,100\n", 2),
                            ("# load\n150,150\n\n100,inf\n", 4)):
             thetas.write_text(text)
-            assert main([
-                "predict", "--problem", problem_file, "--model", model_2d_file,
-                "--thetas", str(thetas),
-            ]) == EXIT_CODES["usage"]
-            assert f"{thetas}:{line}:" in capsys.readouterr().err
+            for target in ([], ["--out", str(out)]):
+                assert main([
+                    "predict", "--problem", problem_file, "--model", model_2d_file,
+                    "--thetas", str(thetas), *target,
+                ]) == EXIT_CODES["usage"]
+                captured = capsys.readouterr()
+                assert f"{thetas}:{line}:" in captured.err
+                assert captured.out == "" and not out.exists()
+
+    def test_bad_row_in_a_later_block(self, problem_file, model_2d_file, tmp_path, capsys,
+                                      monkeypatch):
+        """In blocks of 64 characters (8 rows of '150,150'), a bad row on
+        line 40 is read after 32 rows were evaluated and written: --out
+        still leaves no file, temporary or not, while stdout has the
+        header and those 32 rows.  A good file gives the bytes it gives
+        when read in one block."""
+        thetas = tmp_path / "thetas.csv"
+        out = tmp_path / "solutions.csv"
+        argv = ["predict", "--problem", problem_file, "--model", model_2d_file,
+                "--thetas", str(thetas)]
+        thetas.write_text("150,150\n" * 39 + "200,100\n")
+        assert main(argv + ["--out", str(out)]) == 0
+        whole = out.read_bytes()
+        out.unlink()
+        monkeypatch.setattr(cfqp.cli, "_BLOCK_CHARS", 64)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == whole
+        out.unlink()
+
+        thetas.write_text("150,150\n" * 39 + "150,nan\n")
+        files = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == EXIT_CODES["usage"]
+        assert f"{thetas}:40:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == files
+        assert main(argv) == EXIT_CODES["usage"]
+        captured = capsys.readouterr()
+        assert f"{thetas}:40:" in captured.err
+        assert captured.out.encode() == b"".join(whole.splitlines(keepends=True)[:33])
 
     @pytest.mark.parametrize("flag", [["--precision", "32"], ["--tol", "5"], ["--seed", "1"]],
                              ids=["precision", "tol", "seed"])
@@ -265,6 +303,24 @@ class TestPredictCommand:
             "predict", "--problem", problem_file, "--model", str(broken),
             "--thetas", str(thetas),
         ]) == EXIT_CODES["format"]
+
+
+def test_reader_memory_is_bounded_by_its_block(tmp_path):
+    """Reading 100,000 case6 rows (d = 20, a 37 MB file) allocates under
+    24 MB at its peak: the reader holds one block of the text and its
+    rows, not the whole file and a list of floats per row (117 MB)."""
+    problem = build_dcopf(case6())[0]
+    row = ",".join(map(repr, np.random.default_rng(0).uniform(-50.0, 50.0, problem.d).tolist()))
+    path = tmp_path / "thetas.csv"
+    path.write_text((row + "\n") * 100_000)
+    tracemalloc.start()
+    try:
+        count = sum(len(thetas) for thetas, _ in _read_dataset(problem, str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 100_000
+    assert peak < 24e6
 
 
 def repr_rows(table):

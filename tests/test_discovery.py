@@ -1,9 +1,11 @@
+import gc
 import inspect
 import json
 
 import numpy as np
 import pytest
 
+from cfqp.cases import two_parameter_problem, two_parameter_theta0
 from cfqp.cli import build_parser
 from cfqp.discovery import (
     Direction,
@@ -127,6 +129,25 @@ class TestDiscover:
             two_param, theta0_2d, two_param_pattern(theta0_2d, steps=8)
         )
         assert model.k == 4
+
+    def test_leaves_no_cyclic_garbage(self):
+        """discover's helpers hold no reference cycle, so the model, the
+        log and the problem go when the caller drops them, not at the
+        next full collection."""
+        problem, theta0 = two_parameter_problem(), two_parameter_theta0()
+        gc.collect()
+        gc.disable()
+        try:
+            discover(problem, theta0, two_param_pattern(theta0, steps=20))
+            del problem
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = {type(obj).__name__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not left & {"ClosedFormModel", "DiscoveryLog", "MpQpProblem"}
 
     def test_infeasible_anchor(self, two_param):
         theta = ParameterPoint.of_theta_e(two_param, [600.0, 600.0])

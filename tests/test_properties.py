@@ -1,11 +1,15 @@
 """Property-based invariants (hypothesis) for the solver stack."""
 
 import dataclasses
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfqp.cli
+from cfqp.cli import CliError, _read_dataset
 from cfqp.core import gradient_rows, lagrangian_gradients, solve_active_set
 from cfqp.discovery import identify_transition
 from cfqp.errors import Infeasible, UnresolvableTransition
@@ -24,6 +28,7 @@ from conftest import (
     box_pattern,
     reference_identify_transition,
     reference_locate_region,
+    reference_read_dataset,
     region_grad_x,
 )
 
@@ -404,3 +409,98 @@ def test_region_boundaries_differ_from_reference_only_in_rounding_ties(box_model
                         assert reference_locate_region(alone(box_model, pick), theta, 1e-12)
                 checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# The block reader against the whole-file line loop
+
+
+#: A dataset problem with m1 = 1 and d = 7, so rows are short.
+DATASET_PROBLEM = box_qp(2, [1.0, 2.0], [0.5, -0.5], 6.0)
+
+number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-1e3, max_value=1e3).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+# cells float() reads, most of which np.loadtxt rejects
+quirky_cell = st.one_of(
+    number.map(lambda t: f'"{t}"'),
+    number.map(lambda t: f" {t}\t"),
+    number.map(lambda t: f"\u2003{t}"),
+    st.sampled_from(["1_0", "-2_5.5", "\u0661"]),
+)
+# cells both parse, to a non-finite float
+non_finite_cell = st.sampled_from(["nan", "-inf", "1e999", "Infinity"])
+# cells that make a row bad for both, or change its width
+bad_cell = st.sampled_from(["", " ", '""', "x", "4 # tail", "0x10"])
+
+
+@st.composite
+def csv_text(draw):
+    """CSV text: an optional header, '#' comments, blank and whitespace
+    lines, rows of m1 or d cells, CRLF or LF ends, and, by mode, cells the
+    fast parser rejects but the line loop reads, non-finite cells, or bad
+    cells and widths."""
+    m1, d = DATASET_PROBLEM.m1, DATASET_PROBLEM.d
+    mode = draw(st.sampled_from(["plain", "quirky", "non-finite", "bad"]))
+    cell = {"plain": number, "quirky": st.one_of(number, quirky_cell),
+            "non-finite": st.one_of(number, number, non_finite_cell),
+            "bad": st.one_of(number, quirky_cell, non_finite_cell, bad_cell)}[mode]
+    header = draw(st.sampled_from(["", "", "theta\n", "theta_e1\n", "# note\n\ntheta_e1,x,feasible\n"]))
+    if "feasible" in header:
+        row = st.tuples(cell, st.just("x"), st.sampled_from(["0", "1", "", "2.5"])).map(",".join)
+    else:
+        widths = [m1, d, 3] if mode == "bad" else [m1, d]
+        row = st.sampled_from(widths).flatmap(lambda w: st.lists(cell, min_size=w, max_size=w))
+        row = row.map(",".join)
+    line = st.one_of(row, row, st.sampled_from(["", " ", "\t", "# comment", "  # indented, 1,2"]))
+    lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n"])), max_size=25))
+    text = header + "".join(a + b for a, b in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline at the end
+    return text
+
+
+@st.composite
+def jsonl_text(draw):
+    """JSON-lines records after leading blank lines, with a bad record at
+    times."""
+    m1 = DATASET_PROBLEM.m1
+    record = st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=m1, max_size=m1)
+        .map(lambda v: json.dumps({"theta_e": v})),
+        st.booleans().map(lambda f: json.dumps({"theta_e": [1.0] * m1, "feasible": f})),
+        st.sampled_from(["", "  ", '{"theta_e": [1, 2, 3]}', "[1]", "{bad"]),
+    )
+    lead = draw(st.sampled_from(["", "\n", " \n\n"]))
+    return lead + "\n".join(draw(st.lists(record, min_size=1, max_size=15))) + "\n"
+
+
+def read_in_blocks(path, block_chars):
+    with mock.patch.object(cfqp.cli, "_BLOCK_CHARS", block_chars):
+        blocks = list(_read_dataset(DATASET_PROBLEM, str(path)))
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(csv_text(), jsonl_text()), data=st.data())
+def test_block_reader_matches_line_loop(tmp_path_factory, text, data):
+    """For any block size, the block reader gives the line loop's arrays
+    and flags bit for bit, or the same usage error (file:line included).
+    Block boundaries fall anywhere from the first character to past the
+    end of the file."""
+    path = tmp_path_factory.getbasetemp() / "dataset.csv"
+    path.write_text(text, newline="")
+    block_chars = data.draw(st.integers(min_value=1, max_value=len(text) + 2), "block_chars")
+    try:
+        want = reference_read_dataset(DATASET_PROBLEM, str(path))
+    except CliError as exc:
+        with pytest.raises(CliError) as got:
+            read_in_blocks(path, block_chars)
+        assert str(got.value) == str(exc)
+        return
+    rows, flags = read_in_blocks(path, block_chars)
+    assert rows.dtype == np.float64 and rows.shape == want[0].shape
+    assert rows.tobytes() == want[0].tobytes()
+    assert np.array_equal(flags, want[1])
