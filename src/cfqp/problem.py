@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ProblemFormatError
+from .errors import ProblemFormatError, SingularJacobian
 
 __all__ = [
     "MpQpProblem",
@@ -85,6 +85,10 @@ class MpQpProblem:
     ``variable_groups`` optionally names disjoint slices of the primal
     vector (e.g. generator outputs vs. voltage angles) so stationarity
     violations can be reported per group.
+
+    The base KKT matrix [[2Q, -A_e^T], [-A_e, 0]] must pass the relative
+    pivot test of ``core.JacobianFactors``: every active-set system is a
+    bordering of it, and the forward pass inverts it.
     """
 
     Q: np.ndarray
@@ -129,6 +133,15 @@ class MpQpProblem:
                 raise ProblemFormatError("Q must be positive semidefinite")
         if m1 > 0 and np.linalg.matrix_rank(self.A_e) < m1:
             raise ProblemFormatError("A_e must have full row rank")
+        # Imported here: core builds on this module.
+        from .core import assemble_active_jacobian, factorize
+        try:
+            factorize(assemble_active_jacobian(self, ActiveSet()))
+        except SingularJacobian as exc:
+            raise ProblemFormatError(
+                "the base KKT matrix [[2Q, -A_e^T], [-A_e, 0]] is singular, so Q "
+                f"is not positive definite on the null space of A_e ({exc})"
+            ) from None
 
         if self.variable_groups is not None:
             groups = {}
@@ -177,6 +190,14 @@ class MpQpProblem:
         """[A_e; A_C], the equality rows above the inequality rows,
         (m1 + m2, n)."""
         return _freeze(np.vstack([self.A_e, self.A_C]))
+
+    @cached_property
+    def feasibility_kernel(self):
+        """The oracle's :class:`~cfqp.oracle.FeasibilityKernel` of this
+        problem, built on first use.  It holds arrays only, so caching it
+        here makes no reference cycle."""
+        from .oracle import FeasibilityKernel  # the oracle builds on this module
+        return FeasibilityKernel(self)
 
     def stacked_coefficients(self, dtype=np.float64) -> np.ndarray:
         """B = [C, b_e, b_C], length d."""

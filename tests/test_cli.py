@@ -537,6 +537,19 @@ class TestImportCase:
             "discover", "--case", str(path), "--steps", "20",
         ]) == EXIT_CODES["format"]
 
+    def test_singular_base_problem_exit_code(self, tmp_path, capsys):
+        """x3 and x5 of the two-parameter problem lose their quadratic
+        costs: x3 - x5 keeps A_e x fixed at no curvature, so the base KKT
+        matrix is singular."""
+        problem = json.loads(bundled_problem_json())
+        problem["Q"][2][2] = problem["Q"][4][4] = 0.0
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(problem))
+        assert main([
+            "discover", "--problem", str(path), "--theta0", "100,100", "--steps", "20",
+        ]) == EXIT_CODES["format"]
+        assert "base KKT matrix" in capsys.readouterr().err
+
     def test_non_finite_problem_exit_code(self, tmp_path, capsys):
         problem = json.loads(bundled_problem_json())
         problem["A_e"][0][0] = float("nan")

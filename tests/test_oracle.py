@@ -1,11 +1,19 @@
+import gc
+import weakref
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import cfqp.discovery
+from cfqp.cases import bundled_case_json, bundled_problem_json, two_parameter_problem
+from cfqp.cli import main
 from cfqp.errors import Infeasible, ProblemFormatError
 from cfqp.model import forward, forward_array
 from cfqp.oracle import (
     MAX_ENUM_M2,
     ORACLE_TOL,
+    _accepted,
     brute_force_solve,
     is_feasible,
     kkt_means,
@@ -133,8 +141,79 @@ class TestOracleSanity:
         )
         assert problem.m2 > MAX_ENUM_M2
         for oracle in (brute_force_solve, is_feasible):
-            with pytest.raises(ValueError):
+            with pytest.raises(
+                ValueError, match=f"^active-set enumeration is limited to m2 <= {MAX_ENUM_M2}, "
+            ):
                 oracle(problem, ParameterPoint.zeros(problem))
+
+
+class TestFeasibilityKernel:
+    """is_feasible decides from the problem's Schur-complement kernel;
+    brute_force_solve stays the literal enumeration.  They must agree
+    everywhere: a disagreement is a bug, not a tolerance to tune."""
+
+    def test_discovery_calls_match_enumeration(self, tmp_path):
+        """Every is_feasible call of the three benchmark fixtures'
+        discover runs, the feasible_extent bisection midpoints among them
+        (the last ones lie within 1e-6 relative of the boundary), replayed
+        against the first accepted set of the enumeration."""
+        problem_file = tmp_path / "two_parameter.json"
+        problem_file.write_text(bundled_problem_json())
+        case_file = tmp_path / "case6.json"
+        case_file.write_text(bundled_case_json())
+        calls = []
+
+        def recording(problem, theta):
+            feasible = is_feasible(problem, theta)
+            calls.append((problem, theta, feasible))
+            return feasible
+
+        with mock.patch.object(cfqp.discovery, "is_feasible", recording):
+            for argv in (
+                ["--problem", str(problem_file), "--theta0", "100,100", "--steps", "200"],
+                ["--case", str(case_file), "--steps", "40"],
+                ["--case", str(case_file), "--lines", "--steps", "40", "--lenient"],
+            ):
+                assert main(["discover", *argv, "--out", str(tmp_path / "model.json")]) == 0
+        assert len(calls) > 800
+        assert {feasible for _, _, feasible in calls} == {True, False}
+        disagree = [
+            theta.stacked() for problem, theta, feasible in calls
+            if feasible != (next(_accepted(problem, theta), None) is not None)
+        ]
+        assert disagree == []
+
+    @pytest.mark.parametrize("A_e, A_C", [
+        (np.ones((1, 3)), np.zeros((0, 3))),  # no inequality: only the empty set
+        (np.eye(3), np.eye(3)),  # n = m1: the rank cap leaves only the empty set
+        # parallel rows: every pair is singular, so the enumeration stops at one
+        (np.zeros((0, 3)), np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [-1.0, -1.0, 0.0]])),
+    ])
+    def test_small_stacks_match_enumeration(self, A_e, A_C):
+        problem = MpQpProblem(
+            Q=np.eye(3), C=np.zeros(3), C0=0.0, A_e=A_e, b_e=np.zeros(len(A_e)),
+            A_C=A_C, b_C=np.zeros(len(A_C)),
+        )
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            theta = ParameterPoint.from_stacked(problem, rng.uniform(-5.0, 5.0, problem.d))
+            assert is_feasible(problem, theta) == (next(_accepted(problem, theta), None) is not None)
+
+    def test_cached_kernel_leaves_no_cycle(self):
+        """The kernel is cached on the problem and holds arrays only, so
+        a problem that went through is_feasible is freed by its reference
+        count alone once dropped."""
+        problem = two_parameter_problem()
+        gc.collect()
+        gc.disable()
+        try:
+            assert is_feasible(problem, ParameterPoint.of_theta_e(problem, [100.0, 100.0]))
+            assert "feasibility_kernel" in vars(problem)
+            ref = weakref.ref(problem)
+            del problem
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestKktReport:

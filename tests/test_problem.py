@@ -43,6 +43,18 @@ class TestValidation:
     def test_psd_q_accepted(self):
         tiny_problem(Q=np.diag([1.0, 0.0]))
 
+    def test_singular_base_kkt_rejected(self):
+        """min x1^2 + x2 s.t. x2 >= 0 has the optimum (0, 0), but its base
+        KKT matrix diag(2, 0) is singular: Q is only semidefinite on
+        null(A_e) = R^2.  The enumeration would prune every superset of
+        the singular empty set and call each theta infeasible."""
+        with pytest.raises(ProblemFormatError, match="base KKT matrix .* is singular"):
+            MpQpProblem(
+                Q=np.diag([1.0, 0.0]), C=np.array([0.0, 1.0]), C0=0.0,
+                A_e=np.zeros((0, 2)), b_e=np.zeros(0),
+                A_C=np.array([[0.0, 1.0]]), b_C=np.zeros(1),
+            )
+
     def test_rank_deficient_equalities_rejected(self):
         with pytest.raises(ProblemFormatError):
             tiny_problem(

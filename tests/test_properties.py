@@ -21,7 +21,7 @@ from cfqp.model import (
     locate_region,
     region_residuals,
 )
-from cfqp.oracle import brute_force_solve, is_feasible, kkt_batch, kkt_report
+from cfqp.oracle import _accepted, brute_force_solve, is_feasible, kkt_batch, kkt_report
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
 
 from conftest import (
@@ -250,6 +250,23 @@ def test_is_feasible_iff_solvable_case6_lines(power_case, line_problem, ratios, 
     P_d = power_case.demand_vector()
     theta = ParameterPoint.of_theta_e(problem, P_d - np.asarray(ratios) * scale * P_d)
     assert is_feasible(problem, theta) == solvable(problem, theta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    q_vals=st.lists(st.floats(min_value=0.5, max_value=8.0), min_size=4, max_size=4),
+    c_vals=st.lists(finite, min_size=4, max_size=4),
+    theta=st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=13, max_size=13),
+)
+def test_feasibility_kernel_matches_enumeration_box_qp(n, q_vals, c_vals, theta):
+    """The Schur kernel against the literal enumeration, with every part
+    of theta drawn: the equality target reaches past the box's +-n*6, and
+    theta_C moves the bounds, emptying the box when a bound crosses its
+    opposite."""
+    problem = box_qp(n, q_vals, c_vals, bound=6.0)
+    point = ParameterPoint.from_stacked(problem, theta[:problem.d])
+    assert is_feasible(problem, point) == (next(_accepted(problem, point), None) is not None)
 
 
 @settings(max_examples=40, deadline=None)
