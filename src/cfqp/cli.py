@@ -8,6 +8,7 @@ exit code (see EXIT_CODES); all randomness flows through --seed.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import itertools
@@ -341,6 +342,7 @@ def cmd_discover(args) -> int:
     problem = _load_problem(args)
     theta0 = _theta_from_args(problem, args)
 
+    extent_s = 0.0
     if args.pattern == "axis":
         if args.extent:
             extent = _parse_theta_e(problem, args.extent, "--extent")
@@ -348,6 +350,7 @@ def cmd_discover(args) -> int:
         else:
             # Default: sweep each theta_e axis both ways, out to the
             # bisected feasible boundary.
+            start = time.perf_counter()
             up = np.zeros(problem.m1)
             down = np.zeros(problem.m1)
             for i in range(problem.m1):
@@ -356,6 +359,7 @@ def cmd_discover(args) -> int:
                 direction = ParameterPoint.of_theta_e(problem, unit)
                 up[i] = feasible_extent(problem, theta0, direction)
                 down[i] = -feasible_extent(problem, theta0, direction.scale(-1.0))
+            extent_s = time.perf_counter() - start
             pattern = SearchPattern(
                 axis_sweep_pattern(theta0, up, args.steps).directions
                 + axis_sweep_pattern(theta0, down, args.steps).directions
@@ -382,6 +386,11 @@ def cmd_discover(args) -> int:
     print(f"regions: {model.k}")
     for region in model.regions:
         print(f"  region {region.id}: active set {sorted(region.active_set)}")
+    events = collections.Counter(r["event"] for r in log.records)
+    halvings = sum(r["event"] == "point" and r["depth"] > 0 for r in log.records)
+    print(f"counters: points {events['point']}, halvings {halvings}, "
+          f"transitions {events['transition']}, boundary {events['boundary']}, "
+          f"warnings {events['warning']}, extent bisection {extent_s:.3f} s")
     print(f"wall time: {elapsed:.3f} s")
     if args.out:
         print(f"model written to {args.out}")

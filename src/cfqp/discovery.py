@@ -28,11 +28,13 @@ from .model import (
     cast,
     expand,
     forward,
+    forward_array,
     init_model,
+    locate_array,
     locate_region,
     region_residuals,
 )
-from .oracle import brute_force_solve, is_feasible, kkt_report
+from .oracle import brute_force_solve, is_feasible, kkt_report, kkt_scalars
 from .problem import ActiveSet, MpQpProblem, ParameterPoint, resolve_dtype
 
 __all__ = [
@@ -139,10 +141,10 @@ def identify_transition(
     on ties); the lowest index wins among equal entries.
     """
     theta.check_dims(problem)
-    primal, dual = region_residuals(model, theta)
+    primal, dual = region_residuals(model, theta.stacked()[None])
     row = current_region.id
-    add = np.where(model.active_mask[row], -np.inf, primal[row])
-    drop = dual[row]
+    add = np.where(model.active_mask[row], -np.inf, primal[0, row])
+    drop = dual[0, row]
     add_norm = float(add.max(initial=0.0))
     drop_norm = float(drop.max(initial=0.0))
     if add_norm <= _TRANSITION_TOL and drop_norm <= _TRANSITION_TOL:
@@ -244,7 +246,10 @@ def discover(
     A single oracle solve anchors the root region at theta0.  Along
     every direction, the first point whose prediction violates ``tol``
     triggers transition identification and model expansion; evaluation
-    resumes at the violating point.  Coarse steps that skip regions are
+    resumes at the violating point.  A sweep's points are evaluated in
+    blocks, the forward pass, KKT scalar and region location of each
+    block at once, and replayed in order, so the log and the model are
+    those of a point-by-point walk.  Coarse steps that skip regions are
     refined by local step halving (up to 20 levels).  With
     ``strict=False`` an unresolvable point is logged and skipped instead
     of aborting the run.
@@ -272,11 +277,11 @@ def discover(
         sol = forward(model, theta)
         return kkt_report(problem, sol, theta).scalar
 
-    def settle(theta, di, pi):
-        """Record a passing point: update the current region and check
-        the one-transition invariant along the sweep."""
+    def settle(region, di, pi):
+        """Record a passing point located in ``region`` (None when no
+        region contains it): update the current region and check the
+        one-transition invariant along the sweep."""
         nonlocal current, last_set
-        region = locate_region(model, theta)
         if region is not None:
             sym = set(region.active_set.indices) ^ set(last_set.indices)
             if len(sym) > 1:
@@ -304,7 +309,7 @@ def discover(
                 region=current.id, depth=depth,
             )
             if scalar <= tol:
-                settle(theta, di, pi)
+                settle(locate_region(model, theta), di, pi)
                 return True
             try:
                 tr = identify_transition(problem, model, current, theta)
@@ -371,6 +376,33 @@ def discover(
                  index=pi, reason=reason)
         return False
 
+    def sweep_block(direction, di, first, prev):
+        """Points ``first`` onwards of a sweep, up to ``model.locate_rows``
+        of them, evaluated as one block and replayed in order.  A point
+        that passes is logged and settled as :func:`resolve` would; the
+        first that fails goes through ``resolve`` itself, which may change
+        the model, so the block ends there.  ``prev`` is the nearest point
+        known to pass.  Returns the next point's index and its ``prev``."""
+        index = np.arange(first, min(direction.max_steps + 1, first + model.locate_rows))
+        # bitwise direction.point(i).stacked() for every i
+        Theta = direction.start.stacked() + index[:, None] * direction.step.stacked()
+        X, Lam, Mu, _ = forward_array(model, Theta)
+        scalars = kkt_scalars(problem, X, Lam, Mu, Theta).tolist()
+        rows = locate_array(model, Theta).tolist()
+        for i, scalar, row in zip(index.tolist(), scalars, rows):
+            if not scalar <= tol:
+                target = direction.point(i)
+                if prev is None:
+                    prev = direction.point(i - 1)
+                return i + 1, target if resolve(target, prev, di, i) else direction.start
+            log.emit(
+                event="point", direction=di, index=i, kkt=scalar,
+                region=current.id, depth=0,
+            )
+            settle(model.regions[row] if row >= 0 else None, di, i)
+            prev = None  # direction.point(i), built only if it is needed
+        return first + len(index), prev
+
     boundary_hit = False
     for di, direction in enumerate(pattern.directions):
         log.emit(event="direction", direction=di, max_steps=direction.max_steps)
@@ -386,11 +418,9 @@ def discover(
         # After an abandoned point (non-strict mode) the next one is
         # anchored at the sweep start.
         prev = direction.start
-        for i in range(1, direction.max_steps + 1):
-            target = direction.point(i)
-            prev = target if resolve(target, prev, di, i) else direction.start
-            if boundary_hit:
-                break
+        i = 1
+        while i <= direction.max_steps and not boundary_hit:
+            i, prev = sweep_block(direction, di, i, prev)
     log.emit(event="end", regions=model.k,
              active_sets=[list(r.active_set) for r in model.regions])
     return cast(model, precision)

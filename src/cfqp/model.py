@@ -66,6 +66,7 @@ __all__ = [
     "cast",
     "batch_forward",
     "region_residuals",
+    "locate_array",
     "locate_region",
     "serialize",
     "deserialize",
@@ -158,6 +159,18 @@ class ClosedFormModel:
         p = self.problem
         nnz = np.count_nonzero(self.W0.any(-1))
         per_row = nnz * p.d + p.m2 * (self.k + 1) + (p.n + p.m1) ** 2
+        return max(1, _CHUNK_ELEMENTS // per_row)
+
+    @cached_property
+    def locate_rows(self) -> int:
+        """Thetas :func:`locate_array` tests at a time, so that the
+        products of :func:`region_residuals`, (rows, nnz, d) for the
+        multipliers from W0's nnz nonzero rows, (rows, k, n, m2) and
+        (rows, k, m2, n) for the primal residuals and (rows, k, n, n+m1)
+        for the primal points, stay within _CHUNK_ELEMENTS."""
+        p = self.problem
+        nnz = np.count_nonzero(self.W0.any(-1))
+        per_row = nnz * p.d + self.k * (2 * p.n * p.m2 + p.n * (p.n + p.m1))
         return max(1, _CHUNK_ELEMENTS // per_row)
 
     @cached_property
@@ -262,6 +275,17 @@ def _forward_rows(model: ClosedFormModel, Theta: np.ndarray):
     return X, S[:, n:], Mu, objective
 
 
+def _theta_rows(model: ClosedFormModel, Theta: np.ndarray) -> np.ndarray:
+    """Theta as an (N, d) float64 array; any other shape is a
+    ProblemFormatError."""
+    Theta = np.asarray(Theta, dtype=np.float64)
+    if Theta.ndim != 2 or Theta.shape[1] != model.problem.d:
+        raise ProblemFormatError(
+            f"theta array must have shape (N, {model.problem.d}), got {Theta.shape}"
+        )
+    return Theta
+
+
 def forward_chunks(
     model: ClosedFormModel, Theta: np.ndarray
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -276,11 +300,7 @@ def forward_chunks(
     independent: each row's results are bitwise what :func:`forward`
     gives for that theta, whatever N and the other rows.
     """
-    Theta = np.asarray(Theta, dtype=np.float64)
-    if Theta.ndim != 2 or Theta.shape[1] != model.problem.d:
-        raise ProblemFormatError(
-            f"theta array must have shape (N, {model.problem.d}), got {Theta.shape}"
-        )
+    Theta = _theta_rows(model, Theta)
     step = model.chunk_rows
     for lo in range(0, max(len(Theta), 1), step):
         rows = Theta[lo:lo + step]
@@ -371,15 +391,16 @@ def batch_forward(
 
 
 def region_residuals(
-    model: ClosedFormModel, theta: ParameterPoint
+    model: ClosedFormModel, Theta: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The critical-region test of every region at theta, in float64.
+    """The critical-region test of every region at each row of an (N, d)
+    array of stacked thetas, in float64.
 
     Region i's own affine map gives multipliers mu_i = W0[i] z, with
     z = -B - theta, and the primal point x_i that the solution layer
     recovers from [z_c + A_C^T mu_i; z_e], as :func:`forward` does.
     Region i contains theta when x_i is primal feasible and its active
-    multipliers are nonnegative.  Returns two (k, m2) arrays:
+    multipliers are nonnegative.  Returns two (N, k, m2) arrays:
 
     * primal residuals b_C + theta_C - A_C x_i, divided by the data
       scale max(1, |b_C + theta_C|);
@@ -388,38 +409,65 @@ def region_residuals(
       set B_i.
 
     A positive entry is a violation.  The products are row-independent
-    (``rowwise_matvec``), so a region's residuals do not depend on the
-    other regions.
+    (``rowwise_matvec``), so a region's residuals at a theta depend
+    neither on the other regions nor on the other thetas.
     """
     problem = model.problem
-    n = problem.n
-    z = -problem.stacked_coefficients() - theta.stacked()
-    mu = rowwise_matvec(model.W0, z[None])
-    rhs = np.hstack([
-        z[:n] + rowwise_matvec(problem.A_C.T, mu),
-        np.broadcast_to(z[n:n + problem.m1], (model.k, problem.m1)),
-    ])
-    x = rowwise_matvec(model.base_inverse[:n], rhs)
-    b = problem.b_C + theta.theta_C
-    primal = (b - rowwise_matvec(problem.A_C, x)) / np.abs(b).max(initial=1.0)
+    n, m1, m2 = problem.n, problem.m1, problem.m2
+    Theta = np.asarray(Theta, dtype=np.float64)
+    N, k = len(Theta), model.k
+    Z = -problem.stacked_coefficients() - Theta
+    # only W0's nonzero rows are multiplied (a region's rows off its
+    # active set are zero); the other multipliers stay +0.0
+    W0 = model.W0.reshape(k * m2, -1)
+    nonzero = np.flatnonzero(W0.any(-1))
+    mu = np.zeros((N, k * m2))
+    mu[:, nonzero] = rowwise_matvec(W0[nonzero], Z)
+    mu = mu.reshape(N, k, m2)
+    rhs = np.concatenate([
+        Z[:, None, :n] + rowwise_matvec(problem.A_C.T, mu.reshape(N * k, m2)).reshape(N, k, n),
+        np.broadcast_to(Z[:, None, n:n + m1], (N, k, m1)),
+    ], axis=-1)
+    x = rowwise_matvec(model.base_inverse[:n], rhs.reshape(N * k, n + m1))
+    b = problem.b_C + Theta[:, n + m1:]
+    scale = np.abs(b).max(-1, initial=1.0)[:, None, None]
+    primal = (b[:, None] - rowwise_matvec(problem.A_C, x).reshape(N, k, m2)) / scale
     mu_scale = np.abs(mu, where=model.active_mask, out=np.zeros_like(mu)).max(-1, initial=1.0)
-    dual = np.where(model.active_mask, -mu / mu_scale[:, None], -np.inf)
+    dual = np.where(model.active_mask, -mu / mu_scale[..., None], -np.inf)
     return primal, dual
 
 
-def locate_region(model: ClosedFormModel, theta: ParameterPoint) -> Optional[RegionEntry]:
-    """Which discovered critical region contains theta, if any.
+def locate_array(model: ClosedFormModel, Theta: np.ndarray) -> np.ndarray:
+    """Which discovered critical region contains each row of an (N, d)
+    array of stacked thetas: an (N,) array of region rows, -1 where none
+    does.  ``model.locate_rows`` rows are tested at a time, so the
+    temporaries stay bounded for any N.
 
     A region's violation is its largest :func:`region_residuals` entry
     (its multiplier part is 0 for an empty active set, and its primal
     part 0 when m2 = 0).  The region of smallest violation answers when
     that violation is at most LOCATE_TOL; the first region wins a tie.
+    Each row's answer is what :func:`locate_region` gives for its theta.
     """
-    primal, dual = region_residuals(model, theta)
-    dual = np.where(model.active_mask.any(-1), dual.max(-1, initial=-np.inf), 0.0)
-    violation = np.maximum(primal.max(-1, initial=-np.inf), dual)
-    best = int(np.argmin(violation))
-    return model.regions[best] if violation[best] <= LOCATE_TOL else None
+    Theta = _theta_rows(model, Theta)
+    rows = np.empty(len(Theta), dtype=np.intp)
+    has_active = model.active_mask.any(-1)
+    step = model.locate_rows
+    for lo in range(0, len(Theta), step):
+        primal, dual = region_residuals(model, Theta[lo:lo + step])
+        dual = np.where(has_active, dual.max(-1, initial=-np.inf), 0.0)
+        violation = np.maximum(primal.max(-1, initial=-np.inf), dual)
+        best = np.argmin(violation, -1)
+        inside = np.take_along_axis(violation, best[:, None], -1)[:, 0] <= LOCATE_TOL
+        rows[lo:lo + step] = np.where(inside, best, -1)
+    return rows
+
+
+def locate_region(model: ClosedFormModel, theta: ParameterPoint) -> Optional[RegionEntry]:
+    """Which discovered critical region contains theta, if any: the
+    one-row case of :func:`locate_array`."""
+    row = locate_array(model, theta.stacked()[None])[0]
+    return model.regions[row] if row >= 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ __all__ = [
     "kkt_report",
     "kkt_batch",
     "kkt_means",
+    "kkt_scalars",
     "brute_force_solve",
     "is_feasible",
 ]
@@ -119,6 +120,19 @@ def kkt_means(
         v.sum(-1) / max(v.shape[1], 1)
         for v in kkt_batch(problem, X, Lam, Mu, Theta)
     ])
+
+
+def kkt_scalars(
+    problem: MpQpProblem,
+    X: np.ndarray,
+    Lam: np.ndarray,
+    Mu: np.ndarray,
+    Theta: np.ndarray,
+) -> np.ndarray:
+    """(N,) :class:`KktReport` scalars: the mean of each row's five
+    :func:`kkt_batch` vectors, concatenated.  Row i is bitwise
+    ``kkt_report(...).scalar`` of (X[i], Lam[i], Mu[i]) at Theta[i]."""
+    return np.concatenate(kkt_batch(problem, X, Lam, Mu, Theta), axis=1).mean(-1)
 
 
 @dataclass(frozen=True)

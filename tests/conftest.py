@@ -12,9 +12,27 @@ from cfqp import dcopf
 from cfqp.cases import case6, two_parameter_problem, two_parameter_theta0
 from cfqp.cli import CliError, _floats
 from cfqp.core import rowwise_matvec, solve_active_set
-from cfqp.discovery import Direction, SearchPattern, Transition, axis_sweep_pattern, discover
-from cfqp.errors import UnresolvableTransition
-from cfqp.problem import ParameterPoint
+from cfqp import discovery
+from cfqp.discovery import (
+    _MAX_EXPANSIONS_PER_POINT,
+    _MAX_HALVINGS,
+    Direction,
+    DiscoveryLog,
+    SearchPattern,
+    Transition,
+    axis_sweep_pattern,
+    discover,
+)
+from cfqp.errors import (
+    DuplicateRegion,
+    Infeasible,
+    InfeasibleStart,
+    SingularActiveJacobian,
+    UnresolvableTransition,
+)
+from cfqp.model import cast, expand, forward, init_model, locate_region
+from cfqp.oracle import brute_force_solve, is_feasible, kkt_report
+from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint, resolve_dtype
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +94,20 @@ def box_model(box_problem):
     problem, _ = box_problem
     theta0, pattern = box_pattern(problem)
     return discover(problem, theta0, pattern)
+
+
+def box_qp(n, q_vals, c_vals, bound):
+    """min sum q_i x_i^2 + c_i x_i s.t. sum x = theta_e and
+    -bound <= x_i <= bound."""
+    return MpQpProblem(
+        Q=np.diag(q_vals[:n]),
+        C=np.asarray(c_vals[:n]),
+        C0=0.0,
+        A_e=np.ones((1, n)),
+        b_e=np.zeros(1),
+        A_C=np.vstack([-np.eye(n), np.eye(n)]),
+        b_C=np.concatenate([np.full(n, -bound), np.full(n, -bound)]),
+    )
 
 
 def on_sweep_samples_2d(problem, count, seed):
@@ -294,3 +326,136 @@ def reference_read_dataset(problem, path):
         rows.append(vals)
         flags.append(flag)
     return np.array(rows, dtype=np.float64).reshape(len(rows), d), np.array(flags, bool)
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of the discovery walk, as it was written before discover
+# evaluated its sweeps in blocks: one forward, KKT report and region
+# location per point.  It calls identify_transition through the discovery
+# module, so a test that patches it there reaches both walks.
+
+
+def reference_discover(problem, theta0, pattern, tol=1e-10, precision=64, log=None,
+                       strict=True):
+    theta0.check_dims(problem)
+    resolve_dtype(precision)
+    if log is None:
+        log = DiscoveryLog()
+
+    try:
+        seed = brute_force_solve(problem, theta0)
+    except Infeasible as exc:
+        raise InfeasibleStart("discovery anchor theta0 is infeasible") from exc
+    model = init_model(problem, seed.active_set, theta0)
+    log.emit(event="init", active_set=list(seed.active_set), degenerate=seed.degenerate)
+
+    current = model.regions[0]
+    last_set = seed.active_set
+
+    def evaluate(theta):
+        sol = forward(model, theta)
+        return kkt_report(problem, sol, theta).scalar
+
+    def settle(theta, di, pi):
+        nonlocal current, last_set
+        region = locate_region(model, theta)
+        if region is not None:
+            sym = set(region.active_set.indices) ^ set(last_set.indices)
+            if len(sym) > 1:
+                log.emit(
+                    event="warning",
+                    kind="multi_constraint_jump",
+                    direction=di,
+                    index=pi,
+                    from_set=list(last_set),
+                    to_set=list(region.active_set),
+                )
+            current = region
+            last_set = region.active_set
+
+    def expand_at(theta, di, pi, depth):
+        nonlocal model, current
+        for _ in range(_MAX_EXPANSIONS_PER_POINT):
+            scalar = evaluate(theta)
+            log.emit(
+                event="point", direction=di, index=pi, kkt=scalar,
+                region=current.id, depth=depth,
+            )
+            if scalar <= tol:
+                settle(theta, di, pi)
+                return True
+            try:
+                tr = discovery.identify_transition(problem, model, current, theta)
+            except UnresolvableTransition:
+                return None
+            if tr.kind == "add":
+                new_set = ActiveSet(set(current.active_set) | {tr.constraint})
+            else:
+                new_set = ActiveSet(set(current.active_set) - {tr.constraint})
+            try:
+                model = expand(model, current.id, new_set, theta)
+            except DuplicateRegion:
+                existing = next(
+                    r for r in model.regions if r.active_set == new_set
+                )
+                if existing.id == current.id:
+                    return None
+                current = existing
+                continue
+            except SingularActiveJacobian:
+                return abandon(theta, di, pi, "singular_expansion")
+            current = model.regions[-1]
+            log.emit(
+                event="transition", direction=di, index=pi,
+                kind=tr.kind, constraint=tr.constraint,
+                region=current.id, active_set=list(new_set),
+            )
+        return abandon(theta, di, pi, "expansion_limit")
+
+    def resolve(theta, lo_theta, di, pi):
+        pending = [(theta, lo_theta, 0)]
+        while pending:
+            theta, lo_theta, depth = pending.pop()
+            passed = expand_at(theta, di, pi, depth)
+            if passed is None:
+                if depth >= _MAX_HALVINGS:
+                    return abandon(theta, di, pi, "halving_limit")
+                mid = lo_theta + (theta - lo_theta).scale(0.5)
+                pending += [(theta, mid, depth + 1), (mid, lo_theta, depth + 1)]
+            elif not passed:
+                return False
+        return True
+
+    def abandon(theta, di, pi, reason):
+        nonlocal boundary_hit
+        if not is_feasible(problem, theta):
+            log.emit(event="boundary", direction=di, index=pi, reason=reason)
+            boundary_hit = True
+            return False
+        if strict:
+            raise UnresolvableTransition(
+                f"cannot resolve KKT violation at direction {di} point {pi} "
+                f"({reason})"
+            )
+        log.emit(event="warning", kind="unresolved", direction=di,
+                 index=pi, reason=reason)
+        return False
+
+    boundary_hit = False
+    for di, direction in enumerate(pattern.directions):
+        log.emit(event="direction", direction=di, max_steps=direction.max_steps)
+        boundary_hit = False
+        anchor = locate_region(model, direction.start)
+        last_set = anchor.active_set if anchor is not None else seed.active_set
+        resolve(direction.start, theta0, di, 0)
+        if boundary_hit:
+            continue
+        prev = direction.start
+        for i in range(1, direction.max_steps + 1):
+            target = direction.point(i)
+            prev = target if resolve(target, prev, di, i) else direction.start
+            if boundary_hit:
+                break
+    log.emit(event="end", regions=model.k,
+             active_sets=[list(r.active_set) for r in model.regions])
+    return cast(model, precision)

@@ -85,6 +85,25 @@ class TestDiscoverCommand:
         assert "regions: 4" in out
         assert "wall time" in out
 
+    def test_counters_line(self, problem_file, tmp_path, capsys):
+        """After the regions, one line counts the log's records and times
+        the bisection of the default pattern's extents."""
+        log = tmp_path / "log.jsonl"
+        assert main([
+            "discover", "--problem", problem_file, "--theta0", "100,100",
+            "--steps", "60", "--log", str(log),
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        (at,) = [i for i, line in enumerate(lines) if line.startswith("counters: ")]
+        assert lines[at - 1].startswith("  region 3: ")
+        counts, seconds = lines[at].split(", extent bisection ")
+        points = sum(r["event"] == "point" for r in records)
+        assert points == 247
+        assert counts == (f"counters: points {points}, halvings 0, transitions 3, "
+                          "boundary 0, warnings 0")
+        assert seconds.endswith(" s") and float(seconds[:-2]) > 0.0
+
     def test_log_file(self, problem_file, tmp_path):
         log = tmp_path / "log.jsonl"
         main([

@@ -10,6 +10,7 @@ from cfqp.model import (
     forward,
     forward_array,
     init_model,
+    locate_array,
     locate_region,
 )
 from cfqp.oracle import brute_force_solve, kkt_report
@@ -165,10 +166,12 @@ class TestForwardArray:
         X, Lam, Mu, objective = forward_array(model_2d, np.empty((0, p.d)))
         assert X.shape == (0, p.n) and Lam.shape == (0, p.m1)
         assert Mu.shape == (0, p.m2) and objective.shape == (0,)
+        assert locate_array(model_2d, np.empty((0, p.d))).shape == (0,)
 
     def test_wrong_width_rejected(self, model_2d):
-        with pytest.raises(ProblemFormatError):
-            forward_array(model_2d, np.zeros((3, model_2d.problem.d - 1)))
+        for kernel in (forward_array, locate_array):
+            with pytest.raises(ProblemFormatError):
+                kernel(model_2d, np.zeros((3, model_2d.problem.d - 1)))
 
 
 class TestSparseFirstLayer:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfqp.cli
+import cfqp.model
 from cfqp.cli import CliError, _read_dataset
 from cfqp.core import gradient_rows, lagrangian_gradients, solve_active_set
 from cfqp.discovery import identify_transition
@@ -18,31 +19,21 @@ from cfqp.model import (
     cast,
     forward,
     init_model,
+    locate_array,
     locate_region,
     region_residuals,
 )
 from cfqp.oracle import _accepted, brute_force_solve, is_feasible, kkt_batch, kkt_report
-from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
+from cfqp.problem import ActiveSet, ParameterPoint
 
 from conftest import (
     box_pattern,
+    box_qp,
     reference_identify_transition,
     reference_locate_region,
     reference_read_dataset,
     region_grad_x,
 )
-
-
-def box_qp(n, q_vals, c_vals, bound):
-    return MpQpProblem(
-        Q=np.diag(q_vals[:n]),
-        C=np.asarray(c_vals[:n]),
-        C0=0.0,
-        A_e=np.ones((1, n)),
-        b_e=np.zeros(1),
-        A_C=np.vstack([-np.eye(n), np.eye(n)]),
-        b_C=np.concatenate([np.full(n, -bound), np.full(n, -bound)]),
-    )
 
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
@@ -377,10 +368,63 @@ def test_exact_violation_tie_goes_to_first_region(model_2d, box_model):
             theta = region.witness_theta
             located = locate_region(model, theta)
             twinned = with_twin(model, located)
-            primal, dual = region_residuals(twinned, theta)
+            primal, dual = (r[0] for r in region_residuals(twinned, theta.stacked()[None]))
             assert np.array_equal(primal[located.id], primal[-1])
             assert np.array_equal(dual[located.id], dual[-1])
             assert assert_matches_reference(twinned, theta).id == located.id
+
+
+def reference_rows(model, thetas):
+    located = (reference_locate_region(model, theta) for theta in thetas)
+    return [-1 if region is None else region.id for region in located]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sweep_2d=st.lists(st.tuples(st.floats(min_value=0.0, max_value=900.0),
+                                st.integers(0, 1)), max_size=25),
+    sweep_box=st.lists(st.tuples(st.floats(min_value=-90.0, max_value=90.0),
+                                 st.sampled_from([None, 3, 4, 5])), max_size=25),
+    chunk_elements=st.sampled_from([None, 2000]),
+)
+def test_locate_array_matches_reference(two_param, model_2d, box_model, sweep_2d, sweep_box,
+                                        chunk_elements):
+    """Every row of locate_array, at sweep points (some beyond the feasible
+    boundary) and at every witness, is what the reference loop locates;
+    identify_transition from every region agrees with its reference too.
+    At 2000 elements a block holds one to a few thetas."""
+    cases = [
+        (model_2d, [ParameterPoint.of_theta_e(two_param, [100.0 + t * (axis == 0),
+                                                          100.0 + t * (axis == 1)])
+                    for t, axis in sweep_2d]),
+        (box_model, [box_sweep_point(box_model.problem, t, axis) for t, axis in sweep_box]),
+    ]
+    for model, thetas in cases:
+        thetas += [region.witness_theta for region in model.regions]
+        Theta = np.array([theta.stacked() for theta in thetas])
+        fresh = dataclasses.replace(model)  # no cached locate_rows
+        with mock.patch.object(cfqp.model, "_CHUNK_ELEMENTS",
+                               chunk_elements or cfqp.model._CHUNK_ELEMENTS):
+            rows = locate_array(fresh, Theta)
+        assert rows.tolist() == reference_rows(model, thetas)
+        for theta in thetas:
+            for region in model.regions:
+                assert (transition_or_none(identify_transition, model, region, theta)
+                        == transition_or_none(reference_identify_transition, model, region,
+                                              theta))
+
+
+def test_locate_array_exact_tie_goes_to_first_region(model_2d, box_model):
+    """With a copy of any region appended, which ties the original at
+    every theta, no witness locates in the copy."""
+    for model in (model_2d, box_model):
+        witnesses = [region.witness_theta for region in model.regions]
+        Theta = np.array([theta.stacked() for theta in witnesses])
+        for region in model.regions:
+            twinned = with_twin(model, region)
+            rows = locate_array(twinned, Theta)
+            assert rows.tolist() == reference_rows(twinned, witnesses)
+            assert rows.tolist() == locate_array(model, Theta).tolist()
 
 
 def alone(model, region):
@@ -411,7 +455,7 @@ def test_region_boundaries_differ_from_reference_only_in_rounding_ties(box_model
             (added,) = set(region.active_set) - set(parent.active_set)
             # the parent's normalized residual of the added constraint is
             # affine along the sweep; its root is the boundary
-            r0, r1 = (region_residuals(box_model, at(t))[0][parent.id, added - 1]
+            r0, r1 = (region_residuals(box_model, at(t).stacked()[None])[0][0, parent.id, added - 1]
                       for t in (0.0, 1.0))
             if r1 == r0 or not 0.0 < -r0 / (r1 - r0) < direction.max_steps:
                 continue
