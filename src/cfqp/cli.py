@@ -11,6 +11,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -63,6 +64,7 @@ EXIT_CODES = {
 }
 
 _ERROR_FAMILY = [
+    ((errors.EnumerationLimit,), "usage"),
     ((errors.InfeasibleStart, errors.Infeasible), "infeasible"),
     ((errors.SingularJacobian, errors.SingularActiveJacobian), "singular"),
     ((errors.DigestMismatch,), "digest"),
@@ -575,7 +577,11 @@ def cmd_import_case(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process because building
+    one makes reference cycles.  Parsing leaves it unchanged; callers
+    must not change it."""
     parser = argparse.ArgumentParser(
         prog="cfqp",
         description="Exact closed-form solution functions for multiparametric "

@@ -21,6 +21,7 @@ __all__ = [
     "JacobianFactors",
     "assemble_active_jacobian",
     "factorize",
+    "active_factors",
     "solve_active_set",
     "region_slopes",
     "gradient_rows",
@@ -91,7 +92,7 @@ def factorize(J: np.ndarray) -> JacobianFactors:
     return JacobianFactors(np.asarray(J))
 
 
-def _active_factors(problem: MpQpProblem, B: ActiveSet) -> JacobianFactors:
+def active_factors(problem: MpQpProblem, B: ActiveSet) -> JacobianFactors:
     """The LU factors of J_B; a singular J_B is SingularActiveJacobian."""
     try:
         return JacobianFactors(assemble_active_jacobian(problem, B))
@@ -110,7 +111,7 @@ def solve_active_set(
     objective value filled in.
     """
     theta.check_dims(problem)
-    factors = _active_factors(problem, B)
+    factors = active_factors(problem, B)
     idx = B.as_index_array()
     rhs = np.concatenate(
         [
@@ -140,14 +141,17 @@ def region_slopes(problem: MpQpProblem, B: ActiveSet) -> np.ndarray:
     [cost (n) | equality (m1) | inequality (m2)]; rows and inequality
     columns of non-active constraints stay zero.  x and lambda follow
     from mu through the base inverse (see ``model.region_residuals``).
+    The empty set's block is zero: its J_B is the base matrix, which
+    passed the pivot test when the problem was built.
     """
-    inv = _active_factors(problem, B).inverse()
-    n, m1 = problem.n, problem.m1
-    idx = B.as_index_array()
-    # Columns of the stacked input that actually enter the KKT system.
-    cols = np.concatenate([np.arange(n + m1), n + m1 + idx]).astype(np.intp)
     grad_mu = np.zeros((problem.m2, problem.d))
-    grad_mu[np.ix_(idx, cols)] = inv[n + m1:, :]
+    if B:
+        inv = active_factors(problem, B).inverse()
+        n, m1 = problem.n, problem.m1
+        idx = B.as_index_array()
+        # Columns of the stacked input that actually enter the KKT system.
+        cols = np.concatenate([np.arange(n + m1), n + m1 + idx]).astype(np.intp)
+        grad_mu[np.ix_(idx, cols)] = inv[n + m1:, :]
     return grad_mu
 
 

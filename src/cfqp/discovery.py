@@ -22,7 +22,9 @@ from .errors import (
     SingularActiveJacobian,
     UnresolvableTransition,
 )
-from .model import (
+# forward, locate_region and kkt_report are not called here but stay
+# bound: benchmark/tracing.py wraps these module attributes.
+from .model import (  # noqa: F401
     ClosedFormModel,
     RegionEntry,
     cast,
@@ -34,7 +36,7 @@ from .model import (
     locate_region,
     region_residuals,
 )
-from .oracle import brute_force_solve, is_feasible, kkt_report, kkt_scalars
+from .oracle import brute_force_solve, is_feasible, kkt_report, kkt_scalars  # noqa: F401
 from .problem import ActiveSet, MpQpProblem, ParameterPoint, resolve_dtype
 
 __all__ = [
@@ -246,13 +248,14 @@ def discover(
     A single oracle solve anchors the root region at theta0.  Along
     every direction, the first point whose prediction violates ``tol``
     triggers transition identification and model expansion; evaluation
-    resumes at the violating point.  A sweep's points are evaluated in
-    blocks, the forward pass, KKT scalar and region location of each
-    block at once, and replayed in order, so the log and the model are
-    those of a point-by-point walk.  Coarse steps that skip regions are
-    refined by local step halving (up to 20 levels).  With
-    ``strict=False`` an unresolvable point is logged and skipped instead
-    of aborting the run.
+    resumes at the violating point.  Every point goes through the array
+    kernels :func:`forward_array`, :func:`kkt_scalars` and
+    :func:`locate_array`: a sweep's points in blocks, replayed in order so
+    that the log and the model are those of a point-by-point walk, and a
+    sweep start, expansion retry or halving midpoint as a block of one.
+    Coarse steps that skip regions are refined by local step halving (up
+    to 20 levels).  With ``strict=False`` an unresolvable point is logged
+    and skipped instead of aborting the run.
 
     Discovery evaluates the model at float64 whatever ``precision`` is,
     so the region tree depends only on the problem; ``precision`` sets
@@ -273,16 +276,18 @@ def discover(
     current = model.regions[0]
     last_set = seed.active_set
 
-    def evaluate(theta):
-        sol = forward(model, theta)
-        return kkt_report(problem, sol, theta).scalar
+    def block_scalars(Theta):
+        """The KKT scalars of the model's solutions at Theta's rows."""
+        X, Lam, Mu, _ = forward_array(model, Theta)
+        return kkt_scalars(problem, X, Lam, Mu, Theta).tolist()
 
-    def settle(region, di, pi):
-        """Record a passing point located in ``region`` (None when no
+    def settle(row, di, pi):
+        """Record a passing point located in region ``row`` (-1 when no
         region contains it): update the current region and check the
         one-transition invariant along the sweep."""
         nonlocal current, last_set
-        if region is not None:
+        if row >= 0:
+            region = model.regions[row]
             sym = set(region.active_set.indices) ^ set(last_set.indices)
             if len(sym) > 1:
                 log.emit(
@@ -302,14 +307,15 @@ def discover(
         or past the feasible boundary), None when no single transition
         resolves it and it must be approached by halving."""
         nonlocal model, current
+        Theta = theta.stacked()[None]
         for _ in range(_MAX_EXPANSIONS_PER_POINT):
-            scalar = evaluate(theta)
+            [scalar] = block_scalars(Theta)
             log.emit(
                 event="point", direction=di, index=pi, kkt=scalar,
                 region=current.id, depth=depth,
             )
             if scalar <= tol:
-                settle(locate_region(model, theta), di, pi)
+                settle(locate_array(model, Theta)[0], di, pi)
                 return True
             try:
                 tr = identify_transition(problem, model, current, theta)
@@ -386,8 +392,7 @@ def discover(
         index = np.arange(first, min(direction.max_steps + 1, first + model.locate_rows))
         # bitwise direction.point(i).stacked() for every i
         Theta = direction.start.stacked() + index[:, None] * direction.step.stacked()
-        X, Lam, Mu, _ = forward_array(model, Theta)
-        scalars = kkt_scalars(problem, X, Lam, Mu, Theta).tolist()
+        scalars = block_scalars(Theta)
         rows = locate_array(model, Theta).tolist()
         for i, scalar, row in zip(index.tolist(), scalars, rows):
             if not scalar <= tol:
@@ -399,7 +404,7 @@ def discover(
                 event="point", direction=di, index=i, kkt=scalar,
                 region=current.id, depth=0,
             )
-            settle(model.regions[row] if row >= 0 else None, di, i)
+            settle(row, di, i)
             prev = None  # direction.point(i), built only if it is needed
         return first + len(index), prev
 
@@ -409,8 +414,8 @@ def discover(
         boundary_hit = False
         # The one-transition invariant is per sweep: restart the tracked
         # active set at each new direction.
-        anchor = locate_region(model, direction.start)
-        last_set = anchor.active_set if anchor is not None else seed.active_set
+        anchor = locate_array(model, direction.start.stacked()[None])[0]
+        last_set = model.regions[anchor].active_set if anchor >= 0 else seed.active_set
         # Anchor the sweep: the start point must itself pass.
         resolve(direction.start, theta0, di, 0)
         if boundary_hit:

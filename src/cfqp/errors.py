@@ -23,6 +23,10 @@ class SingularActiveJacobian(CfqpError):
     constraint qualification)."""
 
 
+class EnumerationLimit(CfqpError, ValueError):
+    """The problem has too many inequalities for active-set enumeration."""
+
+
 class Infeasible(CfqpError):
     """No active set yields a KKT-consistent solution at this theta."""
 

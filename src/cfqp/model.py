@@ -10,8 +10,8 @@ built from region slopes:
   parent; ReLU applies to the combined differences; the direction
   vector signs each block's contribution.  mu*(theta) is the signed
   sum of all blocks.
-* solution subnetwork: the fixed base inverse J^{-1} recovers
-  (x, lambda) from mu* and theta.
+* solution subnetwork: the fixed base inverse J^{-1}
+  (``MpQpProblem.base_inverse``) recovers (x, lambda) from mu* and theta.
 
 Every weight follows from the problem: W0 holds each region's float64
 ``core.region_slopes`` block and the base inverse is derived from the
@@ -34,12 +34,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    assemble_active_jacobian,
-    factorize,
-    region_slopes,
-    rowwise_matvec,
-)
+# factorize is not called here but stays bound: benchmark/tracing.py
+# wraps this module attribute.
+from .core import factorize, region_slopes, rowwise_matvec  # noqa: F401
 from .errors import (
     DigestMismatch,
     DuplicateRegion,
@@ -129,14 +126,6 @@ class ClosedFormModel:
         return resolve_dtype(self.precision)
 
     @cached_property
-    def base_inverse(self) -> np.ndarray:
-        """The solution layer J^{-1}, (n+m1, n+m1), at float64."""
-        J = assemble_active_jacobian(self.problem, ActiveSet())
-        inv = np.ascontiguousarray(factorize(J).inverse())
-        inv.setflags(write=False)
-        return inv
-
-    @cached_property
     def problem_digest(self) -> str:
         return self.problem.digest()
 
@@ -189,7 +178,7 @@ class ClosedFormModel:
           for direction +1, (-inf, 0] for -1 and [0, 0] for the zero row
         * A_C^T, (n, m2)
         * -[C, b_e] at float64, (n + m1,)
-        * the base inverse, (n+m1, n+m1)
+        * the problem's base inverse, (n+m1, n+m1)
         """
         dtype = self.dtype
         p = self.problem
@@ -206,7 +195,7 @@ class ClosedFormModel:
             np.append(np.where(v > 0, np.inf, 0.0), 0.0).astype(dtype),
             np.ascontiguousarray(p.A_C.T, dtype=dtype),
             -p.stacked_coefficients()[:p.n + p.m1],
-            self.base_inverse.astype(dtype),
+            p.base_inverse.astype(dtype),
         )
 
     def incidence_matrix(self) -> np.ndarray:
@@ -428,7 +417,7 @@ def region_residuals(
         Z[:, None, :n] + rowwise_matvec(problem.A_C.T, mu.reshape(N * k, m2)).reshape(N, k, n),
         np.broadcast_to(Z[:, None, n:n + m1], (N, k, m1)),
     ], axis=-1)
-    x = rowwise_matvec(model.base_inverse[:n], rhs.reshape(N * k, n + m1))
+    x = rowwise_matvec(problem.base_inverse[:n], rhs.reshape(N * k, n + m1))
     b = problem.b_C + Theta[:, n + m1:]
     scale = np.abs(b).max(-1, initial=1.0)[:, None, None]
     primal = (b[:, None] - rowwise_matvec(problem.A_C, x).reshape(N, k, m2)) / scale

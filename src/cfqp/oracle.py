@@ -12,14 +12,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import (
-    assemble_active_jacobian,
-    factorize,
-    gradient_rows,
-    lagrangian_gradients,
-    solve_active_set,
-)
-from .errors import Infeasible, ProblemFormatError, SingularActiveJacobian, SingularJacobian
+from .core import active_factors, gradient_rows, lagrangian_gradients, solve_active_set
+from .errors import EnumerationLimit, Infeasible, ProblemFormatError, SingularActiveJacobian
 from .problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
 __all__ = [
@@ -155,9 +149,35 @@ def _check_enumerable(problem: MpQpProblem, theta: ParameterPoint) -> None:
     if not np.isfinite(theta.stacked()).all():
         raise ProblemFormatError("theta has non-finite entries")
     if problem.m2 > MAX_ENUM_M2:
-        raise ValueError(
+        raise EnumerationLimit(
             f"active-set enumeration is limited to m2 <= {MAX_ENUM_M2}, got {problem.m2}"
         )
+
+
+def _nonsingular_sets(problem: MpQpProblem, visit):
+    """Yield (B, visit(B)) for every active set B whose J_B is
+    nonsingular, by cardinality and then lexicographically; ``visit``
+    raises SingularActiveJacobian for a singular J_B.  The walk is pruned
+    by rank: J_B is singular whenever |B| > n - m1, and so is J_B of any
+    superset of a set whose J_B is singular."""
+    n, m1, m2 = problem.n, problem.m1, problem.m2
+    singular: list[frozenset] = []
+    for k in range(max(0, min(n - m1, m2)) + 1):
+        kept = False
+        for combo in itertools.combinations(range(1, m2 + 1), k):
+            cset = frozenset(combo)
+            if any(s <= cset for s in singular):
+                continue
+            B = ActiveSet(combo)
+            try:
+                value = visit(B)
+            except SingularActiveJacobian:
+                singular.append(cset)
+                continue
+            kept = True
+            yield B, value
+        if not kept:  # every larger set contains a singular one
+            return
 
 
 def _accepted(problem: MpQpProblem, theta: ParameterPoint):
@@ -165,44 +185,24 @@ def _accepted(problem: MpQpProblem, theta: ParameterPoint):
     (key, solution, active_set, weakly_active) with key
     (KktReport scalar, cardinality, indices).
 
-    Enumeration is pruned by rank: an active-set KKT system is singular
-    whenever |B| > n - m1, and any superset of a rank-deficient row
-    selection stays rank-deficient, so those branches are skipped.
+    Every set of :func:`_nonsingular_sets` is solved at theta.
     Acceptance requires mu_B >= -ORACLE_TOL and all inequality
     residuals <= ORACLE_TOL (both scaled by the data magnitude).  A
     weakly active set has a binding constraint with mu ~ 0.
     """
     _check_enumerable(problem, theta)
-    n, m1, m2 = problem.n, problem.m1, problem.m2
-    cap = max(0, min(n - m1, m2))
-
-    rhs_scale = max(
-        1.0, float(np.abs(problem.b_C + theta.theta_C).max()) if m2 else 1.0
-    )
-    primal_tol = ORACLE_TOL * rhs_scale
-
-    singular: list[frozenset] = []
-    for k in range(cap + 1):
-        for combo in itertools.combinations(range(1, m2 + 1), k):
-            cset = frozenset(combo)
-            if any(s <= cset for s in singular):
-                continue
-            B = ActiveSet(combo)
-            try:
-                sol = solve_active_set(problem, B, theta)
-            except SingularActiveJacobian:
-                singular.append(cset)
-                continue
-            idx = B.as_index_array()
-            mu_B = sol.mu[idx]
-            dual_scale = max(1.0, float(np.abs(mu_B).max()) if k else 1.0)
-            if k and mu_B.min() < -ORACLE_TOL * dual_scale:
-                continue
-            gradients = lagrangian_gradients(problem, sol, theta)
-            if m2 and gradients[2].max() > primal_tol:
-                continue
-            weak = bool(k and mu_B.min() <= ORACLE_TOL * dual_scale)
-            yield (_report(sol.mu, gradients).scalar, k, combo), sol, B, weak
+    primal_tol = ORACLE_TOL * float(np.abs(problem.b_C + theta.theta_C).max(initial=1.0))
+    for B, sol in _nonsingular_sets(problem, lambda B: solve_active_set(problem, B, theta)):
+        k = len(B)
+        mu_B = sol.mu[B.as_index_array()]
+        dual_scale = float(np.abs(mu_B).max(initial=1.0))
+        if k and mu_B.min() < -ORACLE_TOL * dual_scale:
+            continue
+        gradients = lagrangian_gradients(problem, sol, theta)
+        if problem.m2 and gradients[2].max() > primal_tol:
+            continue
+        weak = bool(k and mu_B.min() <= ORACLE_TOL * dual_scale)
+        yield (_report(sol.mu, gradients).scalar, k, B.indices), sol, B, weak
 
 
 def brute_force_solve(
@@ -234,9 +234,9 @@ class FeasibilityKernel:
     and s = A_C x0 - b_C - theta_C, the multipliers are
     mu_B = -H_BB^{-1} s_B and the inequality residuals
     b_C + theta_C - A_C x are -s + H[:, B] H_BB^{-1} s_B.  Only s depends
-    on theta.  The sets are those :func:`_accepted` solves: the same
-    pivot test on J_B and the same superset pruning (sound because J0 is
-    nonsingular, see ``MpQpProblem``).
+    on theta.  The sets are those :func:`_accepted` solves, from the same
+    walk, :func:`_nonsingular_sets`, with J_B's pivot test alone in place
+    of the solve (J0's own is the problem's, see ``MpQpProblem``).
 
     The sets are padded to the largest cardinality k_max so that one
     product serves them all.  Row i of the (S, k_max) index array holds
@@ -249,38 +249,20 @@ class FeasibilityKernel:
     are positive) and keeps the reductions defined when k_max or m2 is 0.
     """
 
-    __slots__ = ("_x_rows", "_index", "_stack")
+    __slots__ = ("_index", "_stack")
 
     def __init__(self, problem: MpQpProblem):
         n, m2 = problem.n, problem.m2
-        inverse = factorize(assemble_active_jacobian(problem, ActiveSet())).inverse()
-        H = problem.A_C @ inverse[:n, :n] @ problem.A_C.T
-        self._x_rows = inverse[:n]
-        by_size = []  # per cardinality, the kept sets' (S_k, k) 0-based indices
-        singular: list[frozenset] = []
-        for k in range(max(0, min(n - problem.m1, m2)) + 1):
-            kept = []
-            for combo in itertools.combinations(range(1, m2 + 1), k):
-                cset = frozenset(combo)
-                if any(s <= cset for s in singular):
-                    continue
-                try:
-                    factorize(assemble_active_jacobian(problem, ActiveSet(combo)))
-                except SingularJacobian:
-                    singular.append(cset)
-                    continue
-                kept.append(combo)
-            if not kept:  # every larger set contains a singular one
-                break
-            by_size.append(np.array(kept, dtype=np.intp).reshape(len(kept), k) - 1)
-        k_max = len(by_size) - 1
-        count = sum(len(B) for B in by_size)
-        self._index = np.zeros((count, k_max), dtype=np.intp)
-        self._stack = np.zeros((count, k_max + 1 + m2, k_max))
-        start = 1  # the empty set is row 0
-        for k, B in enumerate(by_size[1:], 1):
-            rows = slice(start, start + len(B))
-            start += len(B)
+        H = problem.A_C @ problem.base_inverse[:n, :n] @ problem.A_C.T
+        # J_B's pivot test alone; the empty set's J_B is the base matrix
+        sets = [B.indices for B, _ in _nonsingular_sets(
+            problem, lambda B: B and active_factors(problem, B))]
+        k_max = len(sets[-1])  # the walk goes by cardinality, the empty set first
+        self._index = np.zeros((len(sets), k_max), dtype=np.intp)
+        self._stack = np.zeros((len(sets), k_max + 1 + m2, k_max))
+        for k in range(1, k_max + 1):
+            rows = [i for i, B in enumerate(sets) if len(B) == k]
+            B = np.array([sets[i] for i in rows], dtype=np.intp) - 1
             H_inv = np.linalg.inv(H[B[:, :, None], B[:, None, :]])
             self._index[rows, :k] = B + 1
             self._stack[rows, :k, :k] = -H_inv
@@ -290,8 +272,8 @@ class FeasibilityKernel:
         """True iff some set passes :func:`_accepted`'s dual and primal
         tests, with the same scalings."""
         rhs = problem.b_C + theta.theta_C
-        x0 = self._x_rows @ np.concatenate([-problem.C - theta.theta_c,
-                                            -problem.b_e - theta.theta_e])
+        x0 = problem.base_inverse[:problem.n] @ np.concatenate([-problem.C - theta.theta_c,
+                                                               -problem.b_e - theta.theta_e])
         s = np.concatenate([[0.0], problem.A_C @ x0 - rhs])
         v = (self._stack @ s[self._index][:, :, None])[:, :, 0]
         k_max = self._index.shape[1]

@@ -88,7 +88,8 @@ class MpQpProblem:
 
     The base KKT matrix [[2Q, -A_e^T], [-A_e, 0]] must pass the relative
     pivot test of ``core.JacobianFactors``: every active-set system is a
-    bordering of it, and the forward pass inverts it.
+    bordering of it, and the forward pass applies its inverse,
+    :attr:`base_inverse`.
     """
 
     Q: np.ndarray
@@ -133,15 +134,7 @@ class MpQpProblem:
                 raise ProblemFormatError("Q must be positive semidefinite")
         if m1 > 0 and np.linalg.matrix_rank(self.A_e) < m1:
             raise ProblemFormatError("A_e must have full row rank")
-        # Imported here: core builds on this module.
-        from .core import assemble_active_jacobian, factorize
-        try:
-            factorize(assemble_active_jacobian(self, ActiveSet()))
-        except SingularJacobian as exc:
-            raise ProblemFormatError(
-                "the base KKT matrix [[2Q, -A_e^T], [-A_e, 0]] is singular, so Q "
-                f"is not positive definite on the null space of A_e ({exc})"
-            ) from None
+        self.base_inverse  # factors the base KKT matrix: a singular one is refused
 
         if self.variable_groups is not None:
             groups = {}
@@ -190,6 +183,20 @@ class MpQpProblem:
         """[A_e; A_C], the equality rows above the inequality rows,
         (m1 + m2, n)."""
         return _freeze(np.vstack([self.A_e, self.A_C]))
+
+    @cached_property
+    def base_inverse(self) -> np.ndarray:
+        """The inverse of the base KKT matrix [[2Q, -A_e^T], [-A_e, 0]],
+        (n+m1, n+m1), at float64: the one place that matrix is factored."""
+        # Imported here: core builds on this module.
+        from .core import assemble_active_jacobian, factorize
+        try:
+            return _freeze(factorize(assemble_active_jacobian(self, ActiveSet())).inverse())
+        except SingularJacobian as exc:
+            raise ProblemFormatError(
+                "the base KKT matrix [[2Q, -A_e^T], [-A_e, 0]] is singular, so Q "
+                f"is not positive definite on the null space of A_e ({exc})"
+            ) from None
 
     @cached_property
     def feasibility_kernel(self):

@@ -159,7 +159,7 @@ def reference_region_maps(model, theta):
     z = -problem.stacked_coefficients() - theta.stacked()
     mu = model.W0 @ z
     z_e = np.broadcast_to(z[n:n + problem.m1], (model.k, problem.m1))
-    x = np.hstack([z[:n] + mu @ problem.A_C, z_e]) @ model.base_inverse[:n].T
+    x = np.hstack([z[:n] + mu @ problem.A_C, z_e]) @ problem.base_inverse[:n].T
     return x, mu
 
 
@@ -244,7 +244,7 @@ def reference_dense_layers(model):
         np.append(np.where(v > 0, np.inf, 0.0), 0.0).astype(dtype),
         np.ascontiguousarray(p.A_C.T, dtype=dtype),
         -p.stacked_coefficients()[:p.n + p.m1],
-        model.base_inverse.astype(dtype),
+        p.base_inverse.astype(dtype),
     )
 
 

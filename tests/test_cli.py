@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -103,6 +104,25 @@ class TestDiscoverCommand:
         assert counts == (f"counters: points {points}, halvings 0, transitions 3, "
                           "boundary 0, warnings 0")
         assert seconds.endswith(" s") and float(seconds[:-2]) > 0.0
+
+    def test_leaves_no_cyclic_garbage(self, problem_file, tmp_path):
+        """A discover run, after a first one has built the command-line
+        parser, frees everything it made by reference counting alone."""
+        argv = ["discover", "--problem", problem_file, "--theta0", "100,100",
+                "--steps", "20", "--out", str(tmp_path / "model.json")]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert left == []
 
     def test_log_file(self, problem_file, tmp_path):
         log = tmp_path / "log.jsonl"
@@ -495,6 +515,25 @@ class TestGenDataAndKktReport:
         ]) == EXIT_CODES["usage"]
         assert "--scales" in capsys.readouterr().err
         assert not data.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "local", "--count", "3"],
+        ["discover", "--steps", "5"],
+    ], ids=["gen-data-local", "discover"])
+    def test_enumeration_limit_is_usage_error(self, tmp_path, capsys, argv):
+        """case6 with four more limited lines has m2 = 26, past the
+        oracle's enumeration limit: a one-line error and exit 2, no file."""
+        case = json.loads(bundled_case_json())
+        case["lines"] += [{"from": a, "to": b, "susceptance": 3.0, "limit": 150.0}
+                          for a, b in ((4, 5), (5, 6), (4, 6), (2, 4))]
+        path = tmp_path / "case6_more_lines.json"
+        path.write_text(json.dumps(case))
+        out = tmp_path / "out"
+        assert main([*argv, "--case", str(path), "--lines", "--out", str(out)]) == (
+            EXIT_CODES["usage"])
+        assert capsys.readouterr().err == (
+            "error: EnumerationLimit: active-set enumeration is limited to m2 <= 24, got 26\n")
+        assert not out.exists()
 
     def test_gen_data_determinism(self, case_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 
-from cfqp.core import solve_active_set
+from cfqp.core import JacobianFactors, solve_active_set
 from cfqp.errors import DuplicateRegion, ProblemFormatError
 from cfqp.model import (
     batch_forward,
     cast,
+    deserialize,
     expand,
     forward,
     forward_array,
     init_model,
     locate_array,
     locate_region,
+    serialize,
 )
-from cfqp.oracle import brute_force_solve, kkt_report
-from cfqp.problem import ActiveSet, ParameterPoint
+from cfqp.oracle import brute_force_solve, is_feasible, kkt_report
+from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
 
 from conftest import reference_dense_forward
 
@@ -44,6 +46,30 @@ class TestInitAndForward:
 
     def test_digest_binding(self, model_2d, two_param):
         assert model_2d.problem_digest == two_param.digest()
+
+
+def test_base_matrix_is_factored_once_per_problem(monkeypatch):
+    """The problem factors [[2Q, -A_e^T], [-A_e, 0]] when it is built;
+    the model's layers, the feasibility kernel and a reloaded model all
+    read that one inverse, the empty root set's slopes included."""
+    sizes = []
+    init = JacobianFactors.__init__
+
+    def counting(self, matrix):
+        sizes.append(len(matrix))
+        init(self, matrix)
+
+    monkeypatch.setattr(JacobianFactors, "__init__", counting)
+    problem = MpQpProblem(
+        Q=np.eye(3), C=np.zeros(3), C0=0.0, A_e=np.ones((1, 3)), b_e=np.zeros(1),
+        A_C=np.eye(3), b_C=np.full(3, -1.0),
+    )
+    theta = ParameterPoint.zeros(problem)
+    model = init_model(problem, ActiveSet(), theta)
+    forward_array(model, theta.stacked()[None])
+    assert is_feasible(problem, theta)
+    forward_array(deserialize(serialize(model), problem), theta.stacked()[None])
+    assert sizes.count(problem.n + problem.m1) == 1
 
 
 class TestExpansionStructure:

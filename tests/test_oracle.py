@@ -199,6 +199,27 @@ class TestFeasibilityKernel:
             theta = ParameterPoint.from_stacked(problem, rng.uniform(-5.0, 5.0, problem.d))
             assert is_feasible(problem, theta) == (next(_accepted(problem, theta), None) is not None)
 
+    def test_dual_rows_decide_near_the_boundary(self):
+        """A 2-variable QP at a theta_C near its feasible boundary where
+        every set passes the primal test of some row but none passes both:
+        a kernel without its dual rows would answer True here."""
+        problem = MpQpProblem(
+            Q=[[3.92333949198051, -2.5226605689179276],
+               [-2.5226605689179276, 2.3399237254303547]],
+            C=[2.4898121127481283, -0.0917264789213937], C0=0.0,
+            A_e=np.zeros((0, 2)), b_e=np.zeros(0),
+            A_C=[[-0.414234225676356, -2.5071319369808713],
+                 [1.7104520165245896, 0.3081821779926003],
+                 [-1.8839408205022823, 0.8713568934768913]],
+            b_C=[0.6138812820393205, -0.35439962315536616, -0.5578363689123994],
+        )
+        theta = ParameterPoint(
+            np.zeros(2), np.zeros(0), [0.2971179041170053, 0.2890498334363271, 0.1842340239575927])
+        assert next(_accepted(problem, theta), None) is None
+        assert not is_feasible(problem, theta)
+        with pytest.raises(Infeasible):
+            brute_force_solve(problem, theta)
+
     def test_cached_kernel_leaves_no_cycle(self):
         """The kernel is cached on the problem and holds arrays only, so
         a problem that went through is_feasible is freed by its reference

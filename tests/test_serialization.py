@@ -61,7 +61,7 @@ def assert_models_identical(a, b):
     assert a.direction == b.direction
     assert a.problem_digest == b.problem_digest
     assert np.array_equal(a.W0, b.W0) and a.W0.dtype == b.W0.dtype
-    assert np.array_equal(a.base_inverse, b.base_inverse)
+    assert np.array_equal(a.problem.base_inverse, b.problem.base_inverse)
     assert len(a.regions) == len(b.regions)
     for ra, rb in zip(a.regions, b.regions):
         assert ra.id == rb.id and ra.parent_id == rb.parent_id
@@ -147,7 +147,7 @@ class TestRejection:
         data["version"] = 2
         for region, block in zip(data["regions"], model_2d.W0):
             region["grad_mu"] = block.tolist()
-        data["base_inverse"] = model_2d.base_inverse.tolist()
+        data["base_inverse"] = model_2d.problem.base_inverse.tolist()
         with pytest.raises(MalformedModel, match="version 2.*re-run discover"):
             deserialize(json.dumps(data).encode(), model_2d.problem)
 

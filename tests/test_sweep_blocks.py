@@ -188,9 +188,9 @@ def test_abandoned_point_resets_the_sweep_anchor(two_param, theta0_2d, monkeypat
         return lambda *args: (segment if segment.refuse(args[-1]) else once)(*args)
 
     evaluated = []
-    forward = discovery.forward
-    monkeypatch.setattr(discovery, "forward", lambda model, theta: (
-        evaluated.append(theta.stacked()), forward(model, theta))[1])
+    forward_array = discovery.forward_array
+    monkeypatch.setattr(discovery, "forward_array", lambda model, Theta: (
+        evaluated.extend(Theta), forward_array(model, Theta))[1])
     records = refused_walks(monkeypatch, make_refuse, two_param, theta0_2d, pattern,
                             strict=False)
     warnings = [r for r in records if r["event"] == "warning"]
