@@ -19,6 +19,7 @@ from .errors import (
     DuplicateRegion,
     Infeasible,
     InfeasibleStart,
+    ProblemFormatError,
     SingularActiveJacobian,
     UnresolvableTransition,
 )
@@ -215,19 +216,35 @@ def feasible_extent(
 ) -> float:
     """Largest step length t, up to _EXTENT_CAP, such that
     theta0 + t * direction stays feasible, found by bracketing and
-    bisection against the oracle."""
+    bisection against the oracle.  Only a probe inside the kernel's
+    ``ray_extent`` band asks :func:`is_feasible`; the others are decided
+    by comparison, with the same answers.  Along a theta_C part the
+    oracle's primal tolerance moves, so such a ray asks at every probe."""
     theta0.check_dims(problem)
+    direction.check_dims(problem)
+    if not np.isfinite(direction.stacked()).all():
+        raise ProblemFormatError("direction has non-finite entries")
+    if not direction.stacked().any():
+        raise ValueError("direction must be nonzero")
     if not is_feasible(problem, theta0):
         raise InfeasibleStart("feasible_extent called from an infeasible point")
+    t_in, t_out = (-np.inf, np.inf) if direction.theta_C.any() else (
+        problem.feasibility_kernel.ray_extent(problem, theta0, direction))
+
+    def feasible(t):
+        if t_in < t <= t_out:
+            return is_feasible(problem, theta0 + direction.scale(t))
+        return t <= t_in
+
     lo, hi = 0.0, 1.0
-    while hi < _EXTENT_CAP and is_feasible(problem, theta0 + direction.scale(hi)):
+    while hi < _EXTENT_CAP and feasible(hi):
         lo, hi = hi, hi * 2.0
     if hi >= _EXTENT_CAP:
-        if is_feasible(problem, theta0 + direction.scale(_EXTENT_CAP)):
+        if feasible(_EXTENT_CAP):
             return _EXTENT_CAP
     while hi - lo > _EXTENT_RESOLUTION * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
-        if is_feasible(problem, theta0 + direction.scale(mid)):
+        if feasible(mid):
             lo = mid
         else:
             hi = mid

@@ -268,19 +268,91 @@ class FeasibilityKernel:
             self._stack[rows, :k, :k] = -H_inv
             self._stack[rows, k_max + 1:, :k] = H[:, B].transpose(1, 0, 2) @ H_inv
 
-    def feasible(self, problem: MpQpProblem, theta: ParameterPoint) -> bool:
-        """True iff some set passes :func:`_accepted`'s dual and primal
-        tests, with the same scalings."""
+    def _sets(self, problem: MpQpProblem, theta: ParameterPoint):
+        """Every set's (S, k_max + 1) multipliers and (S, 1 + m2)
+        residuals at theta, and the primal tolerance there."""
         rhs = problem.b_C + theta.theta_C
         x0 = problem.base_inverse[:problem.n] @ np.concatenate([-problem.C - theta.theta_c,
                                                                -problem.b_e - theta.theta_e])
         s = np.concatenate([[0.0], problem.A_C @ x0 - rhs])
         v = (self._stack @ s[self._index][:, :, None])[:, :, 0]
         k_max = self._index.shape[1]
-        mu, residual = v[:, :k_max + 1], v[:, k_max:] - s
-        dual_ok = mu.min(1) >= -ORACLE_TOL * np.maximum(np.abs(mu).max(1), 1.0)
         primal_tol = ORACLE_TOL * float(np.abs(rhs).max(initial=1.0))
+        return v[:, :k_max + 1], v[:, k_max:] - s, primal_tol
+
+    def feasible(self, problem: MpQpProblem, theta: ParameterPoint) -> bool:
+        """True iff some set passes :func:`_accepted`'s dual and primal
+        tests, with the same scalings."""
+        mu, residual, primal_tol = self._sets(problem, theta)
+        dual_ok = mu.min(1) >= -ORACLE_TOL * np.maximum(np.abs(mu).max(1), 1.0)
         return bool((dual_ok & (residual.max(1) <= primal_tol)).any())
+
+    def ray_extent(
+        self, problem: MpQpProblem, theta0: ParameterPoint, direction: ParameterPoint
+    ) -> Tuple[float, float]:
+        """(t_in, t_out) on the ray theta0 + t * direction, t > 0, for a
+        finite direction with no theta_C part: :meth:`feasible` at
+        ``theta0 + direction.scale(t)`` is True for every t <= t_in and
+        False for every t > t_out.
+
+        On such a ray the primal tolerance is constant and every set's
+        rows are affine in t, given by their values at t = 0 and 1.  A
+        ratio test per set gives the t where it passes the tightest form
+        of each tolerance (dual scale 1, halved), which implies
+        :meth:`feasible`'s tests, and the loosest (dual scale bounded along
+        the ray, doubled), which they imply.  Both allow for an a priori
+        bound on the rounding error, and each interval end for its
+        division.  t_out is the largest end of a loose interval; t_in is
+        the end of the chain of tight intervals from 0, since one past a
+        gap says nothing about the gap.
+        """
+        n, m1 = problem.n, problem.m1
+        (mu0, r0, primal_tol), (mu1, r1, _) = (
+            self._sets(problem, theta0), self._sets(problem, theta0 + direction))
+        k = mu0.shape[1]
+        v0 = np.hstack([mu0, -r0])  # a set passes where every v >= -tol
+        slope = np.hstack([mu1, -r1]) - v0
+        # The rounding bound: eps times the operation count times the
+        # magnitudes summed, |stack| |s_B| (plus |s| on a residual row), at
+        # theta0 and per unit t.  The probe and the two evaluations here
+        # each stay within it; doubled again for the ratio test's own sums.
+        z = np.abs([theta0.stacked()[:n + m1], direction.stacked()[:n + m1]])
+        z[0] += np.abs(np.concatenate([problem.C, problem.b_e]))
+        sig = np.abs(problem.A_C) @ np.abs(problem.base_inverse[:n]) @ z.T
+        sig[:, 0] += np.abs(problem.b_C + theta0.theta_C)
+        sig = np.vstack([[0.0, 0.0], sig])  # padded as s is
+        w = np.abs(self._stack) @ sig[self._index]
+        phi = np.concatenate([w[:, :k], w[:, k - 1:] + sig], axis=1)
+        gamma = 4 * (2 * n + m1 + k + 6) * np.finfo(float).eps
+        err0 = gamma * phi[..., 0]
+        err1 = gamma * (phi[..., 0] + phi[..., 1] + np.abs(slope))
+        if not np.isfinite(err1).all():  # an overflow: leave every probe to feasible
+            return 0.0, np.inf
+        # Rows 0..S-1 test the tight form, rows S.. the loose one.
+        S = len(v0)
+        tol = np.repeat([ORACLE_TOL, primal_tol], [k, v0.shape[1] - k])
+        a = np.vstack([v0 + (tol / 2 - err0), v0 + (2 * tol + err0)])
+        b = np.vstack([slope - err1, slope + err1])
+        a[S:, :k] += 2 * ORACLE_TOL * (np.abs(v0) + err0)[:, :k].max(1, keepdims=True)
+        b[S:, :k] += 2 * ORACLE_TOL * (np.abs(slope) + err1)[:, :k].max(1, keepdims=True)
+        lo, hi = _ratio_test(a, b)
+        rho = 4 * np.finfo(float).eps
+        lo_out, hi_out = lo[S:] * (1 - rho), hi[S:] * (1 + rho)
+        t_out = hi_out[lo_out <= hi_out].max(initial=-np.inf)
+        order = np.argsort(lo[:S])
+        lo, reach = lo[order] * (1 + rho), np.maximum.accumulate(np.append(0.0, hi[order] * (1 - rho)))
+        # Sorted by lo, an empty interval (lo > hi) lies under the reach
+        # or past the chain's end, so it never moves t_in.
+        return float(reach[np.logical_and.accumulate(lo <= reach[:-1]).sum()]), float(t_out)
+
+
+def _ratio_test(a, b):
+    """Per row of a and b, the t >= 0 where a + t * b >= 0 in every
+    column, as arrays (lo, hi): an empty interval has lo > hi."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = -a / b
+    lo = np.where(b > 0, root, np.where(a >= 0, 0.0, np.inf)).max(1, initial=0.0)
+    return lo, np.where(b < 0, root, np.inf).min(1, initial=np.inf)
 
 
 def is_feasible(problem: MpQpProblem, theta: ParameterPoint) -> bool:

@@ -14,6 +14,8 @@ from cfqp.cli import CliError, _floats
 from cfqp.core import rowwise_matvec, solve_active_set
 from cfqp import discovery
 from cfqp.discovery import (
+    _EXTENT_CAP,
+    _EXTENT_RESOLUTION,
     _MAX_EXPANSIONS_PER_POINT,
     _MAX_HALVINGS,
     Direction,
@@ -108,6 +110,22 @@ def box_qp(n, q_vals, c_vals, bound):
         A_C=np.vstack([-np.eye(n), np.eye(n)]),
         b_C=np.concatenate([np.full(n, -bound), np.full(n, -bound)]),
     )
+
+
+@pytest.fixture(scope="session")
+def fixture_rays(two_param, theta0_2d, box_problem, line_problem):
+    """(problem, theta0, direction) of the 28 rays of discover's default
+    axis pattern on the three benchmark fixtures, in its order (+e_i, then
+    -e_i, per theta_e axis): two-parameter from (100, 100), case6 and
+    case6 with lines from zero."""
+    rays = []
+    for problem, theta0 in ((two_param, theta0_2d),
+                            (box_problem[0], ParameterPoint.zeros(box_problem[0])),
+                            (line_problem[0], ParameterPoint.zeros(line_problem[0]))):
+        for unit in np.eye(problem.m1):
+            direction = ParameterPoint.of_theta_e(problem, unit)
+            rays += [(problem, theta0, direction), (problem, theta0, direction.scale(-1.0))]
+    return rays
 
 
 def on_sweep_samples_2d(problem, count, seed):
@@ -459,3 +477,36 @@ def reference_discover(problem, theta0, pattern, tol=1e-10, precision=64, log=No
     log.emit(event="end", regions=model.k,
              active_sets=[list(r.active_set) for r in model.regions])
     return cast(model, precision)
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of feasible_extent, as it was written before the kernel's
+# closed-form ray extent decided its probes: every probe asks is_feasible.
+
+
+def reference_feasible_extent(problem, theta0, direction, probes=None):
+    """The bracketing and bisection of feasible_extent against the oracle
+    alone.  ``probes``, when given, collects each probe's (t, answer)."""
+
+    def feasible(t):
+        answer = is_feasible(problem, theta0 + direction.scale(t))
+        if probes is not None:
+            probes.append((t, answer))
+        return answer
+
+    theta0.check_dims(problem)
+    if not is_feasible(problem, theta0):
+        raise InfeasibleStart("feasible_extent called from an infeasible point")
+    lo, hi = 0.0, 1.0
+    while hi < _EXTENT_CAP and feasible(hi):
+        lo, hi = hi, hi * 2.0
+    if hi >= _EXTENT_CAP:
+        if feasible(_EXTENT_CAP):
+            return _EXTENT_CAP
+    while hi - lo > _EXTENT_RESOLUTION * max(1.0, abs(lo)):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -1,10 +1,12 @@
 import gc
 import inspect
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import cfqp.discovery
 from cfqp.cases import two_parameter_problem, two_parameter_theta0
 from cfqp.cli import build_parser
 from cfqp.discovery import (
@@ -18,8 +20,9 @@ from cfqp.discovery import (
     identify_transition,
     scaled_base_pattern,
 )
-from cfqp.errors import InfeasibleStart, UnresolvableTransition
+from cfqp.errors import InfeasibleStart, ProblemFormatError, UnresolvableTransition
 from cfqp.model import cast, init_model, serialize
+from cfqp.oracle import is_feasible
 from cfqp.problem import ActiveSet, ParameterPoint
 
 from conftest import box_pattern, two_param_pattern
@@ -92,6 +95,46 @@ class TestFeasibleExtent:
         direction = ParameterPoint.of_theta_e(two_param, [1.0, 0.0])
         with pytest.raises(InfeasibleStart):
             feasible_extent(two_param, start, direction)
+
+    def test_direction_must_fit_the_problem(self, two_param, theta0_2d):
+        """One theta_e entry on the two-parameter problem would broadcast
+        to the ray along (1, 1)."""
+        direction = ParameterPoint.of_theta_e(two_param, [1.0])
+        with pytest.raises(ProblemFormatError, match="dimensions do not match"):
+            feasible_extent(two_param, theta0_2d, direction)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_direction_must_be_finite(self, two_param, theta0_2d, bad):
+        direction = ParameterPoint.of_theta_e(two_param, [1.0, bad])
+        with pytest.raises(ProblemFormatError, match="^direction has non-finite entries$"):
+            feasible_extent(two_param, theta0_2d, direction)
+
+    def test_direction_must_be_nonzero(self, two_param, theta0_2d):
+        with pytest.raises(ValueError, match="^direction must be nonzero$"):
+            feasible_extent(two_param, theta0_2d, ParameterPoint.zeros(two_param))
+
+    def test_fixture_extents(self, fixture_rays):
+        """The 28 extents of the benchmark fixtures' default axis pattern,
+        bit for bit those of the plain bisection, with at most 3 oracle
+        calls per ray, start checks included (the plain bisection makes
+        863).  Past its start check, only the two unbounded two-parameter
+        rays ask the oracle, at probes near 1e9, where the rounding bound
+        exceeds half the primal tolerance."""
+        calls = []
+
+        def counting(problem, theta):
+            calls.append(theta)
+            return is_feasible(problem, theta)
+
+        with mock.patch.object(cfqp.discovery, "is_feasible", counting):
+            got = [feasible_extent(*ray).hex() for ray in fixture_rays]
+        assert got == (
+            ["0x1.9000000000000p+9", "0x1.dcd6500000000p+29"] * 2  # two-parameter: 800, 1e9
+            + ["0x1.a400000000000p+8", "0x1.4a00000000000p+8"] * 6  # case6: 420, 330
+            + ["0x1.a400000000000p+8", "0x1.4a00000000000p+8"] * 3  # case6 lines: 420, 330
+            + ["0x1.5400000000000p+8", "0x1.e000000000000p+5"] * 3  # then 340, 60
+        )
+        assert len(calls) <= 3 * len(fixture_rays)
 
 
 class TestIdentifyTransition:

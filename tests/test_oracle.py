@@ -21,7 +21,7 @@ from cfqp.oracle import (
 )
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
-from conftest import local_samples_6bus, on_sweep_samples_2d
+from conftest import local_samples_6bus, on_sweep_samples_2d, reference_feasible_extent
 
 
 class TestBruteForceFrozenValues:
@@ -152,11 +152,14 @@ class TestFeasibilityKernel:
     brute_force_solve stays the literal enumeration.  They must agree
     everywhere: a disagreement is a bug, not a tolerance to tune."""
 
-    def test_discovery_calls_match_enumeration(self, tmp_path):
+    def test_discovery_calls_match_enumeration(self, tmp_path, fixture_rays):
         """Every is_feasible call of the three benchmark fixtures'
-        discover runs, the feasible_extent bisection midpoints among them
-        (the last ones lie within 1e-6 relative of the boundary), replayed
-        against the first accepted set of the enumeration."""
+        discover runs, and every probe of the plain bisection on their 28
+        default-pattern rays (the last ones lie within 1e-6 relative of
+        the boundary), replayed against the first accepted set of the
+        enumeration.  At each probe, the closed-form decision (a
+        comparison with the kernel's ray extent outside its band, the
+        oracle inside) must be the oracle's answer."""
         problem_file = tmp_path / "two_parameter.json"
         problem_file.write_text(bundled_problem_json())
         case_file = tmp_path / "case6.json"
@@ -175,6 +178,14 @@ class TestFeasibilityKernel:
                 ["--case", str(case_file), "--lines", "--steps", "40", "--lenient"],
             ):
                 assert main(["discover", *argv, "--out", str(tmp_path / "model.json")]) == 0
+        for problem, theta0, direction in fixture_rays:
+            probes = []
+            reference_feasible_extent(problem, theta0, direction, probes)
+            t_in, t_out = problem.feasibility_kernel.ray_extent(problem, theta0, direction)
+            for t, feasible in probes:
+                if not t_in < t <= t_out:
+                    assert feasible == (t <= t_in), (t, t_in, t_out)
+                calls.append((problem, theta0 + direction.scale(t), feasible))
         assert len(calls) > 800
         assert {feasible for _, _, feasible in calls} == {True, False}
         disagree = [

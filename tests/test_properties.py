@@ -6,13 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cfqp.cli
 import cfqp.model
 from cfqp.cli import CliError, _read_dataset
 from cfqp.core import gradient_rows, lagrangian_gradients, solve_active_set
-from cfqp.discovery import identify_transition
+from cfqp.discovery import feasible_extent, identify_transition
 from cfqp.errors import Infeasible, UnresolvableTransition
 from cfqp.model import (
     RegionEntry,
@@ -29,6 +29,7 @@ from cfqp.problem import ActiveSet, ParameterPoint
 from conftest import (
     box_pattern,
     box_qp,
+    reference_feasible_extent,
     reference_identify_transition,
     reference_locate_region,
     reference_read_dataset,
@@ -258,6 +259,36 @@ def test_feasibility_kernel_matches_enumeration_box_qp(n, q_vals, c_vals, theta)
     problem = box_qp(n, q_vals, c_vals, bound=6.0)
     point = ParameterPoint.from_stacked(problem, theta[:problem.d])
     assert is_feasible(problem, point) == (next(_accepted(problem, point), None) is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    q_vals=st.lists(st.floats(min_value=0.5, max_value=8.0), min_size=4, max_size=4),
+    c_vals=st.lists(finite, min_size=4, max_size=4),
+    start=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=13, max_size=13),
+    step=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=13, max_size=13),
+    parts=st.sampled_from(["e", "ce", "c", "eC"]),
+)
+# two unbounded rays, which return _EXTENT_CAP: one on each path
+@example(n=3, q_vals=[1.0, 2.0, 3.0, 1.0], c_vals=[0.5, -1.0, 0.0, 0.0], start=[0.0] * 13,
+         step=[1.0, -2.0] + [0.0] * 11, parts="c")
+@example(n=3, q_vals=[1.0, 2.0, 3.0, 1.0], c_vals=[0.5, -1.0, 0.0, 0.0], start=[0.0] * 13,
+         step=[0.0] * 3 + [1.0] + [-1.0] * 9, parts="eC")
+def test_feasible_extent_matches_plain_bisection(n, q_vals, c_vals, start, step, parts):
+    """feasible_extent, deciding probes from the kernel's ray extent, and
+    the plain bisection give the same float on rays along theta_e, theta_c
+    and theta_e, or theta_c alone, and on rays along theta_e and theta_C,
+    which ask the oracle at every probe.  theta0 lies inside the box: the
+    sum target within +-4.5n, each bound moved by at most 1."""
+    problem = box_qp(n, q_vals, c_vals, bound=6.0)
+    theta0 = ParameterPoint.from_stacked(
+        problem, np.asarray(start[:problem.d]) * np.r_[np.full(n, 4.0), 4.5 * n, np.ones(2 * n)])
+    mask = np.repeat(["c" in parts, "e" in parts, "C" in parts], [n, 1, 2 * n])
+    direction = ParameterPoint.from_stacked(problem, np.asarray(step[:problem.d]) * mask)
+    assume(direction.stacked().any())
+    assert feasible_extent(problem, theta0, direction) == reference_feasible_extent(
+        problem, theta0, direction)
 
 
 @settings(max_examples=40, deadline=None)
