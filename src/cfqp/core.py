@@ -1,9 +1,14 @@
-"""Dense linear-algebra kernels: Jacobian assembly, factorization,
-active-set solves, region slopes, Lagrangian gradients, objective.
+"""Dense linear-algebra kernels: factorization, active-set solves,
+region slopes, Lagrangian gradients, objective.
 
-Everything here runs at float64.  The network's weights (the base
-Jacobian and the region slopes) are built here; a model rounds them to
-its own precision.
+Everything here runs at float64.  Every active-set system is solved from
+the base factorization: J_B = [[2Q, -A_e^T, -A_B^T], [-A_e, 0, 0],
+[-A_B, 0, 0]] is the base KKT matrix J0 bordered by the rows A_B, and
+its Schur complement is -H_BB, with H = A_C K A_C^T
+(``MpQpProblem.schur_complement``) and K the x-block of J0^{-1}
+(``MpQpProblem.base_inverse``).  So only the k x k matrix H_BB is
+factored per active set.  The region slopes, the network's first layer,
+are built here; a model rounds them to its own precision.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
 __all__ = [
     "JacobianFactors",
-    "assemble_active_jacobian",
     "factorize",
     "active_factors",
     "solve_active_set",
@@ -69,23 +73,6 @@ class JacobianFactors:
         return self.solve(np.eye(self._lu.shape[0]))
 
 
-def assemble_active_jacobian(problem: MpQpProblem, B: ActiveSet) -> np.ndarray:
-    """J_B = [[2Q, -A_e^T, -A_B^T], [-A_e, 0, 0], [-A_B, 0, 0]].  The
-    empty active set gives the base Jacobian [[2Q, -A_e^T], [-A_e, 0]]."""
-    B.validate(problem)
-    n, m1 = problem.n, problem.m1
-    A_B = problem.A_C[B.as_index_array()]
-    k = len(B)
-    size = n + m1 + k
-    J = np.zeros((size, size))
-    J[:n, :n] = problem.two_Q
-    J[:n, n:n + m1] = -problem.A_e.T
-    J[:n, n + m1:] = -A_B.T
-    J[n:n + m1, :n] = -problem.A_e
-    J[n + m1:, :n] = -A_B
-    return J
-
-
 def factorize(J: np.ndarray) -> JacobianFactors:
     """LU-factorize a square matrix; raises SingularJacobian on rank
     deficiency (relative pivot test)."""
@@ -93,9 +80,12 @@ def factorize(J: np.ndarray) -> JacobianFactors:
 
 
 def active_factors(problem: MpQpProblem, B: ActiveSet) -> JacobianFactors:
-    """The LU factors of J_B; a singular J_B is SingularActiveJacobian."""
+    """The LU factors of H_BB for a nonempty B (see the module
+    docstring); J_B is singular exactly when H_BB is, and a singular
+    H_BB is SingularActiveJacobian."""
+    idx = B.validate(problem).as_index_array()
     try:
-        return JacobianFactors(assemble_active_jacobian(problem, B))
+        return JacobianFactors(problem.schur_complement[np.ix_(idx, idx)])
     except SingularJacobian as exc:
         raise SingularActiveJacobian(
             f"active set {sorted(B)} yields a singular KKT system: {exc}"
@@ -108,26 +98,25 @@ def solve_active_set(
     """Solve the KKT equality system for a given active set.
 
     Returns the full (x, lambda, mu) with mu zero outside B and the
-    objective value filled in.
+    objective value filled in.  With y0 = (x0, lambda0) the base
+    solution and s = A_C x0 - b_C - theta_C, mu_B = -H_BB^{-1} s_B and
+    (x, lambda) = y0 + J0^{-1} [A_B^T mu_B; 0]; the empty set's solution
+    is y0.
     """
     theta.check_dims(problem)
-    factors = active_factors(problem, B)
-    idx = B.as_index_array()
-    rhs = np.concatenate(
-        [
-            (-problem.C - theta.theta_c),
-            (-problem.b_e - theta.theta_e),
-            (-problem.b_C[idx] - theta.theta_C[idx]),
-        ]
-    )
-    sol = factors.solve(rhs)
-    n, m1 = problem.n, problem.m1
-    x = sol[:n]
-    lam = sol[n:n + m1]
+    n = problem.n
+    y = problem.base_inverse @ np.concatenate(
+        [-problem.C - theta.theta_c, -problem.b_e - theta.theta_e])
     mu = np.zeros(problem.m2)
-    mu[idx] = sol[n + m1:]
+    if B:
+        idx = B.as_index_array()
+        A_B = problem.A_C[idx]
+        mu[idx] = active_factors(problem, B).solve(
+            problem.b_C[idx] + theta.theta_C[idx] - A_B @ y[:n])
+        y = y + problem.base_inverse[:, :n] @ (A_B.T @ mu[idx])
+    x = y[:n]
     return PrimalDualSolution(
-        x=x, lam=lam, mu=mu, objective=objective_value(problem, x, theta)
+        x=x, lam=y[n:], mu=mu, objective=objective_value(problem, x, theta)
     )
 
 
@@ -136,22 +125,24 @@ def region_slopes(problem: MpQpProblem, B: ActiveSet) -> np.ndarray:
     the critical region generated by active set B: the (m2, d) block
     with mu(theta) = grad_mu @ z.
 
-    The multiplier rows of the inverse of J_B are scattered into a
-    zero-padded matrix whose columns follow the fixed layout
+    Since s = -A_C J0^{-1}[:n] z[:n+m1] - z[n+m1:], the rows B are
+    -H_BB^{-1} [A_B J0^{-1}[:n] | I_B], scattered into a zero-padded
+    matrix whose columns follow the fixed layout
     [cost (n) | equality (m1) | inequality (m2)]; rows and inequality
     columns of non-active constraints stay zero.  x and lambda follow
     from mu through the base inverse (see ``model.region_residuals``).
-    The empty set's block is zero: its J_B is the base matrix, which
-    passed the pivot test when the problem was built.
+    The empty set's block is zero.
     """
     grad_mu = np.zeros((problem.m2, problem.d))
     if B:
-        inv = active_factors(problem, B).inverse()
         n, m1 = problem.n, problem.m1
         idx = B.as_index_array()
         # Columns of the stacked input that actually enter the KKT system.
         cols = np.concatenate([np.arange(n + m1), n + m1 + idx]).astype(np.intp)
-        grad_mu[np.ix_(idx, cols)] = inv[n + m1:, :]
+        rhs = np.hstack([problem.A_C[idx] @ problem.base_inverse[:n], np.eye(len(idx))])
+        # the explicit inverse, as the feasibility kernel's: on the
+        # two-parameter fixture it leaves smaller KKT residuals than a solve
+        grad_mu[np.ix_(idx, cols)] = -active_factors(problem, B).inverse() @ rhs
     return grad_mu
 
 

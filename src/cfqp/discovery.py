@@ -173,10 +173,10 @@ def axis_sweep_pattern(
     directions = []
     m1 = theta0.theta_e.shape[0]
     for i in range(m1):
-        if extent[i] == 0.0:
-            continue
         delta = np.zeros(m1)
         delta[i] = extent[i] / steps
+        if delta[i] == 0.0:  # a zero extent, or one that underflows per step
+            continue
         step = ParameterPoint(
             np.zeros_like(theta0.theta_c), delta, np.zeros_like(theta0.theta_C)
         )
@@ -267,9 +267,10 @@ def discover(
     triggers transition identification and model expansion; evaluation
     resumes at the violating point.  Every point goes through the array
     kernels :func:`forward_array`, :func:`kkt_scalars` and
-    :func:`locate_array`: a sweep's points in blocks, replayed in order so
-    that the log and the model are those of a point-by-point walk, and a
-    sweep start, expansion retry or halving midpoint as a block of one.
+    :func:`locate_array`: a sweep's points, its start first, in blocks,
+    replayed in order so that the log and the model are those of a
+    point-by-point walk, and an expansion retry or halving midpoint as a
+    block of one.
     Coarse steps that skip regions are refined by local step halving (up
     to 20 levels).  With ``strict=False`` an unresolvable point is logged
     and skipped instead of aborting the run.
@@ -345,12 +346,9 @@ def discover(
             try:
                 model = expand(model, current.id, new_set, theta)
             except DuplicateRegion:
-                existing = next(
-                    r for r in model.regions if r.active_set == new_set
-                )
-                if existing.id == current.id:
-                    return None
-                current = existing
+                # never the current region: a transition adds an inactive
+                # constraint or drops an active one
+                current = next(r for r in model.regions if r.active_set == new_set)
                 continue
             except SingularActiveJacobian:
                 # Adding this constraint overdetermines the KKT system:
@@ -413,7 +411,9 @@ def discover(
         rows = locate_array(model, Theta).tolist()
         for i, scalar, row in zip(index.tolist(), scalars, rows):
             if not scalar <= tol:
-                target = direction.point(i)
+                # start + 0 * step would turn a -0.0 entry of the start into
+                # +0.0, and a failing point can become a region's witness
+                target = direction.point(i) if i else direction.start
                 if prev is None:
                     prev = direction.point(i - 1)
                 return i + 1, target if resolve(target, prev, di, i) else direction.start
@@ -433,14 +433,9 @@ def discover(
         # active set at each new direction.
         anchor = locate_array(model, direction.start.stacked()[None])[0]
         last_set = model.regions[anchor].active_set if anchor >= 0 else seed.active_set
-        # Anchor the sweep: the start point must itself pass.
-        resolve(direction.start, theta0, di, 0)
-        if boundary_hit:
-            continue
-        # After an abandoned point (non-strict mode) the next one is
-        # anchored at the sweep start.
-        prev = direction.start
-        i = 1
+        # Point 0, the start, is reached from theta0; after an abandoned
+        # point (non-strict mode) the next one is anchored at the start.
+        i, prev = 0, theta0
         while i <= direction.max_steps and not boundary_hit:
             i, prev = sweep_block(direction, di, i, prev)
     log.emit(event="end", regions=model.k,

@@ -155,9 +155,9 @@ def _check_enumerable(problem: MpQpProblem, theta: ParameterPoint) -> None:
 
 
 def _nonsingular_sets(problem: MpQpProblem, visit):
-    """Yield (B, visit(B)) for every active set B whose J_B is
+    """Yield (B, visit(B)) for every active set B whose J_B (so H_BB) is
     nonsingular, by cardinality and then lexicographically; ``visit``
-    raises SingularActiveJacobian for a singular J_B.  The walk is pruned
+    raises SingularActiveJacobian for a singular one.  The walk is pruned
     by rank: J_B is singular whenever |B| > n - m1, and so is J_B of any
     superset of a set whose J_B is singular."""
     n, m1, m2 = problem.n, problem.m1, problem.m2
@@ -228,15 +228,14 @@ class FeasibilityKernel:
     from one base factorization; built once per problem and cached as
     ``MpQpProblem.feasibility_kernel``.
 
-    With K the x-block of the base inverse J0^{-1} and H = A_C K A_C^T,
-    the active-set system J_B is J0 bordered by the rows A_B, and its
-    Schur complement is -H_BB.  So at theta, with x0 the base solution
-    and s = A_C x0 - b_C - theta_C, the multipliers are
-    mu_B = -H_BB^{-1} s_B and the inequality residuals
-    b_C + theta_C - A_C x are -s + H[:, B] H_BB^{-1} s_B.  Only s depends
-    on theta.  The sets are those :func:`_accepted` solves, from the same
-    walk, :func:`_nonsingular_sets`, with J_B's pivot test alone in place
-    of the solve (J0's own is the problem's, see ``MpQpProblem``).
+    With H = ``MpQpProblem.schur_complement`` (see ``cfqp.core``), x0 the
+    base solution and s = A_C x0 - b_C - theta_C, a set's multipliers are
+    mu_B = -H_BB^{-1} s_B, as ``core.solve_active_set`` computes them, and
+    its inequality residuals b_C + theta_C - A_C x are
+    -s + H[:, B] H_BB^{-1} s_B.  Only s depends on theta.  The sets are
+    those :func:`_accepted` solves, from the same walk,
+    :func:`_nonsingular_sets`, with H_BB's pivot test
+    (``core.active_factors``) alone in place of the solve.
 
     The sets are padded to the largest cardinality k_max so that one
     product serves them all.  Row i of the (S, k_max) index array holds
@@ -252,14 +251,13 @@ class FeasibilityKernel:
     __slots__ = ("_index", "_stack")
 
     def __init__(self, problem: MpQpProblem):
-        n, m2 = problem.n, problem.m2
-        H = problem.A_C @ problem.base_inverse[:n, :n] @ problem.A_C.T
-        # J_B's pivot test alone; the empty set's J_B is the base matrix
+        H = problem.schur_complement
+        # H_BB's pivot test alone; the empty set has no H_BB
         sets = [B.indices for B, _ in _nonsingular_sets(
             problem, lambda B: B and active_factors(problem, B))]
         k_max = len(sets[-1])  # the walk goes by cardinality, the empty set first
         self._index = np.zeros((len(sets), k_max), dtype=np.intp)
-        self._stack = np.zeros((len(sets), k_max + 1 + m2, k_max))
+        self._stack = np.zeros((len(sets), k_max + 1 + problem.m2, k_max))
         for k in range(1, k_max + 1):
             rows = [i for i, B in enumerate(sets) if len(B) == k]
             B = np.array([sets[i] for i in rows], dtype=np.intp) - 1
@@ -358,6 +356,6 @@ def _ratio_test(a, b):
 def is_feasible(problem: MpQpProblem, theta: ParameterPoint) -> bool:
     """True iff some active set is accepted at this theta, i.e. iff
     :func:`brute_force_solve` succeeds, decided by the problem's
-    :class:`FeasibilityKernel` without solving any J_B."""
+    :class:`FeasibilityKernel` without solving any active set."""
     _check_enumerable(problem, theta)
     return problem.feasibility_kernel.feasible(problem, theta)

@@ -187,16 +187,24 @@ class MpQpProblem:
     @cached_property
     def base_inverse(self) -> np.ndarray:
         """The inverse of the base KKT matrix [[2Q, -A_e^T], [-A_e, 0]],
-        (n+m1, n+m1), at float64: the one place that matrix is factored."""
-        # Imported here: core builds on this module.
-        from .core import assemble_active_jacobian, factorize
+        (n+m1, n+m1), at float64: the one place that matrix is built and factored."""
+        from .core import factorize  # core builds on this module
+        J0 = np.block([[self.two_Q, -self.A_e.T], [-self.A_e, np.zeros((self.m1, self.m1))]])
         try:
-            return _freeze(factorize(assemble_active_jacobian(self, ActiveSet())).inverse())
+            return _freeze(factorize(J0).inverse())
         except SingularJacobian as exc:
             raise ProblemFormatError(
                 "the base KKT matrix [[2Q, -A_e^T], [-A_e, 0]] is singular, so Q "
                 f"is not positive definite on the null space of A_e ({exc})"
             ) from None
+
+    @cached_property
+    def schur_complement(self) -> np.ndarray:
+        """H = A_C K A_C^T, (m2, m2), with K the x-block of
+        :attr:`base_inverse`: -H_BB is the Schur complement of the base
+        matrix in the active-set KKT matrix J_B (see ``cfqp.core``)."""
+        n = self.n
+        return _freeze(self.A_C @ self.base_inverse[:n, :n] @ self.A_C.T)
 
     @cached_property
     def feasibility_kernel(self):

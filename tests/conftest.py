@@ -11,7 +11,7 @@ import pytest
 from cfqp import dcopf
 from cfqp.cases import case6, two_parameter_problem, two_parameter_theta0
 from cfqp.cli import CliError, _floats
-from cfqp.core import rowwise_matvec, solve_active_set
+from cfqp.core import factorize, rowwise_matvec, solve_active_set
 from cfqp import discovery
 from cfqp.discovery import (
     _EXTENT_CAP,
@@ -162,6 +162,52 @@ def region_grad_x(problem, B):
         x0 - solve_active_set(problem, B, ParameterPoint.from_stacked(problem, unit[j])).x
         for j in range(problem.d)
     ])
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the active-set KKT solve, as it was written before
+# core solved every active set from the base factorization: J_B assembled
+# and LU-factored whole.
+
+
+def assemble_active_jacobian(problem, B):
+    """J_B = [[2Q, -A_e^T, -A_B^T], [-A_e, 0, 0], [-A_B, 0, 0]].  The
+    empty active set gives the base Jacobian [[2Q, -A_e^T], [-A_e, 0]]."""
+    B.validate(problem)
+    n, m1 = problem.n, problem.m1
+    A_B = problem.A_C[B.as_index_array()]
+    size = n + m1 + len(B)
+    J = np.zeros((size, size))
+    J[:n, :n] = problem.two_Q
+    J[:n, n:n + m1] = -problem.A_e.T
+    J[:n, n + m1:] = -A_B.T
+    J[n:n + m1, :n] = -problem.A_e
+    J[n + m1:, :n] = -A_B
+    return J
+
+
+def reference_solve_active_set(problem, B, theta):
+    """(x, lambda, mu) of active set B at theta from one J_B solve, mu
+    zero outside B; a singular J_B raises SingularJacobian."""
+    idx = B.as_index_array()
+    sol = factorize(assemble_active_jacobian(problem, B)).solve(np.concatenate([
+        -problem.C - theta.theta_c, -problem.b_e - theta.theta_e,
+        -problem.b_C[idx] - theta.theta_C[idx]]))
+    n, m1 = problem.n, problem.m1
+    mu = np.zeros(problem.m2)
+    mu[idx] = sol[n + m1:]
+    return sol[:n], sol[n:n + m1], mu
+
+
+def reference_region_slopes(problem, B):
+    """The (m2, d) grad_mu block of B: the multiplier rows of J_B's
+    inverse, scattered into the columns of the stacked input."""
+    n, m1 = problem.n, problem.m1
+    grad_mu = np.zeros((problem.m2, problem.d))
+    idx = B.as_index_array()
+    cols = np.concatenate([np.arange(n + m1), n + m1 + idx]).astype(np.intp)
+    grad_mu[np.ix_(idx, cols)] = factorize(assemble_active_jacobian(problem, B)).inverse()[n + m1:]
+    return grad_mu
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,15 @@ class TestDiscoverCommand:
         ]) == EXIT_CODES["usage"]
         assert "--scales" in capsys.readouterr().err
 
+    def test_subnormal_extent_skips_its_axis(self, problem_file, capsys):
+        """An extent whose per-step delta underflows to 0.0 is skipped like
+        a zero extent."""
+        assert main([
+            "discover", "--problem", problem_file, "--theta0", "100,100",
+            "--extent", "5e-324,1", "--steps", "2",
+        ]) == 0
+        assert "regions: 1" in capsys.readouterr().out
+
     def test_32_bit_two_parameter_run(self, problem_file, capsys):
         """Discovery runs at float64 at either precision, so the 32-bit
         run finds criterion 1's four regions."""

@@ -1,17 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cfqp.cases import bundled_case_json, bundled_problem_json, case6
+from cfqp.cli import main
 from cfqp.core import (
-    assemble_active_jacobian,
+    active_factors,
     factorize,
     lagrangian_gradients,
     objective_value,
     region_slopes,
     solve_active_set,
 )
+from cfqp.dcopf import build_dcopf, build_dcopf_with_lines
 from cfqp.errors import SingularActiveJacobian, SingularJacobian
-from cfqp.model import forward, init_model
-from cfqp.problem import ActiveSet, ParameterPoint
+from cfqp.model import deserialize, forward, init_model
+from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
+
+from conftest import (
+    assemble_active_jacobian,
+    box_qp,
+    reference_region_slopes,
+    reference_solve_active_set,
+)
 
 
 class TestJacobians:
@@ -151,3 +162,72 @@ class TestGradientsAndObjective:
         dx_base, _, _ = lagrangian_gradients(two_param, sol, base)
         dx_shift, _, _ = lagrangian_gradients(two_param, sol, theta)
         assert np.allclose(dx_shift - dx_base, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The base-factorization kernel against whole J_B solves.  The enumeration
+# oracle, the region slopes and the feasibility kernel all read
+# MpQpProblem.base_inverse and schur_complement, so an error common to them
+# would pass the oracle-equivalence criteria; these tests certify the kernel
+# against the assembled J_B instead.
+
+
+def relative_error(got, ref):
+    """max |got - ref| over max |ref|."""
+    return np.abs(got - ref).max(initial=0.0) / max(np.abs(ref).max(initial=0.0), 1e-300)
+
+
+def assert_matches_jacobian_reference(problem, B, theta):
+    """solve_active_set and region_slopes agree with the J_B solve and
+    inverse rows to 1e-9 relative, and active_factors raises
+    SingularActiveJacobian exactly where J_B fails the pivot test."""
+    try:
+        ref = reference_solve_active_set(problem, B, theta)
+    except SingularJacobian:
+        with pytest.raises(SingularActiveJacobian):
+            active_factors(problem, B)
+        return
+    sol = solve_active_set(problem, B, theta)  # raises if H_BB alone is singular
+    assert relative_error(np.concatenate([sol.x, sol.lam, sol.mu]), np.concatenate(ref)) <= 1e-9
+    slopes = region_slopes(problem, B)
+    assert relative_error(slopes, reference_region_slopes(problem, B)) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    q_vals=st.lists(st.floats(min_value=0.5, max_value=8.0), min_size=4, max_size=4),
+    c_vals=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=4, max_size=4),
+    bound=st.floats(min_value=0.5, max_value=10.0),
+    active=st.sets(st.integers(min_value=1, max_value=8), min_size=1, max_size=5),
+    stacked=st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=13, max_size=13),
+)
+def test_kernel_matches_jacobian_reference_box_qp(n, q_vals, c_vals, bound, active, stacked):
+    """Random box QPs and random active sets, singular ones included (both
+    bounds of one variable, or all n variables bound)."""
+    problem = box_qp(n, q_vals, c_vals, bound)
+    B = ActiveSet(i for i in active if i <= problem.m2)
+    theta = ParameterPoint.from_stacked(problem, np.asarray(stacked[:problem.d]))
+    assert_matches_jacobian_reference(problem, B, theta)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "{problem}", "--theta0", "100,100", "--steps", "200"],
+    ["--case", "{case}", "--steps", "40"],
+    ["--case", "{case}", "--lines", "--steps", "40", "--lenient"],
+], ids=["two_parameter", "case6", "case6_lines"])
+def test_kernel_matches_jacobian_reference_fixture_regions(tmp_path, argv):
+    """Every region of the benchmark fixtures' models, at its witness."""
+    files = {"problem": tmp_path / "problem.json", "case": tmp_path / "case6.json"}
+    files["problem"].write_text(bundled_problem_json())
+    files["case"].write_text(bundled_case_json())
+    out = tmp_path / "model.json"
+    assert main(["discover", *[a.format(**files) for a in argv], "--out", str(out)]) == 0
+    if "--problem" in argv:
+        problem = MpQpProblem.from_json(bundled_problem_json())
+    else:
+        problem = (build_dcopf_with_lines if "--lines" in argv else build_dcopf)(case6())[0]
+    model = deserialize(out.read_bytes(), problem)
+    assert model.k > 1
+    for region in model.regions:
+        assert_matches_jacobian_reference(problem, region.active_set, region.witness_theta)

@@ -6,13 +6,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cfqp.cli
 import cfqp.model
 from cfqp import discovery
 from cfqp.cases import bundled_case_json, bundled_problem_json
 from cfqp.discovery import (
+    Direction,
     DiscoveryLog,
     SearchPattern,
     axis_sweep_pattern,
@@ -110,6 +111,8 @@ def test_block_boundaries_mid_direction(two_param, theta0_2d, box_problem, monke
     steps=st.integers(min_value=2, max_value=60),
     strict=st.booleans(),
 )
+# a subnormal extent whose per-step delta underflows to 0.0
+@example(n=2, q_vals=[1.0] * 4, c_vals=[0.0] * 4, extents=[5e-324], steps=2, strict=False)
 def test_random_box_qps_match_reference_walk(n, q_vals, c_vals, extents, steps, strict):
     """Sweeps of sum(x) from 0, some past the feasible boundary
     |sum(x)| <= 6n."""
@@ -171,6 +174,26 @@ def test_forced_halving_matches_reference_walk(two_param, theta0_2d, monkeypatch
     halved = [r for r in records if r["event"] == "point" and r["depth"] > 0]
     assert halved and {r["index"] for r in halved} == {EXPANDING_POINT}
     assert records[-1]["regions"] == 4
+
+
+def test_refused_sweep_start_is_reached_by_halving(monkeypatch):
+    """A sweep start outside the root region, with a -0.0 theta_e entry,
+    refused once: it is reached by halving from theta0, and the region it
+    opens keeps the start itself, -0.0 included, as its witness."""
+    problem = box_qp(3, [1.0] * 3, [0.0] * 3, bound=6.0)
+    theta0 = ParameterPoint.zeros(problem)
+    # x1 = -10 without bounds, so constraint 4 (x1 >= -6) binds at the start
+    start = ParameterPoint(np.array([30.0, 0.0, 0.0]), np.array([-0.0]), np.zeros(problem.m2))
+    pattern = SearchPattern([
+        Direction(start=start, step=ParameterPoint.of_theta_e(problem, [0.5]), max_steps=4)])
+    records = refused_walks(monkeypatch, lambda: Refuse(at(start), times=1),
+                            problem, theta0, pattern)
+    halved = [r for r in records if r["event"] == "point" and r["depth"] > 0]
+    assert halved and {r["index"] for r in halved} == {0}
+    monkeypatch.setattr(discovery, "identify_transition", Refuse(at(start), times=1))
+    model = discover(problem, theta0, pattern)
+    assert [list(r.active_set) for r in model.regions] == [[], [4]]
+    assert np.signbit(model.regions[1].witness_theta.theta_e[0])
 
 
 def test_abandoned_point_resets_the_sweep_anchor(two_param, theta0_2d, monkeypatch):
