@@ -484,7 +484,7 @@ def cmd_gen_data(args) -> int:
         )
         counts = dcopf.survival_counts(points)
         for scale, count in counts.items():
-            print(f"scale {scale:g}: {count} of {args.count} feasible")
+            print(f"scale {scale:g}: {count} of {args.count} feasible", file=sys.stderr)
     out = open(args.out, "w") if args.out else sys.stdout
     if args.format == "jsonl":
         for p in points:
@@ -507,7 +507,7 @@ def cmd_gen_data(args) -> int:
             )
     if args.out:
         out.close()
-        print(f"{len(points)} points written to {args.out}")
+        print(f"{len(points)} points written to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -13,11 +13,10 @@ are built here; a model rounds them to its own precision.
 
 from __future__ import annotations
 
-import warnings
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import SingularActiveJacobian, SingularJacobian
 from .problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
@@ -25,6 +24,7 @@ from .problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 __all__ = [
     "JacobianFactors",
     "factorize",
+    "nonsingular",
     "active_factors",
     "solve_active_set",
     "region_slopes",
@@ -39,9 +39,18 @@ __all__ = [
 _PIVOT_RTOL = 1e-12
 
 
+def _fails_pivot_test(matrices: np.ndarray, lus: np.ndarray) -> np.ndarray:
+    """The pivot test over the last two axes of matrices and their getrf
+    factors: min |u_ii| < _PIVOT_RTOL max |a_ij|, or an all-zero matrix."""
+    scale = np.abs(matrices).max((-2, -1))
+    pivots = np.abs(np.diagonal(lus, axis1=-2, axis2=-1)).min(-1)
+    return (scale == 0.0) | (pivots < _PIVOT_RTOL * scale)
+
+
 class JacobianFactors:
-    """Partial-pivoted LU factors of a square matrix, with singularity
-    detection and an explicit inverse on request."""
+    """Partial-pivoted LU factors of a square matrix (LAPACK getrf, as
+    ``scipy.linalg.lu_factor``), with singularity detection and an
+    explicit inverse on request."""
 
     __slots__ = ("_lu", "_piv")
 
@@ -49,28 +58,29 @@ class JacobianFactors:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("factorize expects a square matrix")
-        with warnings.catch_warnings():
-            # Exactly-singular matrices are detected by the pivot check
-            # below; scipy's advisory warning is redundant here.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
-        scale = np.abs(matrix).max()
-        pivots = np.abs(np.diag(lu))
-        if scale == 0.0 or pivots.min() < _PIVOT_RTOL * scale:
+        # info > 0 marks an exactly zero pivot, which the pivot test refuses
+        self._lu, self._piv, _ = dgetrf(matrix)
+        if _fails_pivot_test(matrix, self._lu):
             raise SingularJacobian(
-                f"matrix is numerically singular (min pivot {pivots.min() if scale else 0.0:g}, "
-                f"scale {scale:g})"
+                f"matrix is numerically singular (min pivot "
+                f"{np.abs(np.diag(self._lu)).min():g}, scale {np.abs(matrix).max():g})"
             )
-        self._lu = lu
-        self._piv = piv
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=np.float64)
-        return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
+        return dgetrs(self._lu, self._piv, np.asarray(rhs, dtype=np.float64))[0]
 
     def inverse(self) -> np.ndarray:
         """Explicit inverse (the matrices here are small)."""
         return self.solve(np.eye(self._lu.shape[0]))
+
+
+def nonsingular(matrices: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (c, k, k) stack passes
+    :class:`JacobianFactors`' pivot test, from one getrf per matrix."""
+    lus = np.empty_like(matrices)
+    for lu, matrix in zip(lus, matrices):
+        lu[...] = dgetrf(matrix)[0]
+    return ~_fails_pivot_test(matrices, lus)
 
 
 def factorize(J: np.ndarray) -> JacobianFactors:

@@ -6,14 +6,13 @@ validation and inside the discovery loop.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .core import active_factors, gradient_rows, lagrangian_gradients, solve_active_set
-from .errors import EnumerationLimit, Infeasible, ProblemFormatError, SingularActiveJacobian
+from .core import gradient_rows, lagrangian_gradients, nonsingular, solve_active_set
+from .errors import EnumerationLimit, Infeasible, ProblemFormatError
 from .problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
 __all__ = [
@@ -34,6 +33,10 @@ MAX_ENUM_M2 = 24
 #: violation (64-bit).  Chosen strictly tighter than every downstream
 #: acceptance threshold this oracle certifies.
 ORACLE_TOL = 1e-8
+
+#: Candidate active sets whose H_BB the walk gathers and pivot-tests at
+#: once; bounds the transient memory of one cardinality level.
+_WALK_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -141,43 +144,46 @@ class OracleResult:
         return iter((self.solution, self.active_set))
 
 
-def _check_enumerable(problem: MpQpProblem, theta: ParameterPoint) -> None:
-    """Both oracles' guards: theta must fit the problem and be finite (a
-    NaN fails no comparison, so it would pass every acceptance test), and
-    m2 must not exceed the enumeration's ``MAX_ENUM_M2``."""
+def _check_theta(problem: MpQpProblem, theta: ParameterPoint) -> None:
+    """Both oracles' guard: theta must fit the problem and be finite (a
+    NaN fails no comparison, so it would pass every acceptance test)."""
     theta.check_dims(problem)
     if not np.isfinite(theta.stacked()).all():
         raise ProblemFormatError("theta has non-finite entries")
+
+
+def _nonsingular_sets(problem: MpQpProblem) -> tuple:
+    """Every active set whose J_B (so H_BB) is nonsingular, as 1-based
+    index tuples, by cardinality and then lexicographically; cached as
+    ``MpQpProblem.nonsingular_sets``.
+
+    The walk is pruned by rank: J_B is singular whenever |B| > n - m1,
+    and so is J_B of any superset of a set whose J_B is singular.  A set
+    contains a known singular set exactly when one of its subsets one
+    smaller is not listed, so a level's candidates are the previous
+    level's sets extended by a larger index, kept when each such subset's
+    bitmask is listed; a level with no nonsingular set leaves none.  Their
+    H_BB are gathered and pivot-tested ``_WALK_CHUNK`` at a time
+    (``core.nonsingular``).  m2 must not exceed ``MAX_ENUM_M2``."""
     if problem.m2 > MAX_ENUM_M2:
         raise EnumerationLimit(
             f"active-set enumeration is limited to m2 <= {MAX_ENUM_M2}, got {problem.m2}"
         )
-
-
-def _nonsingular_sets(problem: MpQpProblem, visit):
-    """Yield (B, visit(B)) for every active set B whose J_B (so H_BB) is
-    nonsingular, by cardinality and then lexicographically; ``visit``
-    raises SingularActiveJacobian for a singular one.  The walk is pruned
-    by rank: J_B is singular whenever |B| > n - m1, and so is J_B of any
-    superset of a set whose J_B is singular."""
-    n, m1, m2 = problem.n, problem.m1, problem.m2
-    singular: list[frozenset] = []
-    for k in range(max(0, min(n - m1, m2)) + 1):
-        kept = False
-        for combo in itertools.combinations(range(1, m2 + 1), k):
-            cset = frozenset(combo)
-            if any(s <= cset for s in singular):
-                continue
-            B = ActiveSet(combo)
-            try:
-                value = visit(B)
-            except SingularActiveJacobian:
-                singular.append(cset)
-                continue
-            kept = True
-            yield B, value
-        if not kept:  # every larger set contains a singular one
-            return
+    H = problem.schur_complement
+    found = [()]
+    level, masks = np.zeros((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for _ in range(min(problem.n - problem.m1, problem.m2)):
+        # row-major, so each set's extensions follow in lexicographic order
+        rows, last = np.nonzero(np.arange(problem.m2) > level.max(1, initial=-1)[:, None])
+        B = np.column_stack([level[rows], last])
+        bits = 1 << B
+        B = B[np.isin(bits.sum(1, keepdims=True) - bits, masks).all(1)]
+        level = np.concatenate([
+            chunk[nonsingular(H[chunk[:, :, None], chunk[:, None, :]])]
+            for chunk in np.split(B, range(_WALK_CHUNK, len(B), _WALK_CHUNK))])
+        masks = (1 << level).sum(1)
+        found += map(tuple, (level + 1).tolist())
+    return tuple(found)
 
 
 def _accepted(problem: MpQpProblem, theta: ParameterPoint):
@@ -185,14 +191,16 @@ def _accepted(problem: MpQpProblem, theta: ParameterPoint):
     (key, solution, active_set, weakly_active) with key
     (KktReport scalar, cardinality, indices).
 
-    Every set of :func:`_nonsingular_sets` is solved at theta.
+    Every set of ``MpQpProblem.nonsingular_sets`` is solved at theta.
     Acceptance requires mu_B >= -ORACLE_TOL and all inequality
     residuals <= ORACLE_TOL (both scaled by the data magnitude).  A
     weakly active set has a binding constraint with mu ~ 0.
     """
-    _check_enumerable(problem, theta)
+    _check_theta(problem, theta)
     primal_tol = ORACLE_TOL * float(np.abs(problem.b_C + theta.theta_C).max(initial=1.0))
-    for B, sol in _nonsingular_sets(problem, lambda B: solve_active_set(problem, B, theta)):
+    for indices in problem.nonsingular_sets:
+        B = ActiveSet(indices)
+        sol = solve_active_set(problem, B, theta)
         k = len(B)
         mu_B = sol.mu[B.as_index_array()]
         dual_scale = float(np.abs(mu_B).max(initial=1.0))
@@ -233,9 +241,7 @@ class FeasibilityKernel:
     mu_B = -H_BB^{-1} s_B, as ``core.solve_active_set`` computes them, and
     its inequality residuals b_C + theta_C - A_C x are
     -s + H[:, B] H_BB^{-1} s_B.  Only s depends on theta.  The sets are
-    those :func:`_accepted` solves, from the same walk,
-    :func:`_nonsingular_sets`, with H_BB's pivot test
-    (``core.active_factors``) alone in place of the solve.
+    those :func:`_accepted` solves, ``MpQpProblem.nonsingular_sets``.
 
     The sets are padded to the largest cardinality k_max so that one
     product serves them all.  Row i of the (S, k_max) index array holds
@@ -252,9 +258,7 @@ class FeasibilityKernel:
 
     def __init__(self, problem: MpQpProblem):
         H = problem.schur_complement
-        # H_BB's pivot test alone; the empty set has no H_BB
-        sets = [B.indices for B, _ in _nonsingular_sets(
-            problem, lambda B: B and active_factors(problem, B))]
+        sets = problem.nonsingular_sets
         k_max = len(sets[-1])  # the walk goes by cardinality, the empty set first
         self._index = np.zeros((len(sets), k_max), dtype=np.intp)
         self._stack = np.zeros((len(sets), k_max + 1 + problem.m2, k_max))
@@ -357,5 +361,5 @@ def is_feasible(problem: MpQpProblem, theta: ParameterPoint) -> bool:
     """True iff some active set is accepted at this theta, i.e. iff
     :func:`brute_force_solve` succeeds, decided by the problem's
     :class:`FeasibilityKernel` without solving any active set."""
-    _check_enumerable(problem, theta)
+    _check_theta(problem, theta)
     return problem.feasibility_kernel.feasible(problem, theta)

@@ -207,6 +207,15 @@ class MpQpProblem:
         return _freeze(self.A_C @ self.base_inverse[:n, :n] @ self.A_C.T)
 
     @cached_property
+    def nonsingular_sets(self) -> tuple:
+        """The active sets whose KKT system is nonsingular, as 1-based
+        index tuples by cardinality and then lexicographically: the sets
+        both oracles enumerate, walked once (``cfqp.oracle``).  Tuples of
+        ints only, so caching them here makes no reference cycle."""
+        from .oracle import _nonsingular_sets  # the oracle builds on this module
+        return _nonsingular_sets(self)
+
+    @cached_property
     def feasibility_kernel(self):
         """The oracle's :class:`~cfqp.oracle.FeasibilityKernel` of this
         problem, built on first use.  It holds arrays only, so caching it

@@ -2,6 +2,7 @@
 discovered models the test suite reuses."""
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from cfqp import dcopf
 from cfqp.cases import case6, two_parameter_problem, two_parameter_theta0
 from cfqp.cli import CliError, _floats
-from cfqp.core import factorize, rowwise_matvec, solve_active_set
+from cfqp.core import active_factors, factorize, rowwise_matvec, solve_active_set
 from cfqp import discovery
 from cfqp.discovery import (
     _EXTENT_CAP,
@@ -162,6 +163,37 @@ def region_grad_x(problem, B):
         x0 - solve_active_set(problem, B, ParameterPoint.from_stacked(problem, unit[j])).x
         for j in range(problem.d)
     ])
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of the oracle's rank-pruned active-set walk, as it was written
+# before the walk pivot-tested a whole cardinality level at once: set by set,
+# through core.active_factors.
+
+
+def reference_nonsingular_sets(problem):
+    """Yield the 1-based index tuple of every active set whose H_BB passes
+    the pivot test, by cardinality and then lexicographically, pruned by
+    rank: no set larger than n - m1, and no superset of a singular set.
+    A level with no nonsingular set ends the walk."""
+    n, m1, m2 = problem.n, problem.m1, problem.m2
+    singular = []
+    for k in range(max(0, min(n - m1, m2)) + 1):
+        kept = False
+        for combo in itertools.combinations(range(1, m2 + 1), k):
+            cset = frozenset(combo)
+            if any(s <= cset for s in singular):
+                continue
+            if combo:
+                try:
+                    active_factors(problem, ActiveSet(combo))
+                except SingularActiveJacobian:
+                    singular.append(cset)
+                    continue
+            kept = True
+            yield combo
+        if not kept:  # every larger set contains a singular one
+            return
 
 
 # ---------------------------------------------------------------------------

@@ -509,11 +509,29 @@ class TestGenDataAndKktReport:
             "gen-data", "scaled", "--case", case_file, "--count", "20",
             "--seed", "7", "--scales", "1,1.5,2", "--out", str(data),
         ]) == 0
-        out = capsys.readouterr().out
-        assert "scale 1:" in out and "scale 2:" in out
+        err = capsys.readouterr().err
+        assert "scale 1:" in err and "scale 2:" in err
         records = [json.loads(l) for l in data.read_text().splitlines()]
         assert len(records) == 60
         assert {r["scale"] for r in records} == {1.0, 1.5, 2.0}
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_stdout_is_the_dataset(self, case_file, tmp_path, capsys, fmt):
+        """Without --out, gen-data's stdout holds the dataset alone (the
+        survival counts go to stderr), so it can be piped into kkt-report."""
+        model = tmp_path / "model6.json"
+        assert main(["discover", "--case", case_file, "--steps", "30",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["gen-data", "scaled", "--case", case_file, "--count", "2",
+                     "--scales", "1,2", "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert "scale 1: " in err and "scale 2: " in err and "feasible\n" not in out
+        data = tmp_path / f"piped.{fmt}"
+        data.write_text(out)
+        assert main(["kkt-report", "--case", case_file, "--model", str(model),
+                     "--dataset", str(data)]) == 0
+        assert "feasible rows: " in capsys.readouterr().out
 
     @pytest.mark.parametrize("scales", ["nan,1", "inf"])
     def test_non_finite_scales_is_usage_error(self, case_file, tmp_path, capsys, scales):

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cfqp.cases import bundled_case_json, bundled_problem_json, case6
 from cfqp.cli import main
 from cfqp.core import (
+    JacobianFactors,
     active_factors,
     factorize,
     lagrangian_gradients,
@@ -66,6 +70,59 @@ class TestJacobians:
                 ActiveSet([2, 3, 4]),
                 ParameterPoint.of_theta_e(two_param, [100.0, 100.0]),
             )
+
+
+def _upper_with_pivots(pivots, seed):
+    """A row-permuted upper-triangular matrix whose partial-pivoted LU has
+    exactly these pivots (a column holds one nonzero below the rows
+    already eliminated), with entries in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    U = np.triu(rng.uniform(-1.0, 1.0, (len(pivots), len(pivots))), 1) + np.diag(pivots)
+    return U[rng.permutation(len(pivots))]
+
+
+class TestJacobianFactorsMatchesScipy:
+    """JacobianFactors calls LAPACK getrf/getrs itself; its factors, solves
+    and inverse are scipy.linalg.lu_factor/lu_solve's bit for bit, and its
+    pivot test refuses exactly the matrices whose min pivot is below
+    1e-12 times their largest entry."""
+
+    @staticmethod
+    def assert_same_bits(A):
+        f = JacobianFactors(A)
+        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+        assert f._lu.tobytes() == lu.tobytes() and np.array_equal(f._piv, piv)
+        rng = np.random.default_rng(len(A))
+        for rhs in (rng.standard_normal(len(A)), rng.standard_normal((len(A), 3))):
+            got, ref = f.solve(rhs), scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        ref = scipy.linalg.lu_solve((lu, piv), np.eye(len(A)), check_finite=False)
+        assert f.inverse().tobytes() == ref.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(min_value=1, max_value=9), seed=st.integers(0, 2**32 - 1))
+    def test_random_matrices(self, size, seed):
+        self.assert_same_bits(np.random.default_rng(seed).standard_normal((size, size)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pivot_threshold(self, seed):
+        passing = _upper_with_pivots([1.0, 0.5, 2e-12, -0.25], seed)
+        failing = _upper_with_pivots([1.0, 0.5, 0.5e-12, -0.25], seed)
+        for A, ratio in ((passing, 2.0), (failing, 0.5)):
+            lu, _ = scipy.linalg.lu_factor(A, check_finite=False)
+            assert np.abs(np.diag(lu)).min() == ratio * 1e-12 * np.abs(A).max()
+        self.assert_same_bits(passing)
+        with pytest.raises(SingularJacobian):
+            JacobianFactors(failing)
+
+    def test_exactly_singular_raises_without_warning(self):
+        A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 1.0, 3.0]])
+        with pytest.warns(scipy.linalg.LinAlgWarning):
+            scipy.linalg.lu_factor(A, check_finite=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularJacobian):
+                JacobianFactors(A)
 
 
 class TestSolveActiveSet:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cfqp.discovery
+import cfqp.oracle
 from cfqp.cases import bundled_case_json, bundled_problem_json, two_parameter_problem
 from cfqp.cli import main
 from cfqp.errors import Infeasible, ProblemFormatError
@@ -21,7 +22,12 @@ from cfqp.oracle import (
 )
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
-from conftest import local_samples_6bus, on_sweep_samples_2d, reference_feasible_extent
+from conftest import (
+    local_samples_6bus,
+    on_sweep_samples_2d,
+    reference_feasible_extent,
+    reference_nonsingular_sets,
+)
 
 
 class TestBruteForceFrozenValues:
@@ -140,7 +146,7 @@ class TestOracleSanity:
             b_C=np.full(n, -10.0),
         )
         assert problem.m2 > MAX_ENUM_M2
-        for oracle in (brute_force_solve, is_feasible):
+        for oracle in (brute_force_solve, is_feasible, lambda p, _: p.nonsingular_sets):
             with pytest.raises(
                 ValueError, match=f"^active-set enumeration is limited to m2 <= {MAX_ENUM_M2}, "
             ):
@@ -232,20 +238,61 @@ class TestFeasibilityKernel:
             brute_force_solve(problem, theta)
 
     def test_cached_kernel_leaves_no_cycle(self):
-        """The kernel is cached on the problem and holds arrays only, so
-        a problem that went through is_feasible is freed by its reference
-        count alone once dropped."""
+        """The kernel and the walk's set list are cached on the problem
+        and hold arrays and tuples only, so a problem that went through
+        is_feasible and brute_force_solve is freed by its reference count
+        alone once dropped."""
         problem = two_parameter_problem()
         gc.collect()
         gc.disable()
         try:
-            assert is_feasible(problem, ParameterPoint.of_theta_e(problem, [100.0, 100.0]))
+            theta = ParameterPoint.of_theta_e(problem, [100.0, 100.0])
+            assert is_feasible(problem, theta)
+            brute_force_solve(problem, theta)
             assert "feasibility_kernel" in vars(problem)
+            assert "nonsingular_sets" in vars(problem)
             ref = weakref.ref(problem)
             del problem
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestNonsingularSets:
+    """The rank-pruned walk, run a cardinality level at a time and cached
+    on the problem, against the set-by-set reference walk."""
+
+    def test_fixtures_match_reference_walk(self, two_param, box_problem, line_problem):
+        for problem in (two_param, box_problem[0], line_problem[0]):
+            assert problem.nonsingular_sets == tuple(reference_nonsingular_sets(problem))
+
+    def test_one_walk_per_problem(self, box_problem):
+        """is_feasible builds the list; two brute_force_solve calls then
+        read it and pivot-test no level again."""
+        problem = MpQpProblem.from_dict(box_problem[0].to_dict())
+        theta = ParameterPoint.zeros(problem)
+        with mock.patch.object(cfqp.oracle, "nonsingular", wraps=cfqp.oracle.nonsingular) as test:
+            assert is_feasible(problem, theta)
+            passes = test.call_count
+            assert passes >= 1
+            brute_force_solve(problem, theta)
+            brute_force_solve(problem, theta.scale(0.5))
+            assert test.call_count == passes
+
+    def test_brute_force_leaves_kernel_unbuilt(self, two_param):
+        problem = MpQpProblem.from_dict(two_param.to_dict())
+        brute_force_solve(problem, ParameterPoint.of_theta_e(problem, [100.0, 100.0]))
+        assert "nonsingular_sets" in vars(problem)
+        assert "feasibility_kernel" not in vars(problem)
+
+    def test_solves_every_listed_set(self, two_param):
+        """brute_force_solve still solves each listed set at theta through
+        the oracle's solve_active_set, in the list's order."""
+        theta = ParameterPoint.of_theta_e(two_param, [100.0, 100.0])
+        with mock.patch.object(
+                cfqp.oracle, "solve_active_set", wraps=cfqp.oracle.solve_active_set) as solve:
+            brute_force_solve(two_param, theta)
+        assert [c.args[1].indices for c in solve.call_args_list] == list(two_param.nonsingular_sets)
 
 
 class TestKktReport:

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import cfqp.cli
 import cfqp.model
+import cfqp.oracle
 from cfqp.cli import CliError, _read_dataset
 from cfqp.core import gradient_rows, lagrangian_gradients, solve_active_set
 from cfqp.discovery import feasible_extent, identify_transition
@@ -24,7 +25,7 @@ from cfqp.model import (
     region_residuals,
 )
 from cfqp.oracle import _accepted, brute_force_solve, is_feasible, kkt_batch, kkt_report
-from cfqp.problem import ActiveSet, ParameterPoint
+from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
 
 from conftest import (
     box_pattern,
@@ -32,6 +33,7 @@ from conftest import (
     reference_feasible_extent,
     reference_identify_transition,
     reference_locate_region,
+    reference_nonsingular_sets,
     reference_read_dataset,
     region_grad_x,
 )
@@ -259,6 +261,34 @@ def test_feasibility_kernel_matches_enumeration_box_qp(n, q_vals, c_vals, theta)
     problem = box_qp(n, q_vals, c_vals, bound=6.0)
     point = ParameterPoint.from_stacked(problem, theta[:problem.d])
     assert is_feasible(problem, point) == (next(_accepted(problem, point), None) is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    q_vals=st.lists(st.floats(min_value=0.5, max_value=8.0), min_size=5, max_size=5),
+    extra=st.lists(st.tuples(st.sampled_from(["copy", "opposite", "zero", "random"]),
+                             st.integers(min_value=0, max_value=99),
+                             st.lists(finite, min_size=5, max_size=5)), max_size=6),
+    chunk=st.integers(min_value=1, max_value=8),
+)
+# nine rows: every level has more candidates than a chunk of 3
+@example(n=4, q_vals=[1.0] * 5, extra=[("random", 0, [1.0, 2.0, -1.0, 3.0, 0.0])], chunk=3)
+def test_nonsingular_sets_match_reference_walk(n, q_vals, extra, chunk):
+    """The cached, level-batched walk lists the reference walk's sets in
+    its order.  A box's bounds on one x_i are opposite rows, and the extra
+    rows add copies, more opposites, all-zero rows (an H_BB of scale 0)
+    and generic rows; a gather chunk of 1 to 8 splits most levels."""
+    box = box_qp(n, q_vals, [0.0] * n, bound=6.0)
+    rows = list(box.A_C)
+    for kind, i, values in extra:
+        row = rows[i % len(rows)]
+        rows.append({"copy": row, "opposite": -row, "zero": 0.0 * row,
+                     "random": np.asarray(values[:n])}[kind])
+    problem = MpQpProblem(Q=box.Q, C=box.C, C0=0.0, A_e=box.A_e, b_e=box.b_e,
+                          A_C=np.array(rows), b_C=np.full(len(rows), -6.0))
+    with mock.patch.object(cfqp.oracle, "_WALK_CHUNK", chunk):
+        assert problem.nonsingular_sets == tuple(reference_nonsingular_sets(problem))
 
 
 @settings(max_examples=100, deadline=None)
