@@ -20,7 +20,7 @@ import numpy as np
 from cfqp import dcopf
 from cfqp.cases import case6
 from cfqp.discovery import Direction, SearchPattern, axis_sweep_pattern, discover, scaled_base_pattern
-from cfqp.model import cast, forward_array, locate_region
+from cfqp.model import cast, forward_array, locate_array
 from cfqp.oracle import kkt_batch
 from cfqp.problem import ParameterPoint
 
@@ -71,10 +71,9 @@ def run_scaled(seed):
     )
     print(f"discovered {model.k} regions in {time.perf_counter() - start:.2f} s")
 
-    feasible = [p.theta for p in points if p.feasible]
-    located = [t for t in feasible if locate_region(model, t) is not None]
-    undiscovered = len(feasible) - len(located)
-    Theta = np.array([t.stacked() for t in located]).reshape(-1, problem.d)
+    feasible = np.array([p.theta.stacked() for p in points if p.feasible]).reshape(-1, problem.d)
+    Theta = feasible[locate_array(model, feasible) >= 0]
+    undiscovered = len(feasible) - len(Theta)
     scalars = np.hstack(kkt_vectors(model, Theta)).mean(axis=1)  # per-row KKT scalar
     print(f"{len(scalars)} feasible points inside discovered regions, "
           f"mean kkt {np.mean(scalars):.2e}, worst {np.max(scalars):.2e}")

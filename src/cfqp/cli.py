@@ -25,16 +25,17 @@ from typing import Iterator, List, Optional, TextIO, Tuple
 import numpy as np
 
 from . import dcopf, errors
-from .discovery import (
+# feasible_extent, batch_forward, forward and kkt_report are not called
+# here but stay bound: benchmark/tracing.py wraps these module attributes.
+from .discovery import (  # noqa: F401
     DiscoveryLog,
     SearchPattern,
     axis_sweep_pattern,
     discover,
     feasible_extent,
+    feasible_extents,
     scaled_base_pattern,
 )
-# batch_forward, forward and kkt_report are not called here but stay
-# bound: benchmark/tracing.py wraps these module attributes.
 from .model import (  # noqa: F401
     batch_forward,
     deserialize,
@@ -46,7 +47,7 @@ from .model import (  # noqa: F401
 from .oracle import (  # noqa: F401
     MAX_ENUM_M2,
     brute_force_solve,
-    is_feasible,
+    feasible_array,
     kkt_batch,
     kkt_means,
     kkt_report,
@@ -128,8 +129,8 @@ def _parse_theta_e(problem: MpQpProblem, text: str, flag: str) -> np.ndarray:
 
 def _parse_scales(text: str) -> List[float]:
     scales = _parse_vector(text, "--scales").tolist()
-    if not scales or sorted(scales) != scales:
-        raise CliError(f"--scales {text!r} must be a nonempty ascending list")
+    if not scales or sorted(set(scales)) != scales:
+        raise CliError(f"--scales {text!r} must be a nonempty strictly ascending list")
     return scales
 
 
@@ -353,14 +354,10 @@ def cmd_discover(args) -> int:
             # Default: sweep each theta_e axis both ways, out to the
             # bisected feasible boundary.
             start = time.perf_counter()
-            up = np.zeros(problem.m1)
-            down = np.zeros(problem.m1)
-            for i in range(problem.m1):
-                unit = np.zeros(problem.m1)
-                unit[i] = 1.0
-                direction = ParameterPoint.of_theta_e(problem, unit)
-                up[i] = feasible_extent(problem, theta0, direction)
-                down[i] = -feasible_extent(problem, theta0, direction.scale(-1.0))
+            units = [ParameterPoint.of_theta_e(problem, unit) for unit in np.eye(problem.m1)]
+            extents = np.array(feasible_extents(
+                problem, theta0, units + [unit.scale(-1.0) for unit in units]))
+            up, down = extents[:problem.m1], -extents[problem.m1:]
             extent_s = time.perf_counter() - start
             pattern = SearchPattern(
                 axis_sweep_pattern(theta0, up, args.steps).directions
@@ -524,8 +521,8 @@ def cmd_bench(args) -> int:
     thetas[:, n:n + m1] += rng.uniform(-1.0, 1.0, (args.count, m1)) * args.jitter
     with_oracle = problem.m2 <= MAX_ENUM_M2
     if with_oracle:
+        infeasible = int(np.count_nonzero(~feasible_array(problem, thetas)))
         points = [ParameterPoint.from_stacked(problem, row) for row in thetas]
-        infeasible = sum(not is_feasible(problem, theta) for theta in points)
         if infeasible:
             raise CliError(
                 f"--jitter {args.jitter:g} puts {infeasible} of {args.count} points "

@@ -12,7 +12,9 @@ Reduces a power-system case to an mp-QP:
 
 All quantities stay in MW; ``base_mva`` is carried for unit conversion
 only.  Dataset sampling uses a counter-based RNG (Philox keyed by seed,
-counter = point index) so generation order never affects the draws.
+counter = point index) so generation order never affects the draws; a
+dataset draws all its thetas first and labels them in one
+``feasible_array`` call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DisconnectedNetwork, MissingSlack, ProblemFormatError
-from .oracle import is_feasible
+# is_feasible is not called here but stays bound: benchmark/tracing.py
+# wraps this module attribute.
+from .oracle import feasible_array, is_feasible  # noqa: F401
 from .problem import MpQpProblem, ParameterPoint
 
 __all__ = [
@@ -336,9 +340,23 @@ def inject_renewable(
     return ParameterPoint.of_theta_e(problem, theta_e_base + P_ren)
 
 
-def _point_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-point RNG: generation order never matters."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
+def _point_rngs(seed: int):
+    """Counter-based per-point RNG: ``rng(i)`` draws what
+    ``Generator(Philox(key=seed, counter=[0, 0, 0, i]))`` draws, so
+    generation order never matters.  One Philox and one Generator serve
+    every point: each call restores a new Philox's state (an empty
+    buffer: buffer_pos 4, has_uint32 0, uinteger 0) with the counter
+    [0, 0, 0, i]."""
+    bits = np.random.Philox(key=seed)
+    rng = np.random.Generator(bits)
+    state = bits.state
+
+    def at(index: int) -> np.random.Generator:
+        state["state"]["counter"] = np.array([0, 0, 0, index], dtype=np.uint64)
+        bits.state = state
+        return rng
+
+    return at
 
 
 #: Renewable output per bus: exponential with this rate, capped.
@@ -348,11 +366,11 @@ _RENEWABLE_CAP = 1.5
 
 def renewable_samples(count: int, buses: int, seed: int) -> np.ndarray:
     """Per-bus renewable outputs: exponential(rate 1.25) capped at 1.5."""
+    rng = _point_rngs(seed)
     out = np.empty((count, buses))
     for i in range(count):
-        rng = _point_rng(seed, i)
         out[i] = np.minimum(
-            rng.exponential(scale=1.0 / _RENEWABLE_RATE, size=buses), _RENEWABLE_CAP
+            rng(i).exponential(scale=1.0 / _RENEWABLE_RATE, size=buses), _RENEWABLE_CAP
         )
     return out
 
@@ -363,6 +381,21 @@ class DatasetPoint:
     feasible: bool
     scale: Optional[float] = None
     ratios: Optional[tuple] = None
+
+
+def _labelled(
+    problem: MpQpProblem, theta_e: np.ndarray, ratios=None, scales=None
+) -> List[DatasetPoint]:
+    """A DatasetPoint per row of an (N, m1) theta_e array, all labelled
+    by one :func:`feasible_array` call, with its row of demand ratios
+    and its scale when those are given."""
+    Theta = np.pad(theta_e, [(0, 0), (problem.n, problem.m2)])
+    return [
+        DatasetPoint(ParameterPoint.of_theta_e(problem, theta_e[i]), feasible,
+                     scale=None if scales is None else scales[i],
+                     ratios=None if ratios is None else tuple(ratios[i]))
+        for i, feasible in enumerate(feasible_array(problem, Theta).tolist())
+    ]
 
 
 def local_perturbation_dataset(
@@ -377,19 +410,9 @@ def local_perturbation_dataset(
     if count < 1:
         raise ValueError("count must be >= 1")
     P_d = case.demand_vector()
-    out = []
-    for i in range(count):
-        rng = _point_rng(seed, i)
-        r = rng.uniform(0.6, 1.4, size=P_d.shape)
-        theta = ParameterPoint.of_theta_e(problem, (1.0 - r) * P_d)
-        out.append(
-            DatasetPoint(
-                theta=theta,
-                feasible=is_feasible(problem, theta),
-                ratios=tuple(r.tolist()),
-            )
-        )
-    return out
+    rng = _point_rngs(seed)
+    r = np.array([rng(i).uniform(0.6, 1.4, size=P_d.shape) for i in range(count)])
+    return _labelled(problem, (1.0 - r) * P_d, ratios=r.tolist())
 
 
 #: Load at every bus but the swept one in the extreme dataset.
@@ -407,14 +430,10 @@ def extreme_dataset(
     _EXTREME_FLOOR (MW)."""
     P_d = case.demand_vector()
     total_cap = sum(g.pmax for g in case.generators)
-    out = []
-    for swept in range(len(P_d)):
-        for value in np.linspace(0.0, total_cap, steps):
-            target = np.full_like(P_d, _EXTREME_FLOOR)
-            target[swept] = value
-            theta = ParameterPoint.of_theta_e(problem, P_d - target)
-            out.append(DatasetPoint(theta=theta, feasible=is_feasible(problem, theta)))
-    return out
+    target = np.full((len(P_d), steps, len(P_d)), _EXTREME_FLOOR)
+    swept = np.arange(len(P_d))  # one block of steps per swept bus
+    target[swept, :, swept] = np.linspace(0.0, total_cap, steps)
+    return _labelled(problem, (P_d - target).reshape(-1, len(P_d)))
 
 
 def scaled_dataset(
@@ -428,24 +447,14 @@ def scaled_dataset(
     """Local perturbations around a scaled base load: effective demand
     is r * k * P_d with r ~ Uniform(0.6, 1.4) per bus, for each scale k."""
     scales = [float(s) for s in scales]
-    if sorted(scales) != scales:
-        raise ValueError("scales must be ascending")
+    if sorted(set(scales)) != scales:
+        raise ValueError("scales must be strictly ascending")
     P_d = case.demand_vector()
-    out = []
-    for s_idx, k in enumerate(scales):
-        for i in range(per_scale_count):
-            rng = _point_rng(seed, s_idx * per_scale_count + i)
-            r = rng.uniform(0.6, 1.4, size=P_d.shape)
-            theta = ParameterPoint.of_theta_e(problem, P_d - r * k * P_d)
-            out.append(
-                DatasetPoint(
-                    theta=theta,
-                    feasible=is_feasible(problem, theta),
-                    scale=k,
-                    ratios=tuple(r.tolist()),
-                )
-            )
-    return out
+    rng = _point_rngs(seed)
+    r = np.array([rng(i).uniform(0.6, 1.4, size=P_d.shape)
+                  for i in range(len(scales) * per_scale_count)]).reshape(-1, len(P_d))
+    k = np.repeat(scales, per_scale_count)
+    return _labelled(problem, P_d - r * k[:, None] * P_d, r.tolist(), k.tolist())
 
 
 def survival_counts(points: Sequence[DatasetPoint]) -> Dict[float, int]:

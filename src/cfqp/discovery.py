@@ -50,6 +50,7 @@ __all__ = [
     "axis_sweep_pattern",
     "scaled_base_pattern",
     "feasible_extent",
+    "feasible_extents",
 ]
 
 _MAX_HALVINGS = 20
@@ -200,8 +201,8 @@ def scaled_base_pattern(
     scales = [float(s) for s in scales]
     if not scales:
         raise ValueError("scales must be nonempty")
-    if sorted(scales) != scales:
-        raise ValueError("scales must be ascending")
+    if sorted(set(scales)) != scales:
+        raise ValueError("scales must be strictly ascending")
     directions = []
     for k in scales:
         anchor = base.scale(k) if origin is None else origin + base.scale(k)
@@ -209,46 +210,66 @@ def scaled_base_pattern(
     return SearchPattern(directions)
 
 
+def feasible_extents(
+    problem: MpQpProblem,
+    theta0: ParameterPoint,
+    directions: Sequence[ParameterPoint],
+) -> List[float]:
+    """For each direction, the largest step length t, up to _EXTENT_CAP,
+    such that theta0 + t * direction stays feasible, found by bracketing
+    and bisection against the oracle.
+
+    theta0 is checked once, and the kernel brackets every ray without a
+    theta_C part in one ``ray_extents`` pass; only a probe inside a ray's
+    band asks :func:`is_feasible`, the others are decided by comparison,
+    with the same answers.  Along a theta_C part the oracle's primal
+    tolerance moves, so such a ray asks at every probe."""
+    theta0.check_dims(problem)
+    for direction in directions:
+        direction.check_dims(problem)
+        if not np.isfinite(direction.stacked()).all():
+            raise ProblemFormatError("direction has non-finite entries")
+        if not direction.stacked().any():
+            raise ValueError("direction must be nonzero")
+    if not directions:
+        return []
+    if not is_feasible(problem, theta0):
+        raise InfeasibleStart("feasible_extent called from an infeasible point")
+    D = np.array([direction.stacked() for direction in directions])
+    bands = np.tile([-np.inf, np.inf], (len(D), 1))
+    bracketed = ~D[:, problem.n + problem.m1:].any(1)
+    bands[bracketed] = np.column_stack(
+        problem.feasibility_kernel.ray_extents(problem, theta0.stacked(), D[bracketed]))
+    extents = []
+    for direction, (t_in, t_out) in zip(directions, bands.tolist()):
+
+        def feasible(t):
+            if t_in < t <= t_out:
+                return is_feasible(problem, theta0 + direction.scale(t))
+            return t <= t_in
+
+        lo, hi = 0.0, 1.0
+        while hi < _EXTENT_CAP and feasible(hi):
+            lo, hi = hi, hi * 2.0
+        if hi >= _EXTENT_CAP and feasible(_EXTENT_CAP):
+            lo = hi = _EXTENT_CAP
+        while hi - lo > _EXTENT_RESOLUTION * max(1.0, abs(lo)):
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+        extents.append(lo)
+    return extents
+
+
 def feasible_extent(
     problem: MpQpProblem,
     theta0: ParameterPoint,
     direction: ParameterPoint,
 ) -> float:
-    """Largest step length t, up to _EXTENT_CAP, such that
-    theta0 + t * direction stays feasible, found by bracketing and
-    bisection against the oracle.  Only a probe inside the kernel's
-    ``ray_extent`` band asks :func:`is_feasible`; the others are decided
-    by comparison, with the same answers.  Along a theta_C part the
-    oracle's primal tolerance moves, so such a ray asks at every probe."""
-    theta0.check_dims(problem)
-    direction.check_dims(problem)
-    if not np.isfinite(direction.stacked()).all():
-        raise ProblemFormatError("direction has non-finite entries")
-    if not direction.stacked().any():
-        raise ValueError("direction must be nonzero")
-    if not is_feasible(problem, theta0):
-        raise InfeasibleStart("feasible_extent called from an infeasible point")
-    t_in, t_out = (-np.inf, np.inf) if direction.theta_C.any() else (
-        problem.feasibility_kernel.ray_extent(problem, theta0, direction))
-
-    def feasible(t):
-        if t_in < t <= t_out:
-            return is_feasible(problem, theta0 + direction.scale(t))
-        return t <= t_in
-
-    lo, hi = 0.0, 1.0
-    while hi < _EXTENT_CAP and feasible(hi):
-        lo, hi = hi, hi * 2.0
-    if hi >= _EXTENT_CAP:
-        if feasible(_EXTENT_CAP):
-            return _EXTENT_CAP
-    while hi - lo > _EXTENT_RESOLUTION * max(1.0, abs(lo)):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """The one-ray case of :func:`feasible_extents`."""
+    return feasible_extents(problem, theta0, [direction])[0]
 
 
 def discover(

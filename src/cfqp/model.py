@@ -264,17 +264,6 @@ def _forward_rows(model: ClosedFormModel, Theta: np.ndarray):
     return X, S[:, n:], Mu, objective
 
 
-def _theta_rows(model: ClosedFormModel, Theta: np.ndarray) -> np.ndarray:
-    """Theta as an (N, d) float64 array; any other shape is a
-    ProblemFormatError."""
-    Theta = np.asarray(Theta, dtype=np.float64)
-    if Theta.ndim != 2 or Theta.shape[1] != model.problem.d:
-        raise ProblemFormatError(
-            f"theta array must have shape (N, {model.problem.d}), got {Theta.shape}"
-        )
-    return Theta
-
-
 def forward_chunks(
     model: ClosedFormModel, Theta: np.ndarray
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -289,7 +278,7 @@ def forward_chunks(
     independent: each row's results are bitwise what :func:`forward`
     gives for that theta, whatever N and the other rows.
     """
-    Theta = _theta_rows(model, Theta)
+    Theta = model.problem.theta_rows(Theta)
     step = model.chunk_rows
     for lo in range(0, max(len(Theta), 1), step):
         rows = Theta[lo:lo + step]
@@ -438,7 +427,7 @@ def locate_array(model: ClosedFormModel, Theta: np.ndarray) -> np.ndarray:
     that violation is at most LOCATE_TOL; the first region wins a tie.
     Each row's answer is what :func:`locate_region` gives for its theta.
     """
-    Theta = _theta_rows(model, Theta)
+    Theta = model.problem.theta_rows(Theta)
     rows = np.empty(len(Theta), dtype=np.intp)
     has_active = model.active_mask.any(-1)
     step = model.locate_rows

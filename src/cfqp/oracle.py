@@ -24,6 +24,7 @@ __all__ = [
     "kkt_scalars",
     "brute_force_solve",
     "is_feasible",
+    "feasible_array",
 ]
 
 #: Hard guard on enumeration size.
@@ -37,6 +38,10 @@ ORACLE_TOL = 1e-8
 #: Candidate active sets whose H_BB the walk gathers and pivot-tests at
 #: once; bounds the transient memory of one cardinality level.
 _WALK_CHUNK = 512
+
+#: Elements the largest temporary of one :func:`feasible_array` chunk may
+#: hold (2 MiB at float64), as in ``cfqp.model``.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -144,12 +149,15 @@ class OracleResult:
         return iter((self.solution, self.active_set))
 
 
-def _check_theta(problem: MpQpProblem, theta: ParameterPoint) -> None:
-    """Both oracles' guard: theta must fit the problem and be finite (a
-    NaN fails no comparison, so it would pass every acceptance test)."""
-    theta.check_dims(problem)
-    if not np.isfinite(theta.stacked()).all():
+def _finite_rows(problem: MpQpProblem, Theta) -> np.ndarray:
+    """Both oracles' guard: Theta as an (N, d) float64 array of finite
+    stacked thetas (a NaN fails no comparison, so it would pass every
+    acceptance test); a wrong shape or a non-finite entry is a
+    ProblemFormatError."""
+    Theta = problem.theta_rows(Theta)
+    if not np.isfinite(Theta).all():
         raise ProblemFormatError("theta has non-finite entries")
+    return Theta
 
 
 def _nonsingular_sets(problem: MpQpProblem) -> tuple:
@@ -196,7 +204,7 @@ def _accepted(problem: MpQpProblem, theta: ParameterPoint):
     residuals <= ORACLE_TOL (both scaled by the data magnitude).  A
     weakly active set has a binding constraint with mu ~ 0.
     """
-    _check_theta(problem, theta)
+    _finite_rows(problem, theta.check_dims(problem).stacked()[None])
     primal_tol = ORACLE_TOL * float(np.abs(problem.b_C + theta.theta_C).max(initial=1.0))
     for indices in problem.nonsingular_sets:
         B = ActiveSet(indices)
@@ -254,10 +262,12 @@ class FeasibilityKernel:
     are positive) and keeps the reductions defined when k_max or m2 is 0.
     """
 
-    __slots__ = ("_index", "_stack")
+    __slots__ = ("_index", "_stack", "_z0")
 
     def __init__(self, problem: MpQpProblem):
         H = problem.schur_complement
+        # x0 is the base inverse's first n rows times z0 - [theta_c, theta_e]
+        self._z0 = -np.concatenate([problem.C, problem.b_e])
         sets = problem.nonsingular_sets
         k_max = len(sets[-1])  # the walk goes by cardinality, the empty set first
         self._index = np.zeros((len(sets), k_max), dtype=np.intp)
@@ -270,96 +280,119 @@ class FeasibilityKernel:
             self._stack[rows, :k, :k] = -H_inv
             self._stack[rows, k_max + 1:, :k] = H[:, B].transpose(1, 0, 2) @ H_inv
 
-    def _sets(self, problem: MpQpProblem, theta: ParameterPoint):
-        """Every set's (S, k_max + 1) multipliers and (S, 1 + m2)
-        residuals at theta, and the primal tolerance there."""
-        rhs = problem.b_C + theta.theta_C
-        x0 = problem.base_inverse[:problem.n] @ np.concatenate([-problem.C - theta.theta_c,
-                                                               -problem.b_e - theta.theta_e])
-        s = np.concatenate([[0.0], problem.A_C @ x0 - rhs])
-        v = (self._stack @ s[self._index][:, :, None])[:, :, 0]
-        k_max = self._index.shape[1]
-        primal_tol = ORACLE_TOL * float(np.abs(rhs).max(initial=1.0))
-        return v[:, :k_max + 1], v[:, k_max:] - s, primal_tol
+    @property
+    def chunk_rows(self) -> int:
+        """Thetas :func:`feasible_array` evaluates at a time, so that its largest
+        temporary, the (rows, S, k_max + 1 + m2) product with the stack,
+        stays within _CHUNK_ELEMENTS."""
+        return max(1, _CHUNK_ELEMENTS // (self._stack.shape[0] * self._stack.shape[1]))
 
-    def feasible(self, problem: MpQpProblem, theta: ParameterPoint) -> bool:
-        """True iff some set passes :func:`_accepted`'s dual and primal
-        tests, with the same scalings."""
-        mu, residual, primal_tol = self._sets(problem, theta)
-        dual_ok = mu.min(1) >= -ORACLE_TOL * np.maximum(np.abs(mu).max(1), 1.0)
-        return bool((dual_ok & (residual.max(1) <= primal_tol)).any())
+    def _rows(self, problem: MpQpProblem, Theta: np.ndarray):
+        """Every set's (N, S, k_max + 1) multipliers and (N, S, 1 + m2)
+        residuals at each row of an (N, d) theta array, and the (N,)
+        primal tolerances.  Every product is a matrix-vector product per
+        row and set, so a row's values are bitwise the same whatever N and
+        the other rows."""
+        n, m1, k_max = problem.n, problem.m1, self._index.shape[1]
+        rhs = problem.b_C + Theta[:, n + m1:]
+        x0 = problem.base_inverse[:n] @ (self._z0 - Theta[:, :n + m1])[:, :, None]
+        s = np.zeros((len(Theta), 1 + problem.m2))
+        np.subtract((problem.A_C @ x0)[..., 0], rhs, out=s[:, 1:])
+        v = (self._stack @ s[:, self._index, None])[..., 0]
+        primal_tol = ORACLE_TOL * np.abs(rhs).max(1, initial=1.0)
+        return v[..., :k_max + 1], v[..., k_max:] - s[:, None], primal_tol
 
-    def ray_extent(
-        self, problem: MpQpProblem, theta0: ParameterPoint, direction: ParameterPoint
-    ) -> Tuple[float, float]:
-        """(t_in, t_out) on the ray theta0 + t * direction, t > 0, for a
-        finite direction with no theta_C part: :meth:`feasible` at
-        ``theta0 + direction.scale(t)`` is True for every t <= t_in and
-        False for every t > t_out.
+    def ray_extents(
+        self, problem: MpQpProblem, theta0: np.ndarray, D: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(t_in, t_out), two (R,) arrays, for the rays theta0 + t * D[r],
+        t > 0, from a stacked theta0 along the R finite rows of D, none
+        with a theta_C part: :func:`feasible_array` at theta0 + t * D[r] is
+        True for every t <= t_in[r] and False for every t > t_out[r].
 
         On such a ray the primal tolerance is constant and every set's
-        rows are affine in t, given by their values at t = 0 and 1.  A
-        ratio test per set gives the t where it passes the tightest form
-        of each tolerance (dual scale 1, halved), which implies
-        :meth:`feasible`'s tests, and the loosest (dual scale bounded along
-        the ray, doubled), which they imply.  Both allow for an a priori
-        bound on the rounding error, and each interval end for its
-        division.  t_out is the largest end of a loose interval; t_in is
-        the end of the chain of tight intervals from 0, since one past a
-        gap says nothing about the gap.
+        rows are affine in t, given by their values at t = 0 and 1, so
+        theta0 and theta0 + D[r] are evaluated in one block.  A ratio test
+        per set gives the t where it passes the tightest form of each
+        tolerance (dual scale 1, halved), which implies the kernel's tests,
+        and the loosest (dual scale bounded along the ray, doubled), which
+        they imply.  Both allow for an a priori bound on the rounding
+        error, and each interval end for its division.  t_out is the
+        largest end of a loose interval; t_in is the least t >= 0 that no
+        tight interval starting at or below it passes, the end of the
+        chain of tight intervals from 0, since one past a gap says nothing
+        about the gap.  A ray whose rounding bound overflows gets
+        (0, inf), which leaves every probe to the kernel.  Every ray's
+        bracket is bitwise what a block of that ray alone gives.
+
+        The rays are bracketed ``chunk_rows // 64`` at a time (at least
+        one), so that the ratio test's temporaries, about twenty
+        (rays, 2 S, k_max + 2 + m2) arrays, stay within _CHUNK_ELEMENTS
+        together.
         """
+        step = max(1, self.chunk_rows // 64)
+        if len(D) > step:
+            return tuple(np.concatenate(ends) for ends in zip(*(
+                self.ray_extents(problem, theta0, D[lo:lo + step])
+                for lo in range(0, len(D), step))))
         n, m1 = problem.n, problem.m1
-        (mu0, r0, primal_tol), (mu1, r1, _) = (
-            self._sets(problem, theta0), self._sets(problem, theta0 + direction))
-        k = mu0.shape[1]
-        v0 = np.hstack([mu0, -r0])  # a set passes where every v >= -tol
-        slope = np.hstack([mu1, -r1]) - v0
+        mu, r, tol = self._rows(problem, np.vstack([theta0, theta0 + D]))
+        v = np.concatenate([mu, -r], 2)  # a set passes where every v >= -tol
+        v0, slope, k, S = v[0], v[1:] - v[0], mu.shape[2], mu.shape[1]
         # The rounding bound: eps times the operation count times the
         # magnitudes summed, |stack| |s_B| (plus |s| on a residual row), at
         # theta0 and per unit t.  The probe and the two evaluations here
         # each stay within it; doubled again for the ratio test's own sums.
-        z = np.abs([theta0.stacked()[:n + m1], direction.stacked()[:n + m1]])
-        z[0] += np.abs(np.concatenate([problem.C, problem.b_e]))
-        sig = np.abs(problem.A_C) @ np.abs(problem.base_inverse[:n]) @ z.T
-        sig[:, 0] += np.abs(problem.b_C + theta0.theta_C)
-        sig = np.vstack([[0.0, 0.0], sig])  # padded as s is
-        w = np.abs(self._stack) @ sig[self._index]
-        phi = np.concatenate([w[:, :k], w[:, k - 1:] + sig], axis=1)
+        z = np.abs(np.stack(np.broadcast_arrays(theta0[:n + m1], D[:, :n + m1]), 1))
+        z[:, 0] += np.abs(self._z0)
+        sig = np.abs(problem.A_C) @ np.abs(problem.base_inverse[:n]) @ z.transpose(0, 2, 1)
+        sig[..., 0] += np.abs(problem.b_C + theta0[n + m1:])
+        sig = np.concatenate([np.zeros((len(D), 1, 2)), sig], 1)  # padded as s is
+        phi = np.abs(self._stack) @ sig[:, self._index]
+        phi = np.concatenate([phi[:, :, :k], phi[:, :, k - 1:] + sig[:, None]], 2)
         gamma = 4 * (2 * n + m1 + k + 6) * np.finfo(float).eps
-        err0 = gamma * phi[..., 0]
-        err1 = gamma * (phi[..., 0] + phi[..., 1] + np.abs(slope))
-        if not np.isfinite(err1).all():  # an overflow: leave every probe to feasible
-            return 0.0, np.inf
-        # Rows 0..S-1 test the tight form, rows S.. the loose one.
-        S = len(v0)
-        tol = np.repeat([ORACLE_TOL, primal_tol], [k, v0.shape[1] - k])
-        a = np.vstack([v0 + (tol / 2 - err0), v0 + (2 * tol + err0)])
-        b = np.vstack([slope - err1, slope + err1])
-        a[S:, :k] += 2 * ORACLE_TOL * (np.abs(v0) + err0)[:, :k].max(1, keepdims=True)
-        b[S:, :k] += 2 * ORACLE_TOL * (np.abs(slope) + err1)[:, :k].max(1, keepdims=True)
-        lo, hi = _ratio_test(a, b)
+        err0, err1 = gamma * phi[..., 0], gamma * (phi[..., 0] + phi[..., 1] + np.abs(slope))
+        tol = np.repeat([ORACLE_TOL, tol[0]], [k, v0.shape[1] - k])
         rho = 4 * np.finfo(float).eps
-        lo_out, hi_out = lo[S:] * (1 - rho), hi[S:] * (1 + rho)
-        t_out = hi_out[lo_out <= hi_out].max(initial=-np.inf)
-        order = np.argsort(lo[:S])
-        lo, reach = lo[order] * (1 + rho), np.maximum.accumulate(np.append(0.0, hi[order] * (1 - rho)))
-        # Sorted by lo, an empty interval (lo > hi) lies under the reach
-        # or past the chain's end, so it never moves t_in.
-        return float(reach[np.logical_and.accumulate(lo <= reach[:-1]).sum()]), float(t_out)
+        with np.errstate(all="ignore"):  # an overflowed ray's bracket is replaced below
+            # Along axis 1, rows 0..S-1 test the tight form, rows S.. the loose one.
+            a = np.concatenate([v0 + (tol / 2 - err0), v0 + (2 * tol + err0)], 1)
+            b = np.concatenate([slope - err1, slope + err1], 1)
+            a[:, S:, :k] += 2 * ORACLE_TOL * (np.abs(v0) + err0)[..., :k].max(-1, keepdims=True)
+            b[:, S:, :k] += 2 * ORACLE_TOL * (np.abs(slope) + err1)[..., :k].max(-1, keepdims=True)
+            # Per row, the t >= 0 where a + t * b >= 0 in every column:
+            # [lo, hi], empty when lo > hi.
+            root = -a / b
+            lo = np.where(b > 0, root, np.where(a >= 0, 0.0, np.inf)).max(-1, initial=0.0)
+            hi = np.where(b < 0, root, np.inf).min(-1, initial=np.inf)
+            lo_out, hi_out = lo[:, S:] * (1 - rho), hi[:, S:] * (1 + rho)
+            t_out = np.where(lo_out <= hi_out, hi_out, -np.inf).max(-1, initial=-np.inf)
+            lo, hi, t_in, last = lo[:, :S] * (1 + rho), hi[:, :S] * (1 - rho), np.zeros(len(D)), None
+            # An empty interval (lo > hi) that starts below t_in ends below it too.
+            while not np.array_equal(t_in, last, equal_nan=True):
+                last, t_in = t_in, np.maximum(t_in, np.where(lo <= t_in[:, None], hi, 0.0).max(-1))
+        ok = np.isfinite(err1).all((1, 2))
+        return np.where(ok, t_in, 0.0), np.where(ok, t_out, np.inf)
 
 
-def _ratio_test(a, b):
-    """Per row of a and b, the t >= 0 where a + t * b >= 0 in every
-    column, as arrays (lo, hi): an empty interval has lo > hi."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = -a / b
-    lo = np.where(b > 0, root, np.where(a >= 0, 0.0, np.inf)).max(1, initial=0.0)
-    return lo, np.where(b < 0, root, np.inf).min(1, initial=np.inf)
+def feasible_array(problem: MpQpProblem, Theta: np.ndarray) -> np.ndarray:
+    """(N,) booleans for an (N, d) float64 array of stacked thetas: True
+    where some active set is accepted, i.e. where :func:`brute_force_solve`
+    succeeds, decided by the problem's :class:`FeasibilityKernel` without
+    solving any active set: per row, some set passes :func:`_accepted`'s
+    dual and primal tests, with the same scalings.  A wrong shape or a
+    non-finite entry is a ProblemFormatError.  The rows are evaluated
+    ``FeasibilityKernel.chunk_rows`` at a time."""
+    Theta, kernel = _finite_rows(problem, Theta), problem.feasibility_kernel
+    parts = []
+    for lo in range(0, max(len(Theta), 1), kernel.chunk_rows):
+        mu, residual, primal_tol = kernel._rows(problem, Theta[lo:lo + kernel.chunk_rows])
+        parts.append(((mu.min(-1) >= -ORACLE_TOL * np.abs(mu).max(-1, initial=1.0))
+                      & (residual.max(-1) <= primal_tol[:, None])).any(-1))
+    return np.concatenate(parts)
 
 
 def is_feasible(problem: MpQpProblem, theta: ParameterPoint) -> bool:
-    """True iff some active set is accepted at this theta, i.e. iff
-    :func:`brute_force_solve` succeeds, decided by the problem's
-    :class:`FeasibilityKernel` without solving any active set."""
-    _check_theta(problem, theta)
-    return problem.feasibility_kernel.feasible(problem, theta)
+    """True iff some active set is accepted at this theta: the one-row
+    case of :func:`feasible_array`."""
+    return bool(feasible_array(problem, theta.check_dims(problem).stacked()[None])[0])

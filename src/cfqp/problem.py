@@ -223,6 +223,15 @@ class MpQpProblem:
         from .oracle import FeasibilityKernel  # the oracle builds on this module
         return FeasibilityKernel(self)
 
+    def theta_rows(self, Theta) -> np.ndarray:
+        """Theta as an (N, d) float64 array of stacked thetas; any other
+        shape is a ProblemFormatError."""
+        Theta = np.asarray(Theta, dtype=np.float64)
+        if Theta.ndim != 2 or Theta.shape[1] != self.d:
+            raise ProblemFormatError(
+                f"theta array must have shape (N, {self.d}), got {Theta.shape}")
+        return Theta
+
     def stacked_coefficients(self, dtype=np.float64) -> np.ndarray:
         """B = [C, b_e, b_C], length d."""
         return np.concatenate([self.C, self.b_e, self.b_C]).astype(dtype)

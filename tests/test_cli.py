@@ -10,10 +10,10 @@ import pytest
 import cfqp.cli
 from cfqp.cases import bundled_case_json, bundled_problem_json, case6
 from cfqp.cli import EXIT_CODES, _csv_rows, _read_dataset, main
-from cfqp.dcopf import build_dcopf
+from cfqp.dcopf import build_dcopf, build_dcopf_with_lines
 from cfqp.model import cast, deserialize, forward_array, serialize
-from cfqp.oracle import kkt_means
-from cfqp.problem import MpQpProblem
+from cfqp.oracle import _accepted, kkt_means
+from cfqp.problem import MpQpProblem, ParameterPoint
 
 MATPOWER_TEXT = """
 function mpc = tiny
@@ -503,6 +503,24 @@ class TestGenDataAndKktReport:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("lines", [False, True], ids=["box", "lines"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_labels_match_enumeration(self, case_file, tmp_path, lines, seed):
+        """Every label of gen-data local, scaled and extreme, decided in one
+        feasible_array call per dataset, is the enumeration's answer."""
+        problem = (build_dcopf_with_lines if lines else build_dcopf)(case6())[0]
+        for kind, size in (("local", ["--count", "30"]),
+                           ("scaled", ["--count", "10", "--scales", "1,1.5,2"]),
+                           ("extreme", ["--steps", "12"])):
+            data = tmp_path / f"{kind}.jsonl"
+            assert main(["gen-data", kind, "--case", case_file, *(["--lines"] * lines),
+                         "--seed", str(seed), *size, "--out", str(data)]) == 0
+            records = [json.loads(line) for line in data.read_text().splitlines()]
+            assert {r["feasible"] for r in records} == {True, False} or kind == "local"
+            for r in records:
+                theta = ParameterPoint.of_theta_e(problem, r["theta_e"])
+                assert r["feasible"] == (next(_accepted(problem, theta), None) is not None)
+
     def test_scaled_counts_printed(self, case_file, tmp_path, capsys):
         data = tmp_path / "scaled.jsonl"
         assert main([
@@ -689,9 +707,12 @@ class TestBench:
     (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--tol=-1"], "--tol"),
     (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--pattern", "scaled",
       "--scales", "2,1", "--extent", "100,100", "--steps", "5"], "--scales"),
+    (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--pattern", "scaled",
+      "--scales", "1,1", "--extent", "100,100", "--steps", "5"], "--scales"),
     (["gen-data", "local", "--case", "CASE", "--count", "0"], "--count"),
     (["gen-data", "scaled", "--case", "CASE", "--count", "0"], "--count"),
     (["gen-data", "scaled", "--case", "CASE", "--count", "2", "--scales", "2,1"], "--scales"),
+    (["gen-data", "scaled", "--case", "CASE", "--count", "3", "--scales", "1,1,1.5"], "--scales"),
     (["gen-data", "extreme", "--case", "CASE", "--steps", "0"], "--steps"),
     (["bench", "--case", "CASE", "--model", "MODEL", "--count", "-1"], "--count"),
     (["bench", "--case", "CASE", "--model", "MODEL", "--count", "0"], "--count"),
@@ -699,7 +720,8 @@ class TestBench:
     (["bench", "--case", "CASE", "--model", "MODEL", "--jitter", "inf"], "--jitter"),
 ], ids=["discover-steps", "discover-extent-length", "discover-tol-nan",
         "discover-tol-inf", "discover-tol-negative", "discover-scales-order",
-        "local-count", "scaled-count", "gen-data-scales-order", "extreme-steps",
+        "discover-scales-repeated", "local-count", "scaled-count", "gen-data-scales-order",
+        "gen-data-scales-repeated", "extreme-steps",
         "bench-count-negative", "bench-count-zero", "bench-jitter-nan", "bench-jitter-inf"])
 def test_bad_argument_is_usage_error(
     problem_file, case_file, tmp_path, capsys, monkeypatch, argv, flag
@@ -711,9 +733,9 @@ def test_bad_argument_is_usage_error(
     import cfqp.cli
 
     def no_bisection(*args):
-        raise AssertionError("feasible_extent called before the arguments were checked")
+        raise AssertionError("feasible_extents called before the arguments were checked")
 
-    monkeypatch.setattr(cfqp.cli, "feasible_extent", no_bisection)
+    monkeypatch.setattr(cfqp.cli, "feasible_extents", no_bisection)
     out = tmp_path / "out"
     inputs = {"PROBLEM": problem_file, "CASE": case_file, "MODEL": str(tmp_path / "none.json")}
     argv = [inputs.get(a, a) for a in argv]

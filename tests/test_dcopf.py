@@ -236,6 +236,23 @@ class TestRenewablesAndDatasets:
             assert p.ratios is not None
             assert all(0.6 <= r <= 1.4 for r in p.ratios)
 
+    def test_point_rngs_draw_as_fresh_philox(self):
+        """One Philox serves a whole dataset: each point's draws are a
+        fresh Philox(key=seed, counter=[0, 0, 0, i])'s, whatever was drawn
+        before (a float32 draw leaves half a 64-bit word buffered)."""
+        rng = dcopf._point_rngs(11)
+        for i in (19, 0, 2**63, 1, 2**32, 19):
+            got = rng(i)
+            want = np.random.Generator(np.random.Philox(key=11, counter=[0, 0, 0, i]))
+            assert np.array_equal(got.uniform(0.6, 1.4, size=6), want.uniform(0.6, 1.4, size=6))
+            assert np.array_equal(got.exponential(0.8, size=3), want.exponential(0.8, size=3))
+            got.random(dtype=np.float32)
+
+    def test_repeated_scales_rejected(self, power_case):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            scaled_dataset(power_case, [1.0, 1.0, 1.5], 3, seed=7,
+                           problem=build_dcopf(power_case)[0])
+
     def test_scaled_dataset_and_survival(self, power_case):
         scales = [1.0, 1.5, 2.0]
         points = scaled_dataset(power_case, scales, 60, seed=7,

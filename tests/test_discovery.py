@@ -17,6 +17,7 @@ from cfqp.discovery import (
     axis_sweep_pattern,
     discover,
     feasible_extent,
+    feasible_extents,
     identify_transition,
     scaled_base_pattern,
 )
@@ -76,6 +77,8 @@ class TestPatterns:
         base = ParameterPoint.of_theta_e(two_param, [1.0, 1.0])
         with pytest.raises(ValueError):
             scaled_base_pattern(base, [2.0, 1.0], 5, [1.0, 1.0])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            scaled_base_pattern(base, [1.0, 1.0, 1.5], 5, [1.0, 1.0])
 
 
 class TestFeasibleExtent:
@@ -135,6 +138,27 @@ class TestFeasibleExtent:
             + ["0x1.5400000000000p+8", "0x1.e000000000000p+5"] * 3  # then 340, 60
         )
         assert len(calls) <= 3 * len(fixture_rays)
+
+    def test_fixture_extents_in_one_pass(self, fixture_rays):
+        """feasible_extents on each fixture's rays, as discover's default
+        pattern asks for them, gives feasible_extent's floats with one
+        start check per fixture: 3 oracle calls, plus the 20 probes of
+        the two unbounded two-parameter rays."""
+        calls = []
+
+        def counting(problem, theta):
+            calls.append(theta)
+            return is_feasible(problem, theta)
+
+        fixtures = {}
+        for problem, theta0, direction in fixture_rays:
+            fixtures.setdefault(id(problem), (problem, theta0, []))[2].append(direction)
+        for problem, theta0, directions in fixtures.values():
+            single = [feasible_extent(problem, theta0, d).hex() for d in directions]
+            with mock.patch.object(cfqp.discovery, "is_feasible", counting):
+                batched = feasible_extents(problem, theta0, directions)
+            assert [t.hex() for t in batched] == single
+        assert len(fixtures) == 3 and len(calls) == 3 + 20
 
 
 class TestIdentifyTransition:

@@ -187,7 +187,8 @@ class TestFeasibilityKernel:
         for problem, theta0, direction in fixture_rays:
             probes = []
             reference_feasible_extent(problem, theta0, direction, probes)
-            t_in, t_out = problem.feasibility_kernel.ray_extent(problem, theta0, direction)
+            (t_in,), (t_out,) = problem.feasibility_kernel.ray_extents(
+                problem, theta0.stacked(), direction.stacked()[None])
             for t, feasible in probes:
                 if not t_in < t <= t_out:
                     assert feasible == (t <= t_in), (t, t_in, t_out)

@@ -14,7 +14,7 @@ import cfqp.oracle
 from cfqp.cli import CliError, _read_dataset
 from cfqp.core import gradient_rows, lagrangian_gradients, solve_active_set
 from cfqp.discovery import feasible_extent, identify_transition
-from cfqp.errors import Infeasible, UnresolvableTransition
+from cfqp.errors import Infeasible, ProblemFormatError, UnresolvableTransition
 from cfqp.model import (
     RegionEntry,
     cast,
@@ -24,7 +24,14 @@ from cfqp.model import (
     locate_region,
     region_residuals,
 )
-from cfqp.oracle import _accepted, brute_force_solve, is_feasible, kkt_batch, kkt_report
+from cfqp.oracle import (
+    _accepted,
+    brute_force_solve,
+    feasible_array,
+    is_feasible,
+    kkt_batch,
+    kkt_report,
+)
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
 
 from conftest import (
@@ -261,6 +268,75 @@ def test_feasibility_kernel_matches_enumeration_box_qp(n, q_vals, c_vals, theta)
     problem = box_qp(n, q_vals, c_vals, bound=6.0)
     point = ParameterPoint.from_stacked(problem, theta[:problem.d])
     assert is_feasible(problem, point) == (next(_accepted(problem, point), None) is not None)
+
+
+def _patched_chunk(problem, rows):
+    """Patch the kernel's chunk bound so that feasible takes ``rows`` thetas at a time."""
+    stack = problem.feasibility_kernel._stack
+    return mock.patch.object(cfqp.oracle, "_CHUNK_ELEMENTS", rows * stack.shape[0] * stack.shape[1])
+
+
+def _bits(array):
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    q_vals=st.lists(st.floats(min_value=0.5, max_value=8.0), min_size=4, max_size=4),
+    c_vals=st.lists(finite, min_size=4, max_size=4),
+    thetas=st.lists(st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=13,
+                             max_size=13), max_size=7),
+    rows=st.integers(min_value=1, max_value=3),
+)
+@example(n=2, q_vals=[1.0] * 4, c_vals=[0.0] * 4, thetas=[], rows=1)
+def test_feasible_array_rows_match_one_row_calls(n, q_vals, c_vals, thetas, rows):
+    """Each row of a block has bitwise the multipliers, residuals and
+    primal tolerance of that theta alone, and its label, with the block
+    chunked 1 to 3 rows at a time, is is_feasible's.  A non-finite row and
+    a wrong width are format errors."""
+    problem = box_qp(n, q_vals, c_vals, bound=6.0)
+    Theta = np.array([theta[:problem.d] for theta in thetas]).reshape(-1, problem.d)
+    kernel = problem.feasibility_kernel
+    with _patched_chunk(problem, rows):
+        assert kernel.chunk_rows == rows
+        labels = feasible_array(problem, Theta)
+        with pytest.raises(ProblemFormatError, match="non-finite"):
+            feasible_array(problem, np.vstack([Theta, np.full(problem.d, np.nan)]))
+        with pytest.raises(ProblemFormatError, match="shape"):
+            feasible_array(problem, Theta[:, 1:])
+    assert labels.shape == (len(Theta),) and labels.dtype == bool
+    block = kernel._rows(problem, Theta)
+    for i, row in enumerate(Theta):
+        alone = kernel._rows(problem, row[None])
+        assert [_bits(part[i]) for part in block] == [_bits(part[0]) for part in alone]
+        assert labels[i] == is_feasible(problem, ParameterPoint.from_stacked(problem, row))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    q_vals=st.lists(st.floats(min_value=0.5, max_value=8.0), min_size=4, max_size=4),
+    c_vals=st.lists(finite, min_size=4, max_size=4),
+    start=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=13, max_size=13),
+    steps=st.lists(st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=5,
+                            max_size=5), min_size=1, max_size=5),
+    rows=st.sampled_from([1, 64, 128, 192, 1 << 20]),
+)
+def test_ray_extents_rows_match_one_ray_calls(n, q_vals, c_vals, start, steps, rows):
+    """Each ray's bracket in a block of rays from one theta0 is bitwise
+    the bracket of that ray alone, on rays along theta_c and theta_e,
+    with 1, 2, 3 or all rays bracketed per pass."""
+    problem = box_qp(n, q_vals, c_vals, bound=6.0)
+    theta0 = np.asarray(start[:problem.d]) * np.r_[np.full(n, 4.0), 4.5 * n, np.ones(2 * n)]
+    D = np.zeros((len(steps), problem.d))
+    D[:, :n + 1] = np.asarray(steps)[:, :n + 1]
+    kernel = problem.feasibility_kernel
+    with _patched_chunk(problem, rows):
+        block = kernel.ray_extents(problem, theta0, D)
+        alone = [kernel.ray_extents(problem, theta0, d[None]) for d in D]
+    for part, ends in zip(block, zip(*alone)):
+        assert _bits(part) == _bits(np.concatenate(ends))
 
 
 @settings(max_examples=150, deadline=None)

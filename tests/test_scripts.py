@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ["discover_two_parameter.py"],
     ["dcopf_experiments.py", "precision"],
     ["dcopf_experiments.py", "renewable"],
-], ids=["discover_two_parameter", "dcopf_precision", "dcopf_renewable"])
+    ["dcopf_experiments.py", "scaled"],
+], ids=["discover_two_parameter", "dcopf_precision", "dcopf_renewable", "dcopf_scaled"])
 def test_script_exits_0(argv, tmp_path):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
@@ -25,3 +26,7 @@ def test_script_exits_0(argv, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    if argv[1:] == ["scaled"]:  # seed 7: criterion 7's survival counts, all located
+        assert "scale 1.125:  113\n" in result.stdout and "scale 1.875:    2\n" in result.stdout
+        assert "433 feasible points inside discovered regions" in result.stdout
+        assert "0 feasible points in undiscovered regions" in result.stdout
