@@ -204,9 +204,9 @@ def objective_value(problem: MpQpProblem, x: np.ndarray, theta: ParameterPoint) 
 def rowwise_matvec(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     """A @ v for every row v of the (N, c) array V, as an (N, r) array.
 
-    Each row's products are summed on their own, by a reduction over the
-    last axis of a C-ordered (N, r, c) array, so a row's result is
-    bitwise the same whatever the other rows are.  A gemm (``V @ A.T``) blocks its sums
-    by the shape of the whole batch and gives a 1-row batch other bits.
+    numpy's einsum loop on C-ordered copies sums each row of A times each
+    row of V on its own, so an entry's bits depend only on those two rows.
+    A gemm (``V @ A.T``) blocks its sums by the batch's shape, and a gemv
+    per row changes an entry's bits when A gains or loses rows.
     """
-    return np.add.reduce(np.multiply(A, V[:, None, :], order="C"), -1)
+    return np.einsum("rc,nc->nr", np.ascontiguousarray(A), np.ascontiguousarray(V))

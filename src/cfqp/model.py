@@ -140,11 +140,11 @@ class ClosedFormModel:
 
     @cached_property
     def chunk_rows(self) -> int:
-        """Rows :func:`forward_chunks` evaluates at a time, so that its
-        largest temporaries together, the (rows, nnz, d) products of
-        W0's nnz nonzero rows, the (rows, m2, k+1) shadow prices and the
-        (rows, n+m1, n+m1) solution-layer products, stay within
-        _CHUNK_ELEMENTS."""
+        """Rows :func:`forward_chunks` evaluates at a time: _CHUNK_ELEMENTS
+        over nnz*d + m2*(k+1) + (n+m1)^2 per row, for W0's nnz nonzero
+        rows, which bounds the chunk's (rows, d), (rows, n+m1) and (rows,
+        m2, k+1) temporaries; ``predict`` writes a chunk per CSV call,
+        which formats faster at this size than as one table."""
         p = self.problem
         nnz = np.count_nonzero(self.W0.any(-1))
         per_row = nnz * p.d + p.m2 * (self.k + 1) + (p.n + p.m1) ** 2
@@ -152,11 +152,11 @@ class ClosedFormModel:
 
     @cached_property
     def locate_rows(self) -> int:
-        """Thetas :func:`locate_array` tests at a time, so that the
-        products of :func:`region_residuals`, (rows, nnz, d) for the
-        multipliers from W0's nnz nonzero rows, (rows, k, n, m2) and
-        (rows, k, m2, n) for the primal residuals and (rows, k, n, n+m1)
-        for the primal points, stay within _CHUNK_ELEMENTS."""
+        """Thetas :func:`locate_array` tests at a time: _CHUNK_ELEMENTS
+        over nnz*d + k*(2*n*m2 + n*(n+m1)) per row, for W0's nnz nonzero
+        rows, which bounds :func:`region_residuals`' (rows, d), (rows, k,
+        n+m1) and (rows, k, m2) temporaries; it also sets the rows of a
+        ``discover`` sweep block."""
         p = self.problem
         nnz = np.count_nonzero(self.W0.any(-1))
         per_row = nnz * p.d + self.k * (2 * p.n * p.m2 + p.n * (p.n + p.m1))
@@ -232,9 +232,9 @@ def init_model(
 def _forward_rows(model: ClosedFormModel, Theta: np.ndarray):
     """The network on a block of stacked thetas, all rows at once.
 
-    Every matrix product goes through ``rowwise_matvec`` and every other
-    step is elementwise or a reduction over a row's own last axis, so a
-    row's results do not depend on the other rows of the block."""
+    Every product goes through ``rowwise_matvec``, whose entries depend
+    only on their own rows of A and V, and all else is elementwise or per
+    row, so a row's results do not depend on the other rows of the block."""
     problem = model.problem
     n, m1 = problem.n, problem.m1
     neg_B, W, nonzero, parent, lower, upper, A_C_T, neg_rhs, base_inverse = model._layers
@@ -386,9 +386,9 @@ def region_residuals(
       active multipliers max(1, |mu_i[B_i]|), and -inf off its active
       set B_i.
 
-    A positive entry is a violation.  The products are row-independent
-    (``rowwise_matvec``), so a region's residuals at a theta depend
-    neither on the other regions nor on the other thetas.
+    A positive entry is a violation.  A ``rowwise_matvec`` entry depends
+    only on its own rows of A and V, so a region's residuals at a theta
+    depend neither on the other regions nor on the other thetas.
     """
     problem = model.problem
     n, m1, m2 = problem.n, problem.m1, problem.m2

@@ -128,6 +128,30 @@ class TestExpansionStructure:
             grown = expand(base, 0, new_set, probe)
             assert grown.direction[-1] == want
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: after a drop transition the root block's ReLU "
+        "and the drop block both release the dropped multiplier, so forward "
+        "is not exact (KKT scalar ~1e12 at theta1 = 650)",
+    )
+    def test_forward_exact_after_drop(self, two_param):
+        """After the single drop [1,3,4,5] -> [1,3,4], forward is exact
+        inside the new region: its KKT scalar and its gap to the oracle
+        are within criterion 4's bound."""
+        def at(t1):
+            return ParameterPoint.of_theta_e(two_param, [t1, 100.0])
+
+        root = init_model(two_param, ActiveSet([1, 3, 4, 5]), at(700.0))
+        model = expand(root, 0, ActiveSet([1, 3, 4]), at(540.0))
+        theta = at(650.0)
+        got = forward(model, theta)
+        want = brute_force_solve(two_param, theta)
+        assert sorted(want.active_set) == [1, 3, 4]
+        assert kkt_report(two_param, got, theta).scalar <= 1e-8
+        for a, b in ((got.x, want.solution.x), (got.lam, want.solution.lam),
+                     (got.mu, want.solution.mu)):
+            assert np.abs(a - b).max() <= 1e-8 * max(1.0, np.abs(b).max())
+
 
 class TestBatchForward:
     def test_empty_and_singleton(self, model_2d, theta0_2d):

@@ -12,7 +12,7 @@ import cfqp.cli
 import cfqp.model
 import cfqp.oracle
 from cfqp.cli import CliError, _read_dataset
-from cfqp.core import gradient_rows, lagrangian_gradients, solve_active_set
+from cfqp.core import gradient_rows, lagrangian_gradients, rowwise_matvec, solve_active_set
 from cfqp.discovery import feasible_extent, identify_transition
 from cfqp.errors import Infeasible, ProblemFormatError, UnresolvableTransition
 from cfqp.model import (
@@ -215,6 +215,49 @@ def test_kkt_rows_bitwise_case6_lines(power_case, line_problem, line_model, rati
         except Infeasible:
             pass
     assert_rows_bitwise(problem, solutions, thetas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(0, 40),
+    c=st.integers(0, 40),
+    N=st.integers(0, 300),
+    dtypes=st.sampled_from([(np.float64, np.float64), (np.float32, np.float32),
+                            (np.float32, np.float64), (np.float64, np.float32)]),
+    a_order=st.sampled_from("CF"),
+    v_layout=st.sampled_from(["C", "F", "column-strided", "row-strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rowwise_matvec_rows_are_independent(r, c, N, dtypes, a_order, v_layout, seed):
+    """rowwise_matvec(A, V)[i] is bit for bit the one-row call on a
+    contiguous copy of V[i], whatever N and V's layout; its columns for a
+    subset of A's rows are bit for bit rowwise_matvec(A[rows], V); and
+    each entry is within gamma_c sum_c |a_rc v_c| of the exact sum,
+    gamma_c = c u / (1 - c u) at the result's unit roundoff u."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, dtype):
+        return (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)).astype(dtype)
+
+    A = np.asarray(draw((r, c), dtypes[0]), order=a_order)
+    V = {
+        "C": lambda: draw((N, c), dtypes[1]),
+        "F": lambda: np.asfortranarray(draw((N, c), dtypes[1])),
+        "column-strided": lambda: draw((N, 2 * c), dtypes[1])[:, ::2],
+        "row-strided": lambda: draw((2 * N, c), dtypes[1])[::2],
+    }[v_layout]()
+    got = rowwise_matvec(A, V)
+    assert got.shape == (N, r) and got.dtype == np.result_type(A, V)
+    for i in range(N):
+        assert _bits(rowwise_matvec(A, V[i].copy()[None])[0]) == _bits(got[i])
+    rows = rng.permutation(r)[:rng.integers(0, r + 1)]
+    assert _bits(rowwise_matvec(A[rows], V)) == _bits(np.ascontiguousarray(got[:, rows]))
+    # the reference sums in long double; its own error is allowed for
+    exact = V.astype(np.longdouble) @ A.T.astype(np.longdouble)
+    magnitude = np.abs(V).astype(np.longdouble) @ np.abs(A).T.astype(np.longdouble)
+    gamma = [c * u / (1 - c * u) for u in (np.finfo(got.dtype).eps / 2,
+                                           np.finfo(np.longdouble).eps / 2)]
+    assert (np.abs(got - exact) <= sum(gamma) * magnitude).all()
 
 
 def solvable(problem, theta):
