@@ -371,14 +371,13 @@ def cmd_discover(args) -> int:
             _parse_theta_e(problem, args.extent, "--extent"),
         )
 
-    log = DiscoveryLog(args.log)
-    start = time.perf_counter()
-    model = discover(
-        problem, theta0, pattern, tol=args.tol, precision=args.precision, log=log,
-        strict=not args.lenient,
-    )
-    elapsed = time.perf_counter() - start
-    log.close()
+    with DiscoveryLog(args.log) as log:
+        start = time.perf_counter()
+        model = discover(
+            problem, theta0, pattern, tol=args.tol, precision=args.precision, log=log,
+            strict=not args.lenient,
+        )
+        elapsed = time.perf_counter() - start
 
     if args.out:
         Path(args.out).write_bytes(serialize(model))

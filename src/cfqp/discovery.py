@@ -37,7 +37,13 @@ from .model import (  # noqa: F401
     locate_region,
     region_residuals,
 )
-from .oracle import brute_force_solve, is_feasible, kkt_report, kkt_scalars  # noqa: F401
+from .oracle import (  # noqa: F401
+    brute_force_solve,
+    feasible_array,
+    is_feasible,
+    kkt_report,
+    kkt_scalars,
+)
 from .problem import ActiveSet, MpQpProblem, ParameterPoint, resolve_dtype
 
 __all__ = [
@@ -220,10 +226,13 @@ def feasible_extents(
     and bisection against the oracle.
 
     theta0 is checked once, and the kernel brackets every ray without a
-    theta_C part in one ``ray_extents`` pass; only a probe inside a ray's
-    band asks :func:`is_feasible`, the others are decided by comparison,
-    with the same answers.  Along a theta_C part the oracle's primal
-    tolerance moves, so such a ray asks at every probe."""
+    theta_C part in one ``ray_extents`` pass; a probe outside a ray's
+    band is decided by comparison, with the same answer the oracle gives.
+    Along a theta_C part the oracle's primal tolerance moves, so such a
+    ray's band is unbounded.  Every ray's in-band doubling probes (t = 1,
+    2, 4, ... below _EXTENT_CAP, and the cap) are asked in one
+    :func:`feasible_array` pass, each row bitwise the probe's stacked
+    theta; only an in-band bisection midpoint asks :func:`is_feasible`."""
     theta0.check_dims(problem)
     for direction in directions:
         direction.check_dims(problem)
@@ -240,13 +249,29 @@ def feasible_extents(
     bracketed = ~D[:, problem.n + problem.m1:].any(1)
     bands[bracketed] = np.column_stack(
         problem.feasibility_kernel.ray_extents(problem, theta0.stacked(), D[bracketed]))
+    # the doubling probes, as the loop below reaches them
+    ladder = np.append(2.0 ** np.arange(np.ceil(np.log2(_EXTENT_CAP))), _EXTENT_CAP)
+    ray, rung = np.nonzero((bands[:, :1] < ladder) & (ladder <= bands[:, 1:]))
+    # The loop stops at a ray's first infeasible probe, so a probe past it
+    # may overflow, in its theta or in the kernel's products, where the
+    # loop would never ask; its answer is not read.  An overflowed theta
+    # is left to is_feasible, which rejects it if the loop gets there.
+    known = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        probes = theta0.stacked() + ladder[rung, None] * D[ray]
+        finite = np.isfinite(probes).all(1)
+        if finite.any():
+            known = dict(zip(zip(ray[finite].tolist(), ladder[rung[finite]].tolist()),
+                             feasible_array(problem, probes[finite]).tolist()))
     extents = []
-    for direction, (t_in, t_out) in zip(directions, bands.tolist()):
+    for r, (direction, (t_in, t_out)) in enumerate(zip(directions, bands.tolist())):
 
         def feasible(t):
-            if t_in < t <= t_out:
-                return is_feasible(problem, theta0 + direction.scale(t))
-            return t <= t_in
+            if not t_in < t <= t_out:
+                return t <= t_in
+            if (r, t) in known:
+                return known[r, t]
+            return is_feasible(problem, theta0 + direction.scale(t))
 
         lo, hi = 0.0, 1.0
         while hi < _EXTENT_CAP and feasible(hi):
@@ -290,8 +315,11 @@ def discover(
     kernels :func:`forward_array`, :func:`kkt_scalars` and
     :func:`locate_array`: a sweep's points, its start first, in blocks,
     replayed in order so that the log and the model are those of a
-    point-by-point walk, and an expansion retry or halving midpoint as a
-    block of one.
+    point-by-point walk.  Each point is evaluated once per model: the
+    sweep's anchor region is row 0 of its first block, a failing row's
+    scalar is the first the expansion reads, and only a point whose model
+    has grown, or a halving midpoint, is evaluated again, as a block of
+    one row.
     Coarse steps that skip regions are refined by local step halving (up
     to 20 levels).  With ``strict=False`` an unresolvable point is logged
     and skipped instead of aborting the run.
@@ -340,15 +368,17 @@ def discover(
             current = region
             last_set = region.active_set
 
-    def expand_at(theta, di, pi, depth):
+    def expand_at(theta, di, pi, depth, scalar=None):
         """Expand the model until ``theta`` passes ``tol``: True when it
         does, False when the point was abandoned (only in non-strict mode
         or past the feasible boundary), None when no single transition
-        resolves it and it must be approached by halving."""
+        resolves it and it must be approached by halving.  ``scalar``,
+        when given, is theta's KKT scalar on the current model."""
         nonlocal model, current
         Theta = theta.stacked()[None]
         for _ in range(_MAX_EXPANSIONS_PER_POINT):
-            [scalar] = block_scalars(Theta)
+            if scalar is None:
+                [scalar] = block_scalars(Theta)
             log.emit(
                 event="point", direction=di, index=pi, kkt=scalar,
                 region=current.id, depth=depth,
@@ -368,7 +398,8 @@ def discover(
                 model = expand(model, current.id, new_set, theta)
             except DuplicateRegion:
                 # never the current region: a transition adds an inactive
-                # constraint or drops an active one
+                # constraint or drops an active one; the model, so the
+                # scalar, is unchanged
                 current = next(r for r in model.regions if r.active_set == new_set)
                 continue
             except SingularActiveJacobian:
@@ -376,6 +407,7 @@ def discover(
                 # typically the sweep has reached the feasible boundary.
                 return abandon(theta, di, pi, "singular_expansion")
             current = model.regions[-1]
+            scalar = None
             log.emit(
                 event="transition", direction=di, index=pi,
                 kind=tr.kind, constraint=tr.constraint,
@@ -383,17 +415,20 @@ def discover(
             )
         return abandon(theta, di, pi, "expansion_limit")
 
-    def resolve(theta, lo_theta, di, pi):
+    def resolve(theta, lo_theta, di, pi, scalar=None):
         """Make ``theta`` pass ``tol``, expanding the model as needed.
-        ``lo_theta`` is the nearest point already known to pass.  A point
-        that needs halving is reached through the midpoint from its
-        ``lo_theta`` first, up to _MAX_HALVINGS levels deep: ``pending``
-        holds (point, known-passing point, depth) in depth-first order.
-        Returns True on success, False when a point was abandoned."""
+        ``lo_theta`` is the nearest point already known to pass, and
+        ``scalar``, when given, theta's KKT scalar on the current model.
+        A point that needs halving is reached through the midpoint from
+        its ``lo_theta`` first, up to _MAX_HALVINGS levels deep:
+        ``pending`` holds (point, known-passing point, depth) in
+        depth-first order.  Returns True on success, False when a point
+        was abandoned."""
         pending = [(theta, lo_theta, 0)]
         while pending:
             theta, lo_theta, depth = pending.pop()
-            passed = expand_at(theta, di, pi, depth)
+            passed = expand_at(theta, di, pi, depth, scalar)
+            scalar = None
             if passed is None:
                 if depth >= _MAX_HALVINGS:
                     return abandon(theta, di, pi, "halving_limit")
@@ -420,24 +455,37 @@ def discover(
 
     def sweep_block(direction, di, first, prev):
         """Points ``first`` onwards of a sweep, up to ``model.locate_rows``
-        of them, evaluated as one block and replayed in order.  A point
+        of them, evaluated as one block and replayed in order.  The first
+        block's row 0, the start, sets the sweep's anchor region.  A point
         that passes is logged and settled as :func:`resolve` would; the
-        first that fails goes through ``resolve`` itself, which may change
-        the model, so the block ends there.  ``prev`` is the nearest point
-        known to pass.  Returns the next point's index and its ``prev``."""
+        first that fails goes through ``resolve`` itself, with its scalar,
+        which may change the model, so the block ends there.  ``prev`` is
+        the nearest point known to pass.  Returns the next point's index
+        and its ``prev``."""
+        nonlocal last_set
         index = np.arange(first, min(direction.max_steps + 1, first + model.locate_rows))
         # bitwise direction.point(i).stacked() for every i
         Theta = direction.start.stacked() + index[:, None] * direction.step.stacked()
         scalars = block_scalars(Theta)
         rows = locate_array(model, Theta).tolist()
+        if first == 0:
+            # The one-transition invariant is per sweep: restart the
+            # tracked active set at each new direction.  For a finite
+            # step, row 0 differs from the start at most in the sign of a
+            # zero entry, which changes no residual's value, so it is in
+            # the start's region.
+            last_set = model.regions[rows[0]].active_set if rows[0] >= 0 else seed.active_set
         for i, scalar, row in zip(index.tolist(), scalars, rows):
             if not scalar <= tol:
                 # start + 0 * step would turn a -0.0 entry of the start into
-                # +0.0, and a failing point can become a region's witness
+                # +0.0, and a failing point can become a region's witness,
+                # so the start is evaluated again; row i > 0 is bitwise
+                # direction.point(i), so its scalar stands
                 target = direction.point(i) if i else direction.start
                 if prev is None:
                     prev = direction.point(i - 1)
-                return i + 1, target if resolve(target, prev, di, i) else direction.start
+                passed = resolve(target, prev, di, i, scalar if i else None)
+                return i + 1, target if passed else direction.start
             log.emit(
                 event="point", direction=di, index=i, kkt=scalar,
                 region=current.id, depth=0,
@@ -450,10 +498,6 @@ def discover(
     for di, direction in enumerate(pattern.directions):
         log.emit(event="direction", direction=di, max_steps=direction.max_steps)
         boundary_hit = False
-        # The one-transition invariant is per sweep: restart the tracked
-        # active set at each new direction.
-        anchor = locate_array(model, direction.start.stacked()[None])[0]
-        last_set = model.regions[anchor].active_set if anchor >= 0 else seed.active_set
         # Point 0, the start, is reached from theta0; after an abandoned
         # point (non-strict mode) the next one is anchored at the start.
         i, prev = 0, theta0

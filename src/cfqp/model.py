@@ -198,6 +198,24 @@ class ClosedFormModel:
             p.base_inverse.astype(dtype),
         )
 
+    @cached_property
+    def _residual_layers(self) -> tuple:
+        """The float64 constants :func:`region_residuals` reads, built
+        once per model: -B; W0's nonzero rows, C-ordered, and their flat
+        indices in W0's k * m2 rows; and C-ordered copies of A_C^T, the
+        base inverse's first n rows and A_C."""
+        p = self.problem
+        W0 = self.W0.reshape(self.k * p.m2, -1)
+        nonzero = np.flatnonzero(W0.any(-1))
+        return (
+            -p.stacked_coefficients(),
+            np.ascontiguousarray(W0[nonzero]),
+            nonzero,
+            np.ascontiguousarray(p.A_C.T),
+            np.ascontiguousarray(p.base_inverse[:p.n]),
+            np.ascontiguousarray(p.A_C),
+        )
+
     def incidence_matrix(self) -> np.ndarray:
         """Dense k x k signed incidence: root column (0,0)=+1; column j
         has entries -v_j at the parent row and +v_j at row j."""
@@ -392,24 +410,23 @@ def region_residuals(
     """
     problem = model.problem
     n, m1, m2 = problem.n, problem.m1, problem.m2
+    neg_B, W, nonzero, A_C_T, base_inverse_x, A_C = model._residual_layers
     Theta = np.asarray(Theta, dtype=np.float64)
     N, k = len(Theta), model.k
-    Z = -problem.stacked_coefficients() - Theta
+    Z = neg_B - Theta
     # only W0's nonzero rows are multiplied (a region's rows off its
     # active set are zero); the other multipliers stay +0.0
-    W0 = model.W0.reshape(k * m2, -1)
-    nonzero = np.flatnonzero(W0.any(-1))
     mu = np.zeros((N, k * m2))
-    mu[:, nonzero] = rowwise_matvec(W0[nonzero], Z)
+    mu[:, nonzero] = rowwise_matvec(W, Z)
     mu = mu.reshape(N, k, m2)
-    rhs = np.concatenate([
-        Z[:, None, :n] + rowwise_matvec(problem.A_C.T, mu.reshape(N * k, m2)).reshape(N, k, n),
-        np.broadcast_to(Z[:, None, n:n + m1], (N, k, m1)),
-    ], axis=-1)
-    x = rowwise_matvec(problem.base_inverse[:n], rhs.reshape(N * k, n + m1))
+    rhs = np.empty((N, k, n + m1))
+    np.add(Z[:, None, :n], rowwise_matvec(A_C_T, mu.reshape(N * k, m2)).reshape(N, k, n),
+           out=rhs[..., :n])
+    rhs[..., n:] = Z[:, None, n:n + m1]
+    x = rowwise_matvec(base_inverse_x, rhs.reshape(N * k, n + m1))
     b = problem.b_C + Theta[:, n + m1:]
     scale = np.abs(b).max(-1, initial=1.0)[:, None, None]
-    primal = (b[:, None] - rowwise_matvec(problem.A_C, x).reshape(N, k, m2)) / scale
+    primal = (b[:, None] - rowwise_matvec(A_C, x).reshape(N, k, m2)) / scale
     mu_scale = np.abs(mu, where=model.active_mask, out=np.zeros_like(mu)).max(-1, initial=1.0)
     dual = np.where(model.active_mask, -mu / mu_scale[..., None], -np.inf)
     return primal, dual

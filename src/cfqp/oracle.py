@@ -325,12 +325,13 @@ class FeasibilityKernel:
         (0, inf), which leaves every probe to the kernel.  Every ray's
         bracket is bitwise what a block of that ray alone gives.
 
-        The rays are bracketed ``chunk_rows // 64`` at a time (at least
-        one), so that the ratio test's temporaries, about twenty
-        (rays, 2 S, k_max + 2 + m2) arrays, stay within _CHUNK_ELEMENTS
-        together.
+        The rays are bracketed _CHUNK_ELEMENTS // (20 * 2 S (k_max + 2 +
+        m2)) at a time (at least one), so that the ratio test's
+        temporaries, about twenty (rays, 2 S, k_max + 2 + m2) arrays, stay
+        within _CHUNK_ELEMENTS together.
         """
-        step = max(1, self.chunk_rows // 64)
+        S, k_max = self._index.shape
+        step = max(1, _CHUNK_ELEMENTS // (20 * 2 * S * (k_max + 2 + problem.m2)))
         if len(D) > step:
             return tuple(np.concatenate(ends) for ends in zip(*(
                 self.ray_extents(problem, theta0, D[lo:lo + step])

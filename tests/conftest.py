@@ -317,6 +317,36 @@ def reference_identify_transition(problem, model, current_region, theta, tol=1e-
 
 
 # ---------------------------------------------------------------------------
+# Reference copy of model.region_residuals, as it was written before the
+# model cached its constants: -B, W0's nonzero rows, A_C^T, the base
+# inverse's first n rows and A_C are derived on every call.
+
+
+def reference_region_residuals(model, Theta):
+    problem = model.problem
+    n, m1, m2 = problem.n, problem.m1, problem.m2
+    Theta = np.asarray(Theta, dtype=np.float64)
+    N, k = len(Theta), model.k
+    Z = -problem.stacked_coefficients() - Theta
+    W0 = model.W0.reshape(k * m2, -1)
+    nonzero = np.flatnonzero(W0.any(-1))
+    mu = np.zeros((N, k * m2))
+    mu[:, nonzero] = rowwise_matvec(W0[nonzero], Z)
+    mu = mu.reshape(N, k, m2)
+    rhs = np.concatenate([
+        Z[:, None, :n] + rowwise_matvec(problem.A_C.T, mu.reshape(N * k, m2)).reshape(N, k, n),
+        np.broadcast_to(Z[:, None, n:n + m1], (N, k, m1)),
+    ], axis=-1)
+    x = rowwise_matvec(problem.base_inverse[:n], rhs.reshape(N * k, n + m1))
+    b = problem.b_C + Theta[:, n + m1:]
+    scale = np.abs(b).max(-1, initial=1.0)[:, None, None]
+    primal = (b[:, None] - rowwise_matvec(problem.A_C, x).reshape(N, k, m2)) / scale
+    mu_scale = np.abs(mu, where=model.active_mask, out=np.zeros_like(mu)).max(-1, initial=1.0)
+    dual = np.where(model.active_mask, -mu / mu_scale[..., None], -np.inf)
+    return primal, dual
+
+
+# ---------------------------------------------------------------------------
 # Reference copy of the dense first layer, as it was written before the
 # model kept only W0's nonzero rows: every region's full (m2, d) block,
 # zero rows included, is multiplied.

@@ -744,3 +744,20 @@ def test_bad_argument_is_usage_error(
     assert main(argv) == EXIT_CODES["usage"]
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+# An unclosed file warns when it is freed, where the raised warning can
+# only reach sys.unraisablehook; pytest reports that as a warning of its own.
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
+def test_discover_closes_its_log_when_discovery_raises(problem_file, tmp_path):
+    """An infeasible theta0 makes discover raise after --log is opened;
+    the file is closed all the same, so freeing the run's objects warns
+    of no unclosed file."""
+    log = tmp_path / "l.jsonl"
+    assert main([
+        "discover", "--problem", problem_file, "--theta0", "5000,5000",
+        "--extent", "10,10", "--log", str(log),
+    ]) == EXIT_CODES["infeasible"]
+    gc.collect()
+    assert log.read_text() == ""

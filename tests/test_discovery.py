@@ -23,10 +23,10 @@ from cfqp.discovery import (
 )
 from cfqp.errors import InfeasibleStart, ProblemFormatError, UnresolvableTransition
 from cfqp.model import cast, init_model, serialize
-from cfqp.oracle import is_feasible
+from cfqp.oracle import feasible_array, is_feasible
 from cfqp.problem import ActiveSet, ParameterPoint
 
-from conftest import box_pattern, two_param_pattern
+from conftest import box_pattern, box_qp, reference_feasible_extent, two_param_pattern
 
 
 class TestPatterns:
@@ -116,20 +116,43 @@ class TestFeasibleExtent:
         with pytest.raises(ValueError, match="^direction must be nonzero$"):
             feasible_extent(two_param, theta0_2d, ParameterPoint.zeros(two_param))
 
+    @pytest.mark.parametrize("axis, length, extent", [
+        (3, 1e300, 0.0),  # theta_e: every probe in the band overflows
+        (0, -1e300, 0.0),  # theta_c: infeasible at t = 1, its far probes overflow
+        (0, 1e290, 1e9),  # theta_c: feasible up to the cap, no probe overflows
+    ])
+    def test_far_probes_match_plain_bisection(self, axis, length, extent):
+        """On rays so long that their far doubling probes overflow, the
+        extent is the plain bisection's, with no warning: the probes the
+        loop never reaches are asked in the batch but not read."""
+        problem = box_qp(3, [1.0, 2.0, 3.0, 1.0], [0.5, -1.0, 0.0, 0.0], bound=6.0)
+        theta0 = ParameterPoint.zeros(problem)
+        stacked = np.zeros(problem.d)
+        stacked[axis] = length
+        direction = ParameterPoint.from_stacked(problem, stacked)
+        assert feasible_extent(problem, theta0, direction) == extent
+        assert reference_feasible_extent(problem, theta0, direction) == extent
+
     def test_fixture_extents(self, fixture_rays):
         """The 28 extents of the benchmark fixtures' default axis pattern,
         bit for bit those of the plain bisection, with at most 3 oracle
-        calls per ray, start checks included (the plain bisection makes
+        questions per ray, start checks included (the plain bisection asks
         863).  Past its start check, only the two unbounded two-parameter
-        rays ask the oracle, at probes near 1e9, where the rounding bound
-        exceeds half the primal tolerance."""
+        rays ask the oracle: their brackets end near 1.2e6, where the
+        rounding bound exceeds half the primal tolerance, so their
+        doubling probes from 2**21 up to the cap 1e9 are in the band."""
         calls = []
 
         def counting(problem, theta):
             calls.append(theta)
             return is_feasible(problem, theta)
 
-        with mock.patch.object(cfqp.discovery, "is_feasible", counting):
+        def counting_rows(problem, Theta):
+            calls.extend(Theta)
+            return feasible_array(problem, Theta)
+
+        with mock.patch.object(cfqp.discovery, "is_feasible", counting), \
+                mock.patch.object(cfqp.discovery, "feasible_array", counting_rows):
             got = [feasible_extent(*ray).hex() for ray in fixture_rays]
         assert got == (
             ["0x1.9000000000000p+9", "0x1.dcd6500000000p+29"] * 2  # two-parameter: 800, 1e9
@@ -142,23 +165,29 @@ class TestFeasibleExtent:
     def test_fixture_extents_in_one_pass(self, fixture_rays):
         """feasible_extents on each fixture's rays, as discover's default
         pattern asks for them, gives feasible_extent's floats with one
-        start check per fixture: 3 oracle calls, plus the 20 probes of
-        the two unbounded two-parameter rays."""
-        calls = []
+        start check per fixture, 3 is_feasible calls, and one
+        feasible_array pass for the 20 in-band probes of the two
+        unbounded two-parameter rays."""
+        calls, passes = [], []
 
         def counting(problem, theta):
             calls.append(theta)
             return is_feasible(problem, theta)
+
+        def counting_rows(problem, Theta):
+            passes.append(len(Theta))
+            return feasible_array(problem, Theta)
 
         fixtures = {}
         for problem, theta0, direction in fixture_rays:
             fixtures.setdefault(id(problem), (problem, theta0, []))[2].append(direction)
         for problem, theta0, directions in fixtures.values():
             single = [feasible_extent(problem, theta0, d).hex() for d in directions]
-            with mock.patch.object(cfqp.discovery, "is_feasible", counting):
+            with mock.patch.object(cfqp.discovery, "is_feasible", counting), \
+                    mock.patch.object(cfqp.discovery, "feasible_array", counting_rows):
                 batched = feasible_extents(problem, theta0, directions)
             assert [t.hex() for t in batched] == single
-        assert len(fixtures) == 3 and len(calls) == 3 + 20
+        assert len(fixtures) == 3 and len(calls) == 3 and passes == [20]
 
 
 class TestIdentifyTransition:

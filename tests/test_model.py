@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from cfqp.cases import two_parameter_problem, two_parameter_theta0
 from cfqp.core import JacobianFactors, solve_active_set
 from cfqp.errors import DuplicateRegion, ProblemFormatError
 from cfqp.model import (
@@ -318,6 +322,24 @@ class TestLocateRegion:
         model = init_model(two_param, ActiveSet([3, 4]), theta0_2d)
         far = ParameterPoint.of_theta_e(two_param, [850.0, 100.0])
         assert locate_region(model, far) is None
+
+    def test_cached_residual_constants_leave_no_cycle(self):
+        """region_residuals' constants are cached on the model and hold
+        arrays only, so a model that went through locate_array is freed
+        by its reference count alone once dropped."""
+        problem, theta0 = two_parameter_problem(), two_parameter_theta0()
+        gc.collect()
+        gc.disable()
+        try:
+            model = init_model(problem, ActiveSet([3, 4]), theta0)
+            assert locate_array(model, theta0.stacked()[None]).tolist() == [0]
+            constants = vars(model)["_residual_layers"]
+            assert all(type(part) is np.ndarray for part in constants)
+            ref = weakref.ref(model)
+            del model, constants
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_network_is_exact_on_sweeps(model_2d, two_param):

@@ -16,6 +16,7 @@ from cfqp.oracle import (
     ORACLE_TOL,
     _accepted,
     brute_force_solve,
+    feasible_array,
     is_feasible,
     kkt_means,
     kkt_report,
@@ -159,11 +160,11 @@ class TestFeasibilityKernel:
     everywhere: a disagreement is a bug, not a tolerance to tune."""
 
     def test_discovery_calls_match_enumeration(self, tmp_path, fixture_rays):
-        """Every is_feasible call of the three benchmark fixtures'
-        discover runs, and every probe of the plain bisection on their 28
-        default-pattern rays (the last ones lie within 1e-6 relative of
-        the boundary), replayed against the first accepted set of the
-        enumeration.  At each probe, the closed-form decision (a
+        """Every is_feasible call and every feasible_array row of the
+        three benchmark fixtures' discover runs, and every probe of the
+        plain bisection on their 28 default-pattern rays (the last ones
+        lie within 1e-6 relative of the boundary), replayed against the
+        first accepted set of the enumeration.  At each probe, the closed-form decision (a
         comparison with the kernel's ray extent outside its band, the
         oracle inside) must be the oracle's answer."""
         problem_file = tmp_path / "two_parameter.json"
@@ -177,7 +178,14 @@ class TestFeasibilityKernel:
             calls.append((problem, theta, feasible))
             return feasible
 
-        with mock.patch.object(cfqp.discovery, "is_feasible", recording):
+        def recording_rows(problem, Theta):
+            feasible = feasible_array(problem, Theta)
+            calls.extend((problem, ParameterPoint.from_stacked(problem, theta), answer)
+                         for theta, answer in zip(Theta, feasible.tolist()))
+            return feasible
+
+        with mock.patch.object(cfqp.discovery, "is_feasible", recording), \
+                mock.patch.object(cfqp.discovery, "feasible_array", recording_rows):
             for argv in (
                 ["--problem", str(problem_file), "--theta0", "100,100", "--steps", "200"],
                 ["--case", str(case_file), "--steps", "40"],

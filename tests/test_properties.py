@@ -12,10 +12,17 @@ import cfqp.cli
 import cfqp.model
 import cfqp.oracle
 from cfqp.cli import CliError, _read_dataset
-from cfqp.core import gradient_rows, lagrangian_gradients, rowwise_matvec, solve_active_set
+from cfqp.core import (
+    gradient_rows,
+    lagrangian_gradients,
+    region_slopes,
+    rowwise_matvec,
+    solve_active_set,
+)
 from cfqp.discovery import feasible_extent, identify_transition
 from cfqp.errors import Infeasible, ProblemFormatError, UnresolvableTransition
 from cfqp.model import (
+    ClosedFormModel,
     RegionEntry,
     cast,
     forward,
@@ -42,6 +49,7 @@ from conftest import (
     reference_locate_region,
     reference_nonsingular_sets,
     reference_read_dataset,
+    reference_region_residuals,
     region_grad_x,
 )
 
@@ -592,6 +600,47 @@ def test_locate_array_matches_reference(two_param, model_2d, box_model, sweep_2d
                 assert (transition_or_none(identify_transition, model, region, theta)
                         == transition_or_none(reference_identify_transition, model, region,
                                               theta))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    q_vals=st.lists(st.floats(min_value=0.5, max_value=8.0), min_size=4, max_size=4),
+    sets=st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=5,
+                  unique=True),
+    tree=st.lists(st.tuples(st.integers(min_value=0, max_value=4), st.sampled_from([1, -1])),
+                  min_size=5, max_size=5),
+    N=st.sampled_from([0, 1, 2, 40, 300]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bits=bits,
+)
+# the empty set alone, at one row
+@example(n=2, q_vals=[1.0] * 4, sets=[0], tree=[(0, 1)] * 5, N=1, seed=0, bits=32)
+def test_region_residuals_match_reference_bitwise(n, q_vals, sets, tree, N, seed, bits):
+    """region_residuals, on the model's cached constants, is bitwise the
+    reference that derives them on every call, and so is locate_array; on
+    models of 1 to 5 regions of a box QP, the empty set among the
+    candidates, at 32 and 64 bits, on blocks of 0, 1, 2, 40 and 300 rows,
+    theta_C included."""
+    problem = box_qp(n, q_vals, [0.5, -1.0, 0.0, 0.25], bound=6.0)
+    candidates = problem.nonsingular_sets
+    active_sets = list(dict.fromkeys(ActiveSet(candidates[i % len(candidates)]) for i in sets))
+    witness = ParameterPoint.zeros(problem)
+    regions = tuple(
+        RegionEntry(id=i, active_set=B, parent_id=None if i == 0 else tree[i][0] % i,
+                    witness_theta=witness)
+        for i, B in enumerate(active_sets))
+    model = ClosedFormModel(
+        problem=problem, precision=bits, regions=regions,
+        direction=tuple(v for _, v in tree[:len(regions)]),
+        W0=np.stack([region_slopes(problem, B) for B in active_sets]))
+    Theta = np.random.default_rng(seed).uniform(-30.0, 30.0, (N, problem.d))
+    got = region_residuals(model, Theta)
+    want = reference_region_residuals(model, Theta)
+    assert [_bits(part) for part in got] == [_bits(part) for part in want]
+    with mock.patch.object(cfqp.model, "region_residuals", reference_region_residuals):
+        reference = locate_array(model, Theta)
+    assert _bits(locate_array(model, Theta)) == _bits(reference)
 
 
 def test_locate_array_exact_tie_goes_to_first_region(model_2d, box_model):

@@ -2,6 +2,7 @@
 model and log must be exactly those of the point-by-point walk
 (conftest.reference_discover), halving and abandoned points included."""
 
+import collections
 import json
 
 import numpy as np
@@ -19,8 +20,9 @@ from cfqp.discovery import (
     axis_sweep_pattern,
     discover,
     identify_transition,
+    scaled_base_pattern,
 )
-from cfqp.errors import UnresolvableTransition
+from cfqp.errors import DuplicateRegion, UnresolvableTransition
 from cfqp.model import serialize
 from cfqp.problem import ParameterPoint
 
@@ -51,11 +53,15 @@ def files(tmp_path):
     return {"problem": str(problem), "case": str(case)}
 
 
-@pytest.mark.parametrize("argv", [
-    # the benchmark's three fixtures
+#: The benchmark's three fixtures.
+BENCHMARK_ARGVS = [
     ["--problem", "{problem}", "--theta0", "100,100", "--steps", "200"],
     ["--case", "{case}", "--steps", "40"],
     ["--case", "{case}", "--lines", "--steps", "40", "--lenient"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGVS + [
     # criterion 6's coarse sweep
     ["--problem", "{problem}", "--theta0", "100,100", "--steps", "8"],
     ["--problem", "{problem}", "--theta0", "100,100", "--pattern", "scaled",
@@ -72,10 +78,64 @@ def test_cli_outputs_match_reference_walk(files, tmp_path, monkeypatch, argv):
     assert outputs[0] == outputs[1]
 
 
+def test_benchmark_discover_traffic(files, tmp_path, monkeypatch):
+    """The model and oracle calls of the benchmark's three discover runs
+    together.  Each point is evaluated once per model: a sweep's anchor
+    region comes from its first block and a failing row's scalar from its
+    block, so there is one forward_array and kkt_scalars pass per block
+    or re-evaluated point.  The extent bisection asks is_feasible only
+    for the three start checks, and feasible_array once for the 20
+    in-band probes of the two unbounded two-parameter rays."""
+    calls, rows = collections.Counter(), []
+    for name in ("forward_array", "kkt_scalars", "locate_array", "is_feasible",
+                 "feasible_array"):
+        def counting(*args, fn=getattr(discovery, name), name=name):
+            calls[name] += 1
+            if name == "feasible_array":
+                rows.append(len(args[1]))
+            return fn(*args)
+        monkeypatch.setattr(discovery, name, counting)
+    for argv in BENCHMARK_ARGVS:
+        argv = [arg.format(**files) for arg in argv]
+        assert cfqp.cli.main(["discover", *argv, "--out", str(tmp_path / "model")]) == 0
+    assert calls == {"forward_array": 50, "kkt_scalars": 50, "locate_array": 50,
+                     "is_feasible": 3, "feasible_array": 1}
+    assert rows == [20]
+
+
 def test_criterion_9_box_pattern_matches_reference_walk(box_problem):
     problem, _ = box_problem
     theta0, pattern = box_pattern(problem, extent_up=87.0, extent_dn=56.0)
     assert_same_walk(problem, theta0, pattern)
+
+
+def test_criterion_7_pattern_matches_reference_walk(power_case, line_problem, monkeypatch):
+    """Criterion 7's scaled sweeps of the line-limited case: some
+    transitions lead to a region the model already has, which changes the
+    current region but not the model, so the point's scalar stands."""
+    problem, _ = line_problem
+    demand = power_case.demand_vector()
+    origin = ParameterPoint.of_theta_e(problem, demand)
+    base = ParameterPoint.of_theta_e(problem, -demand)
+    extent = np.zeros(problem.m1)
+    extent[3:] = 0.8 * demand[3:]
+    scales = [1.0 + 0.125 * i for i in range(9)]
+    pattern = SearchPattern([
+        direction for ext in (extent, -extent)
+        for direction in scaled_base_pattern(base, scales, 30, ext, origin=origin).directions])
+    duplicates = []
+    expand = discovery.expand
+
+    def recording(*args):
+        try:
+            return expand(*args)
+        except DuplicateRegion:
+            duplicates.append(args[2])
+            raise
+
+    monkeypatch.setattr(discovery, "expand", recording)
+    assert_same_walk(problem, origin + base, pattern, strict=False)
+    assert duplicates
 
 
 @pytest.mark.parametrize("chunk_elements", [None, 8000])
