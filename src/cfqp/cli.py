@@ -345,42 +345,42 @@ def cmd_discover(args) -> int:
     problem = _load_problem(args)
     theta0 = _theta_from_args(problem, args)
 
-    extent_s = 0.0
-    if args.pattern == "axis":
-        if args.extent:
-            extent = _parse_theta_e(problem, args.extent, "--extent")
-            pattern = axis_sweep_pattern(theta0, extent, args.steps)
+    with _output(args.out) if args.out else contextlib.nullcontext() as out:
+        extent_s = 0.0
+        if args.pattern == "axis":
+            if args.extent:
+                extent = _parse_theta_e(problem, args.extent, "--extent")
+                pattern = axis_sweep_pattern(theta0, extent, args.steps)
+            else:
+                # Default: sweep each theta_e axis both ways, out to the
+                # bisected feasible boundary.
+                start = time.perf_counter()
+                units = [ParameterPoint.of_theta_e(problem, unit) for unit in np.eye(problem.m1)]
+                extents = np.array(feasible_extents(
+                    problem, theta0, units + [unit.scale(-1.0) for unit in units]))
+                up, down = extents[:problem.m1], -extents[problem.m1:]
+                extent_s = time.perf_counter() - start
+                pattern = SearchPattern(
+                    axis_sweep_pattern(theta0, up, args.steps).directions
+                    + axis_sweep_pattern(theta0, down, args.steps).directions
+                )
         else:
-            # Default: sweep each theta_e axis both ways, out to the
-            # bisected feasible boundary.
-            start = time.perf_counter()
-            units = [ParameterPoint.of_theta_e(problem, unit) for unit in np.eye(problem.m1)]
-            extents = np.array(feasible_extents(
-                problem, theta0, units + [unit.scale(-1.0) for unit in units]))
-            up, down = extents[:problem.m1], -extents[problem.m1:]
-            extent_s = time.perf_counter() - start
-            pattern = SearchPattern(
-                axis_sweep_pattern(theta0, up, args.steps).directions
-                + axis_sweep_pattern(theta0, down, args.steps).directions
+            if not args.extent:
+                raise CliError("--extent is required for the scaled pattern")
+            pattern = scaled_base_pattern(
+                theta0, _parse_scales(args.scales), args.steps,
+                _parse_theta_e(problem, args.extent, "--extent"),
             )
-    else:
-        if not args.extent:
-            raise CliError("--extent is required for the scaled pattern")
-        pattern = scaled_base_pattern(
-            theta0, _parse_scales(args.scales), args.steps,
-            _parse_theta_e(problem, args.extent, "--extent"),
-        )
 
-    with DiscoveryLog(args.log) as log:
-        start = time.perf_counter()
-        model = discover(
-            problem, theta0, pattern, tol=args.tol, precision=args.precision, log=log,
-            strict=not args.lenient,
-        )
-        elapsed = time.perf_counter() - start
-
-    if args.out:
-        Path(args.out).write_bytes(serialize(model))
+        with DiscoveryLog(args.log) as log:
+            start = time.perf_counter()
+            model = discover(
+                problem, theta0, pattern, tol=args.tol, precision=args.precision, log=log,
+                strict=not args.lenient,
+            )
+            elapsed = time.perf_counter() - start
+        if args.out:
+            out.write(serialize(model).decode())
     print(f"regions: {model.k}")
     for region in model.regions:
         print(f"  region {region.id}: active set {sorted(region.active_set)}")
@@ -425,36 +425,35 @@ def cmd_predict(args) -> int:
 def cmd_kkt_report(args) -> int:
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
-    parts, count, skipped = [], 0, 0
-    for thetas, feasible in _read_dataset(problem, args.dataset):
-        count += int(feasible.sum())
-        skipped += len(thetas) - int(feasible.sum())
-        parts += [kkt_batch(problem, X, Lam, Mu, rows)
-                  for rows, X, Lam, Mu, _ in forward_chunks(model, thetas[feasible])]
-
-    if not count:
-        print("warning: empty dataset (no feasible rows)", file=sys.stderr)
-        return 0
-
-    kkt1, kkt2_eq, kkt2_ineq, kkt3, kkt4 = (np.concatenate(v) for v in zip(*parts))
-    groups = problem.variable_groups or {}
-    columns = [(f"KKT1-{name}", kkt1[:, list(idx)]) for name, idx in groups.items()]
-    if not groups:
-        columns.append(("KKT1", kkt1))
-    columns += [
-        ("KKT2(=)", kkt2_eq),
-        ("KKT2(<=)", kkt2_ineq),
-        ("KKT3", kkt3),
-        ("KKT4", kkt4),
-    ]
-    rows = [(name, float(v.mean()), float(v.max())) for name, v in columns]
-
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+    with _output(args.out) if args.out else contextlib.nullcontext() as fh:
+        parts, count, skipped, rows = [], 0, 0, []
+        for thetas, feasible in _read_dataset(problem, args.dataset):
+            count += int(feasible.sum())
+            skipped += len(thetas) - int(feasible.sum())
+            parts += [kkt_batch(problem, X, Lam, Mu, rows)
+                      for rows, X, Lam, Mu, _ in forward_chunks(model, thetas[feasible])]
+        if count:
+            kkt1, kkt2_eq, kkt2_ineq, kkt3, kkt4 = (np.concatenate(v) for v in zip(*parts))
+            groups = problem.variable_groups or {}
+            columns = [(f"KKT1-{name}", kkt1[:, list(idx)]) for name, idx in groups.items()]
+            if not groups:
+                columns.append(("KKT1", kkt1))
+            columns += [
+                ("KKT2(=)", kkt2_eq),
+                ("KKT2(<=)", kkt2_ineq),
+                ("KKT3", kkt3),
+                ("KKT4", kkt4),
+            ]
+            rows = [(name, float(v.mean()), float(v.max())) for name, v in columns]
+        if args.out:  # no feasible row writes the header only, as predict does
             w = csv.writer(fh)
             w.writerow(["condition", "mean", "worst"])
             for name, mean, worst in rows:
                 w.writerow([name, repr(mean), repr(worst)])
+
+    if not count:
+        print("warning: empty dataset (no feasible rows)", file=sys.stderr)
+        return 0
     print(f"{'condition':12s} {'mean':>12s} {'worst':>12s}")
     for name, mean, worst in rows:
         print(f"{name:12s} {mean:12.3e} {worst:12.3e}")
@@ -467,42 +466,41 @@ def cmd_gen_data(args) -> int:
     if size < 1:
         raise CliError(f"{flag} must be >= 1, got {size}")
     case, problem = _load_case(args)
-    if args.kind == "local":
-        points = dcopf.local_perturbation_dataset(
-            case, args.count, args.seed, problem=problem
-        )
-    elif args.kind == "extreme":
-        points = dcopf.extreme_dataset(case, steps=args.steps, problem=problem)
-    else:
-        scales = _parse_scales(args.scales)
-        points = dcopf.scaled_dataset(
-            case, scales, args.count, args.seed, problem=problem
-        )
-        counts = dcopf.survival_counts(points)
-        for scale, count in counts.items():
-            print(f"scale {scale:g}: {count} of {args.count} feasible", file=sys.stderr)
-    out = open(args.out, "w") if args.out else sys.stdout
-    if args.format == "jsonl":
-        for p in points:
-            rec = {
-                "theta_e": p.theta.theta_e.tolist(),
-                "feasible": p.feasible,
-            }
-            if p.scale is not None:
-                rec["scale"] = p.scale
-            out.write(json.dumps(rec) + "\n")
-    else:
-        writer = csv.writer(out)
-        writer.writerow(
-            [f"theta_e{i+1}" for i in range(problem.m1)] + ["feasible", "scale"]
-        )
-        for p in points:
-            writer.writerow(
-                [repr(float(v)) for v in p.theta.theta_e]
-                + [int(p.feasible), "" if p.scale is None else repr(p.scale)]
+    with _output(args.out) as out:
+        if args.kind == "local":
+            points = dcopf.local_perturbation_dataset(
+                case, args.count, args.seed, problem=problem
             )
+        elif args.kind == "extreme":
+            points = dcopf.extreme_dataset(case, steps=args.steps, problem=problem)
+        else:
+            scales = _parse_scales(args.scales)
+            points = dcopf.scaled_dataset(
+                case, scales, args.count, args.seed, problem=problem
+            )
+            counts = dcopf.survival_counts(points)
+            for scale, count in counts.items():
+                print(f"scale {scale:g}: {count} of {args.count} feasible", file=sys.stderr)
+        if args.format == "jsonl":
+            for p in points:
+                rec = {
+                    "theta_e": p.theta.theta_e.tolist(),
+                    "feasible": p.feasible,
+                }
+                if p.scale is not None:
+                    rec["scale"] = p.scale
+                out.write(json.dumps(rec) + "\n")
+        else:
+            writer = csv.writer(out)
+            writer.writerow(
+                [f"theta_e{i+1}" for i in range(problem.m1)] + ["feasible", "scale"]
+            )
+            for p in points:
+                writer.writerow(
+                    [repr(float(v)) for v in p.theta.theta_e]
+                    + [int(p.feasible), "" if p.scale is None else repr(p.scale)]
+                )
     if args.out:
-        out.close()
         print(f"{len(points)} points written to {args.out}", file=sys.stderr)
     return 0
 
@@ -556,17 +554,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_import_case(args) -> int:
-    case = dcopf.parse_matpower(
-        Path(args.matpower).read_text(),
-        name=Path(args.matpower).stem,
-        half_quadratic=args.half_quadratic,
-    )
-    text = case.to_json(indent=2) + "\n"
+    with _output(args.out) as out:
+        case = dcopf.parse_matpower(
+            Path(args.matpower).read_text(),
+            name=Path(args.matpower).stem,
+            half_quadratic=args.half_quadratic,
+        )
+        out.write(case.to_json(indent=2) + "\n")
     if args.out:
-        Path(args.out).write_text(text)
         print(f"case written to {args.out}")
-    else:
-        print(text, end="")
     return 0
 
 

@@ -23,8 +23,8 @@ from .errors import (
     SingularActiveJacobian,
     UnresolvableTransition,
 )
-# forward, locate_region and kkt_report are not called here but stay
-# bound: benchmark/tracing.py wraps these module attributes.
+# forward, locate_region, kkt_report and brute_force_solve are not called
+# here but stay bound: benchmark/tracing.py wraps these module attributes.
 from .model import (  # noqa: F401
     ClosedFormModel,
     RegionEntry,
@@ -43,6 +43,7 @@ from .oracle import (  # noqa: F401
     is_feasible,
     kkt_report,
     kkt_scalars,
+    solve,
 )
 from .problem import ActiveSet, MpQpProblem, ParameterPoint, resolve_dtype
 
@@ -308,8 +309,9 @@ def discover(
 ) -> ClosedFormModel:
     """Grow a closed-form model along a search pattern.
 
-    A single oracle solve anchors the root region at theta0.  Along
-    every direction, the first point whose prediction violates ``tol``
+    One :func:`cfqp.oracle.solve` anchors the root region at theta0; it
+    solves only the active sets the feasibility kernel accepts there.
+    Along every direction, the first point whose prediction violates ``tol``
     triggers transition identification and model expansion; evaluation
     resumes at the violating point.  Every point goes through the array
     kernels :func:`forward_array`, :func:`kkt_scalars` and
@@ -334,7 +336,7 @@ def discover(
         log = DiscoveryLog()
 
     try:
-        seed = brute_force_solve(problem, theta0)
+        seed = solve(problem, theta0)
     except Infeasible as exc:
         raise InfeasibleStart("discovery anchor theta0 is infeasible") from exc
     model = init_model(problem, seed.active_set, theta0)

@@ -23,6 +23,7 @@ __all__ = [
     "kkt_means",
     "kkt_scalars",
     "brute_force_solve",
+    "solve",
     "is_feasible",
     "feasible_array",
 ]
@@ -194,19 +195,20 @@ def _nonsingular_sets(problem: MpQpProblem) -> tuple:
     return tuple(found)
 
 
-def _accepted(problem: MpQpProblem, theta: ParameterPoint):
+def _accepted(problem: MpQpProblem, theta: ParameterPoint, sets=None):
     """Yield each accepted active set, in enumeration order, as
     (key, solution, active_set, weakly_active) with key
     (KktReport scalar, cardinality, indices).
 
-    Every set of ``MpQpProblem.nonsingular_sets`` is solved at theta.
-    Acceptance requires mu_B >= -ORACLE_TOL and all inequality
-    residuals <= ORACLE_TOL (both scaled by the data magnitude).  A
-    weakly active set has a binding constraint with mu ~ 0.
+    Every set of ``MpQpProblem.nonsingular_sets``, or of ``sets``, a
+    subset in that order, is solved at theta.  Acceptance requires mu_B >=
+    -ORACLE_TOL and all inequality residuals <= ORACLE_TOL (both scaled by
+    the data magnitude).  A weakly active set has a binding constraint
+    with mu ~ 0.
     """
     _finite_rows(problem, theta.check_dims(problem).stacked()[None])
     primal_tol = ORACLE_TOL * float(np.abs(problem.b_C + theta.theta_C).max(initial=1.0))
-    for indices in problem.nonsingular_sets:
+    for indices in problem.nonsingular_sets if sets is None else sets:
         B = ActiveSet(indices)
         sol = solve_active_set(problem, B, theta)
         k = len(B)
@@ -221,6 +223,14 @@ def _accepted(problem: MpQpProblem, theta: ParameterPoint):
         yield (_report(sol.mu, gradients).scalar, k, B.indices), sol, B, weak
 
 
+def _optimum(found: list) -> OracleResult:
+    """:func:`brute_force_solve`'s choice among :func:`_accepted`'s candidates."""
+    if not found:
+        raise Infeasible("no active set satisfies the KKT conditions at this theta")
+    _, sol, B, weak = min(found, key=lambda c: c[0])
+    return OracleResult(solution=sol, active_set=B, degenerate=weak or len(found) > 1)
+
+
 def brute_force_solve(
     problem: MpQpProblem,
     theta: ParameterPoint,
@@ -232,11 +242,19 @@ def brute_force_solve(
     The ``degenerate`` flag marks weakly active constraints (a binding
     constraint with mu ~ 0) or boundary ties between active sets.
     """
-    found = list(_accepted(problem, theta))
-    if not found:
-        raise Infeasible("no active set satisfies the KKT conditions at this theta")
-    _, sol, B, weak = min(found, key=lambda c: c[0])
-    return OracleResult(solution=sol, active_set=B, degenerate=weak or len(found) > 1)
+    return _optimum(list(_accepted(problem, theta)))
+
+
+def solve(problem: MpQpProblem, theta: ParameterPoint) -> OracleResult:
+    """:func:`brute_force_solve`'s choice among the sets the problem's
+    :class:`FeasibilityKernel` accepts at theta; where its test accepts none
+    of them, :func:`brute_force_solve` itself.  The two agree wherever the
+    kernel's per-set decisions are the enumeration's."""
+    Theta = _finite_rows(problem, theta.check_dims(problem).stacked()[None])
+    mask = problem.feasibility_kernel.accepts(problem, Theta)[0]
+    sets = [B for B, ok in zip(problem.nonsingular_sets, mask) if ok]
+    found = list(_accepted(problem, theta, sets))
+    return _optimum(found) if found else brute_force_solve(problem, theta)
 
 
 class FeasibilityKernel:
@@ -301,6 +319,13 @@ class FeasibilityKernel:
         v = (self._stack @ s[:, self._index, None])[..., 0]
         primal_tol = ORACLE_TOL * np.abs(rhs).max(1, initial=1.0)
         return v[..., :k_max + 1], v[..., k_max:] - s[:, None], primal_tol
+
+    def accepts(self, problem: MpQpProblem, Theta: np.ndarray) -> np.ndarray:
+        """(N, S) booleans: set j passes :func:`_accepted`'s dual and primal
+        tests, with the same scalings, at row i of an (N, d) theta array."""
+        mu, residual, primal_tol = self._rows(problem, Theta)
+        return ((mu.min(-1) >= -ORACLE_TOL * np.abs(mu).max(-1, initial=1.0))
+                & (residual.max(-1) <= primal_tol[:, None]))
 
     def ray_extents(
         self, problem: MpQpProblem, theta0: np.ndarray, D: np.ndarray
@@ -387,9 +412,7 @@ def feasible_array(problem: MpQpProblem, Theta: np.ndarray) -> np.ndarray:
     Theta, kernel = _finite_rows(problem, Theta), problem.feasibility_kernel
     parts = []
     for lo in range(0, max(len(Theta), 1), kernel.chunk_rows):
-        mu, residual, primal_tol = kernel._rows(problem, Theta[lo:lo + kernel.chunk_rows])
-        parts.append(((mu.min(-1) >= -ORACLE_TOL * np.abs(mu).max(-1, initial=1.0))
-                      & (residual.max(-1) <= primal_tol[:, None])).any(-1))
+        parts.append(kernel.accepts(problem, Theta[lo:lo + kernel.chunk_rows]).any(-1))
     return np.concatenate(parts)
 
 

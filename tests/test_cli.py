@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import cfqp.cli
 from cfqp.cases import bundled_case_json, bundled_problem_json, case6
 from cfqp.cli import EXIT_CODES, _csv_rows, _read_dataset, main
 from cfqp.dcopf import build_dcopf, build_dcopf_with_lines
+from cfqp.errors import UnresolvableTransition
 from cfqp.model import cast, deserialize, forward_array, serialize
 from cfqp.oracle import _accepted, kkt_means
 from cfqp.problem import MpQpProblem, ParameterPoint
@@ -70,8 +72,8 @@ def test_bundled_json_is_pinned():
 
 class TestDiscoverCommand:
     def test_finds_four_regions(self, problem_file, model_2d_file, capsys):
-        problem = MpQpProblem.from_json(open(problem_file).read())
-        model = deserialize(open(model_2d_file, "rb").read(), problem)
+        problem = MpQpProblem.from_json(Path(problem_file).read_text())
+        model = deserialize(Path(model_2d_file).read_bytes(), problem)
         assert {tuple(r.active_set) for r in model.regions} == {
             (3, 4), (1, 3, 4), (1, 3, 4, 5), (1, 3, 4, 6),
         }
@@ -211,12 +213,13 @@ class TestPredictCommand:
             "predict", "--problem", problem_file, "--model", model_2d_file,
             "--thetas", str(thetas), "--out", str(out),
         ]) == 0
-        rows = list(csv.DictReader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[1]["x1"]) == pytest.approx(20.0, abs=1e-6)
         assert float(rows[1]["kkt4"]) < 1e-10
         assert "evaluated in" in capsys.readouterr().err
-        assert open(out, "rb").read().count(b"\r\n") == 3
+        assert out.read_bytes().count(b"\r\n") == 3
 
         # the same rows as JSON-lines records give the same output
         records = tmp_path / "thetas.jsonl"
@@ -260,7 +263,7 @@ class TestPredictCommand:
                 "predict", "--problem", problem_file, "--model", model_2d_file,
                 "--thetas", str(path), "--out", f"{path}.out",
             ]) == 0
-        assert open(f"{thetas}.out", "rb").read() == open(f"{plain}.out", "rb").read()
+        assert Path(f"{thetas}.out").read_bytes() == Path(f"{plain}.out").read_bytes()
 
     @pytest.mark.parametrize("text", ["", "# no rows\n\n"], ids=["empty", "comments"])
     def test_no_theta_rows_writes_header_only(self, problem_file, model_2d_file, tmp_path,
@@ -344,7 +347,7 @@ class TestPredictCommand:
 
     def test_truncated_model(self, problem_file, model_2d_file, tmp_path):
         broken = tmp_path / "broken.json"
-        broken.write_bytes(open(model_2d_file, "rb").read()[:50])
+        broken.write_bytes(Path(model_2d_file).read_bytes()[:50])
         thetas = tmp_path / "thetas.csv"
         thetas.write_text("150,150\n")
         assert main([
@@ -395,8 +398,8 @@ class TestPredictFormatting:
         assert "-0.0" in _csv_rows(table)
 
     def test_predict_output_matches_repr(self, problem_file, model_2d_file, tmp_path):
-        problem = MpQpProblem.from_json(open(problem_file).read())
-        model = cast(deserialize(open(model_2d_file, "rb").read(), problem), 32)
+        problem = MpQpProblem.from_json(Path(problem_file).read_text())
+        model = cast(deserialize(Path(model_2d_file).read_bytes(), problem), 32)
         model_32 = tmp_path / "model32.json"
         model_32.write_bytes(serialize(model))
         Theta = np.zeros((40, problem.d))
@@ -437,7 +440,8 @@ class TestGenDataAndKktReport:
         ]) == 0
         printed = capsys.readouterr().out
         assert "KKT1-P_g" in printed and "KKT1-delta" in printed
-        rows = {r["condition"]: r for r in csv.DictReader(open(out_csv))}
+        with open(out_csv) as fh:
+            rows = {r["condition"]: r for r in csv.DictReader(fh)}
         assert float(rows["KKT4"]["mean"]) < 1e-12
         assert float(rows["KKT2(=)"]["worst"]) < 1e-12
 
@@ -746,10 +750,6 @@ def test_bad_argument_is_usage_error(
     assert not out.exists()
 
 
-# An unclosed file warns when it is freed, where the raised warning can
-# only reach sys.unraisablehook; pytest reports that as a warning of its own.
-@pytest.mark.filterwarnings("error::ResourceWarning",
-                            "error::pytest.PytestUnraisableExceptionWarning")
 def test_discover_closes_its_log_when_discovery_raises(problem_file, tmp_path):
     """An infeasible theta0 makes discover raise after --log is opened;
     the file is closed all the same, so freeing the run's objects warns
@@ -761,3 +761,54 @@ def test_discover_closes_its_log_when_discovery_raises(problem_file, tmp_path):
     ]) == EXIT_CODES["infeasible"]
     gc.collect()
     assert log.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--steps", "20"],
+    ["gen-data", "scaled", "--case", "CASE", "--lines", "--count", "2000", "--scales", "1,2",
+     "--seed", "1"],
+    ["kkt-report", "--problem", "PROBLEM", "--model", "MODEL", "--dataset", "DATA"],
+    ["import-case", "--matpower", "MATPOWER"],
+], ids=["discover", "gen-data", "kkt-report", "import-case"])
+def test_unwritable_out_fails_before_any_work(
+    problem_file, case_file, model_2d_file, tmp_path, monkeypatch, argv
+):
+    """Every command opens --out before its work: a path in a missing
+    directory exits 1 with nothing computed and nothing written."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was opened")
+
+    for module, name in ((cfqp.cli, "discover"), (cfqp.cli, "forward_chunks"),
+                         (cfqp.cli.dcopf, "scaled_dataset"), (cfqp.cli.dcopf, "parse_matpower")):
+        monkeypatch.setattr(module, name, no_work)
+    data, matpower = tmp_path / "data.csv", tmp_path / "tiny.m"
+    data.write_text("100,100\n")
+    matpower.write_text(MATPOWER_TEXT)
+    inputs = {"PROBLEM": problem_file, "CASE": case_file, "MODEL": model_2d_file,
+              "DATA": str(data), "MATPOWER": str(matpower)}
+    argv = [inputs.get(a, a) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "nodir" / "out")]) == 1
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_failed_discover_leaves_no_file(problem_file, tmp_path, monkeypatch):
+    """A discover that exits 7 leaves neither the model nor a temporary file."""
+    def unresolvable(*args, **kwargs):
+        raise UnresolvableTransition("no transition found")
+
+    monkeypatch.setattr(cfqp.cli, "discover", unresolvable)
+    before = set(tmp_path.iterdir())
+    assert main(["discover", "--problem", problem_file, "--theta0", "100,100",
+                 "--steps", "20", "--out", str(tmp_path / "m.json")]) == EXIT_CODES["transition"]
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_kkt_report_without_feasible_rows_writes_header_only(
+    problem_file, model_2d_file, tmp_path, capsys
+):
+    data, out = tmp_path / "data.jsonl", tmp_path / "kkt.csv"
+    data.write_text('{"theta_e": [100, 100], "feasible": false}\n')
+    assert main(["kkt-report", "--problem", problem_file, "--model", model_2d_file,
+                 "--dataset", str(data), "--out", str(out)]) == 0
+    assert "empty dataset" in capsys.readouterr().err
+    assert out.read_bytes() == b"condition,mean,worst\r\n"

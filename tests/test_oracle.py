@@ -20,10 +20,12 @@ from cfqp.oracle import (
     is_feasible,
     kkt_means,
     kkt_report,
+    solve,
 )
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
 from conftest import (
+    box_qp,
     local_samples_6bus,
     on_sweep_samples_2d,
     reference_feasible_extent,
@@ -245,6 +247,35 @@ class TestFeasibilityKernel:
         assert not is_feasible(problem, theta)
         with pytest.raises(Infeasible):
             brute_force_solve(problem, theta)
+
+    @staticmethod
+    def large_theta_c(t):
+        """A box QP that is feasible for every t, at theta_c = (0, 5t): its
+        multipliers reach about 5e9 and its base solution 8e8, while the
+        primal tolerance stays 1e-8."""
+        problem = box_qp(2, [1, 2, 1, 1], [0, 0, 0, 0], 6.0)
+        return problem, ParameterPoint([0.0, 5 * t], [0.0], np.zeros(4))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: the primal tolerance does not grow with |A_C x| "
+        "or the multipliers, so each path's rounding decides the boolean",
+    )
+    @pytest.mark.parametrize("t", [9.7e8, 1e9])
+    def test_agrees_with_enumeration_at_large_theta_c(self, t):
+        problem, theta = self.large_theta_c(t)
+        assert is_feasible(problem, theta) == (next(_accepted(problem, theta), None) is not None)
+
+    @pytest.mark.parametrize("t", [9.7e8, 1e9])
+    def test_solve_falls_back_to_enumeration(self, t):
+        """While the kernel accepts no set here (the xfail above), solve
+        gets the enumeration's answer from brute_force_solve itself."""
+        problem, theta = self.large_theta_c(t)
+        got, want = solve(problem, theta), brute_force_solve(problem, theta)
+        assert got.active_set == want.active_set == ActiveSet([4])
+        assert got.degenerate == want.degenerate
+        for name in ("x", "lam", "mu"):
+            assert getattr(got.solution, name).tobytes() == getattr(want.solution, name).tobytes()
 
     def test_cached_kernel_leaves_no_cycle(self):
         """The kernel and the walk's set list are cached on the problem

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import cfqp.cli
 import cfqp.model
 import cfqp.oracle
+from cfqp.cases import bundled_case_json, bundled_problem_json
 from cfqp.cli import CliError, _read_dataset
 from cfqp.core import (
     gradient_rows,
@@ -25,6 +26,7 @@ from cfqp.model import (
     ClosedFormModel,
     RegionEntry,
     cast,
+    deserialize,
     forward,
     init_model,
     locate_array,
@@ -38,6 +40,7 @@ from cfqp.oracle import (
     is_feasible,
     kkt_batch,
     kkt_report,
+    solve,
 )
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
 
@@ -319,6 +322,73 @@ def test_feasibility_kernel_matches_enumeration_box_qp(n, q_vals, c_vals, theta)
     problem = box_qp(n, q_vals, c_vals, bound=6.0)
     point = ParameterPoint.from_stacked(problem, theta[:problem.d])
     assert is_feasible(problem, point) == (next(_accepted(problem, point), None) is not None)
+
+
+def oracle_answer(fn, problem, theta):
+    """(active set, degenerate flag, x, lambda and mu bits) of one
+    oracle's answer at theta, or None when it raises Infeasible."""
+    try:
+        result = fn(problem, theta)
+    except Infeasible:
+        return None
+    sol = result.solution
+    return (result.active_set.indices, result.degenerate,
+            *(_bits(v) for v in (sol.x, sol.lam, sol.mu)))
+
+
+def assert_solve_is_brute_force(problem, theta):
+    assert oracle_answer(solve, problem, theta) == oracle_answer(brute_force_solve, problem, theta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    q_vals=st.lists(st.integers(min_value=1, max_value=4), min_size=4, max_size=4),
+    c_vals=st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+    factor=st.integers(min_value=-5, max_value=5),
+    theta_c=st.one_of(
+        st.lists(st.integers(min_value=-6, max_value=6).map(float), min_size=4, max_size=4),
+        st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=4, max_size=4)),
+)
+# TestFeasibilityKernel's large-theta_c points: the kernel accepts no set there
+@example(n=2, q_vals=[1, 2, 1, 1], c_vals=[0, 0, 0, 0], factor=0,
+         theta_c=[0.0, 4.85e9, 0.0, 0.0])
+@example(n=2, q_vals=[1, 2, 1, 1], c_vals=[0, 0, 0, 0], factor=0,
+         theta_c=[0.0, 5e9, 0.0, 0.0])
+def test_solve_matches_brute_force(n, q_vals, c_vals, factor, theta_c):
+    """The kernel-filtered solve against the literal enumeration on box
+    QPs with integer data, at the equality targets factor * bound, where
+    bounds tie (0, +-bound, +-(n - 1) bound, +-n bound) or the box is
+    missed (|factor| > n)."""
+    bound = 6.0
+    problem = box_qp(n, q_vals, c_vals, bound)
+    theta = ParameterPoint(theta_c[:n], [factor * bound], np.zeros(2 * n))
+    assert_solve_is_brute_force(problem, theta)
+
+
+@pytest.fixture(scope="module")
+def fixture_models(tmp_path_factory, two_param, box_problem, line_problem):
+    """(problem, model) of the benchmark's three discover runs."""
+    root = tmp_path_factory.mktemp("fixture_models")
+    (root / "two_parameter.json").write_text(bundled_problem_json())
+    (root / "case6.json").write_text(bundled_case_json())
+    models = []
+    for problem, argv in (
+        (two_param, ["--problem", "two_parameter.json", "--theta0", "100,100", "--steps", "200"]),
+        (box_problem[0], ["--case", "case6.json", "--steps", "40"]),
+        (line_problem[0], ["--case", "case6.json", "--lines", "--steps", "40", "--lenient"]),
+    ):
+        argv = [str(root / arg) if arg.endswith(".json") else arg for arg in argv]
+        assert cfqp.cli.main(["discover", *argv, "--out", str(root / "model")]) == 0
+        models.append((problem, deserialize((root / "model").read_bytes(), problem)))
+    return models
+
+
+def test_solve_matches_brute_force_at_fixture_witnesses(fixture_models):
+    assert sum(model.k for _, model in fixture_models) > 10
+    for problem, model in fixture_models:
+        for region in model.regions:
+            assert_solve_is_brute_force(problem, region.witness_theta)
 
 
 def _patched_chunk(problem, rows):

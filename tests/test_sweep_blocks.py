@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cfqp.cli
 import cfqp.model
+import cfqp.oracle
 from cfqp import discovery
 from cfqp.cases import bundled_case_json, bundled_problem_json
 from cfqp.discovery import (
@@ -85,21 +86,25 @@ def test_benchmark_discover_traffic(files, tmp_path, monkeypatch):
     block, so there is one forward_array and kkt_scalars pass per block
     or re-evaluated point.  The extent bisection asks is_feasible only
     for the three start checks, and feasible_array once for the 20
-    in-band probes of the two unbounded two-parameter rays."""
+    in-band probes of the two unbounded two-parameter rays.  Each anchor
+    solves only the one active set the feasibility kernel accepts there,
+    not the 52, 19 and 73 nonsingular sets, and none falls back to
+    brute_force_solve."""
     calls, rows = collections.Counter(), []
-    for name in ("forward_array", "kkt_scalars", "locate_array", "is_feasible",
-                 "feasible_array"):
-        def counting(*args, fn=getattr(discovery, name), name=name):
+    for module, name in [(discovery, name) for name in (
+            "forward_array", "kkt_scalars", "locate_array", "is_feasible",
+            "feasible_array", "brute_force_solve")] + [(cfqp.oracle, "solve_active_set")]:
+        def counting(*args, fn=getattr(module, name), name=name):
             calls[name] += 1
             if name == "feasible_array":
                 rows.append(len(args[1]))
             return fn(*args)
-        monkeypatch.setattr(discovery, name, counting)
+        monkeypatch.setattr(module, name, counting)
     for argv in BENCHMARK_ARGVS:
         argv = [arg.format(**files) for arg in argv]
         assert cfqp.cli.main(["discover", *argv, "--out", str(tmp_path / "model")]) == 0
     assert calls == {"forward_array": 50, "kkt_scalars": 50, "locate_array": 50,
-                     "is_feasible": 3, "feasible_array": 1}
+                     "is_feasible": 3, "feasible_array": 1, "solve_active_set": 3}
     assert rows == [20]
 
 
