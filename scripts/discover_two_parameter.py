@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from cfqp.cases import two_parameter_problem, two_parameter_theta0
-from cfqp.discovery import DiscoveryLog, axis_sweep_pattern, discover, feasible_extent
+from cfqp.discovery import DiscoveryLog, axis_sweep_pattern, discover, feasible_extents
 from cfqp.model import forward, serialize
 from cfqp.oracle import brute_force_solve, kkt_report
 from cfqp.problem import ParameterPoint
@@ -30,12 +30,8 @@ def main():
     problem = two_parameter_problem()
     theta0 = two_parameter_theta0()
 
-    extents = []
-    for axis in range(2):
-        d = np.zeros(2)
-        d[axis] = 1.0
-        direction = ParameterPoint.of_theta_e(problem, d)
-        extents.append(feasible_extent(problem, theta0, direction))
+    axes = [ParameterPoint.of_theta_e(problem, unit) for unit in np.eye(2)]
+    extents = feasible_extents(problem, theta0, axes)
     print(f"feasible extents from theta0: {extents}")
 
     log = DiscoveryLog()

@@ -465,6 +465,8 @@ def cmd_gen_data(args) -> int:
     size, flag = (args.steps, "--steps") if args.kind == "extreme" else (args.count, "--count")
     if size < 1:
         raise CliError(f"{flag} must be >= 1, got {size}")
+    if not 0 <= args.seed < 2 ** 128:  # the Philox key is 128 bits
+        raise CliError(f"--seed must be in [0, 2**128), got {args.seed}")
     case, problem = _load_case(args)
     with _output(args.out) as out:
         if args.kind == "local":
@@ -510,6 +512,8 @@ def cmd_bench(args) -> int:
         raise CliError(f"--count must be >= 1, got {args.count}")
     if not np.isfinite(args.jitter):
         raise CliError(f"--jitter must be finite, got {args.jitter}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
     rng = np.random.default_rng(args.seed)

@@ -139,9 +139,11 @@ def region_slopes(problem: MpQpProblem, B: ActiveSet) -> np.ndarray:
     -H_BB^{-1} [A_B J0^{-1}[:n] | I_B], scattered into a zero-padded
     matrix whose columns follow the fixed layout
     [cost (n) | equality (m1) | inequality (m2)]; rows and inequality
-    columns of non-active constraints stay zero.  x and lambda follow
-    from mu through the base inverse (see ``model.region_residuals``).
-    The empty set's block is zero.
+    columns of non-active constraints stay zero.  The network's solution
+    layer recovers x and lambda from mu through the base inverse (see
+    ``model.forward``); the critical-region test reads B's multipliers
+    and residuals from the feasibility kernel instead (see
+    ``model.region_residuals``).  The empty set's block is zero.
     """
     grad_mu = np.zeros((problem.m2, problem.d))
     if B:

@@ -456,16 +456,17 @@ def discover(
         return False
 
     def sweep_block(direction, di, first, prev):
-        """Points ``first`` onwards of a sweep, up to ``model.locate_rows``
-        of them, evaluated as one block and replayed in order.  The first
-        block's row 0, the start, sets the sweep's anchor region.  A point
-        that passes is logged and settled as :func:`resolve` would; the
-        first that fails goes through ``resolve`` itself, with its scalar,
-        which may change the model, so the block ends there.  ``prev`` is
-        the nearest point known to pass.  Returns the next point's index
-        and its ``prev``."""
+        """Points ``first`` onwards of a sweep, as many as
+        :func:`locate_array` tests at a time, evaluated as one block and
+        replayed in order.  The first block's row 0, the start, sets the
+        sweep's anchor region.  A point that passes is logged and settled
+        as :func:`resolve` would; the first that fails goes through
+        ``resolve`` itself, with its scalar, which may change the model, so
+        the block ends there.  ``prev`` is the nearest point known to pass.
+        Returns the next point's index and its ``prev``."""
         nonlocal last_set
-        index = np.arange(first, min(direction.max_steps + 1, first + model.locate_rows))
+        index = np.arange(first, min(direction.max_steps + 1,
+                                     first + model.region_kernel.chunk_rows))
         # bitwise direction.point(i).stacked() for every i
         Theta = direction.start.stacked() + index[:, None] * direction.step.stacked()
         scalars = block_scalars(Theta)

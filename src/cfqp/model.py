@@ -151,18 +151,6 @@ class ClosedFormModel:
         return max(1, _CHUNK_ELEMENTS // per_row)
 
     @cached_property
-    def locate_rows(self) -> int:
-        """Thetas :func:`locate_array` tests at a time: _CHUNK_ELEMENTS
-        over nnz*d + k*(2*n*m2 + n*(n+m1)) per row, for W0's nnz nonzero
-        rows, which bounds :func:`region_residuals`' (rows, d), (rows, k,
-        n+m1) and (rows, k, m2) temporaries; it also sets the rows of a
-        ``discover`` sweep block."""
-        p = self.problem
-        nnz = np.count_nonzero(self.W0.any(-1))
-        per_row = nnz * p.d + self.k * (2 * p.n * p.m2 + p.n * (p.n + p.m1))
-        return max(1, _CHUNK_ELEMENTS // per_row)
-
-    @cached_property
     def _layers(self) -> tuple:
         """The network's constants in the layout the array kernel reads,
         built once per model, rounded to model precision unless noted:
@@ -199,22 +187,14 @@ class ClosedFormModel:
         )
 
     @cached_property
-    def _residual_layers(self) -> tuple:
-        """The float64 constants :func:`region_residuals` reads, built
-        once per model: -B; W0's nonzero rows, C-ordered, and their flat
-        indices in W0's k * m2 rows; and C-ordered copies of A_C^T, the
-        base inverse's first n rows and A_C."""
-        p = self.problem
-        W0 = self.W0.reshape(self.k * p.m2, -1)
-        nonzero = np.flatnonzero(W0.any(-1))
-        return (
-            -p.stacked_coefficients(),
-            np.ascontiguousarray(W0[nonzero]),
-            nonzero,
-            np.ascontiguousarray(p.A_C.T),
-            np.ascontiguousarray(p.base_inverse[:p.n]),
-            np.ascontiguousarray(p.A_C),
-        )
+    def region_kernel(self):
+        """The problem's :class:`~cfqp.oracle.FeasibilityKernel` restricted
+        to the regions' active sets, in region order, so its set i is
+        region i.  It holds arrays only, so caching it here makes no
+        reference cycle."""
+        position = {B: i for i, B in enumerate(self.problem.nonsingular_sets)}
+        return self.problem.feasibility_kernel.restricted(
+            [position[r.active_set.indices] for r in self.regions])
 
     def incidence_matrix(self) -> np.ndarray:
         """Dense k x k signed incidence: root column (0,0)=+1; column j
@@ -392,9 +372,9 @@ def region_residuals(
     """The critical-region test of every region at each row of an (N, d)
     array of stacked thetas, in float64.
 
-    Region i's own affine map gives multipliers mu_i = W0[i] z, with
-    z = -B - theta, and the primal point x_i that the solution layer
-    recovers from [z_c + A_C^T mu_i; z_e], as :func:`forward` does.
+    Region i's multipliers mu_i and primal point x_i are its active
+    set's, read from set i of ``model.region_kernel``: bitwise the
+    feasibility kernel's, which the oracle's labels and anchor read.
     Region i contains theta when x_i is primal feasible and its active
     multipliers are nonnegative.  Returns two (N, k, m2) arrays:
 
@@ -404,29 +384,22 @@ def region_residuals(
       active multipliers max(1, |mu_i[B_i]|), and -inf off its active
       set B_i.
 
-    A positive entry is a violation.  A ``rowwise_matvec`` entry depends
-    only on its own rows of A and V, so a region's residuals at a theta
-    depend neither on the other regions nor on the other thetas.
+    A positive entry is a violation.  The kernel's values for a set at a
+    theta depend neither on the other sets nor on the other thetas, so
+    neither do a region's residuals.
     """
     problem = model.problem
-    n, m1, m2 = problem.n, problem.m1, problem.m2
-    neg_B, W, nonzero, A_C_T, base_inverse_x, A_C = model._residual_layers
+    kernel = model.region_kernel
     Theta = np.asarray(Theta, dtype=np.float64)
-    N, k = len(Theta), model.k
-    Z = neg_B - Theta
-    # only W0's nonzero rows are multiplied (a region's rows off its
-    # active set are zero); the other multipliers stay +0.0
-    mu = np.zeros((N, k * m2))
-    mu[:, nonzero] = rowwise_matvec(W, Z)
-    mu = mu.reshape(N, k, m2)
-    rhs = np.empty((N, k, n + m1))
-    np.add(Z[:, None, :n], rowwise_matvec(A_C_T, mu.reshape(N * k, m2)).reshape(N, k, n),
-           out=rhs[..., :n])
-    rhs[..., n:] = Z[:, None, n:n + m1]
-    x = rowwise_matvec(base_inverse_x, rhs.reshape(N * k, n + m1))
-    b = problem.b_C + Theta[:, n + m1:]
-    scale = np.abs(b).max(-1, initial=1.0)[:, None, None]
-    primal = (b[:, None] - rowwise_matvec(A_C, x).reshape(N, k, m2)) / scale
+    slots, residual, _ = kernel._rows(problem, Theta)
+    # scatter each set's multiplier slots into its constraints; the
+    # padding slots, index 0, land in column 0, which is dropped
+    N, (k, k_max) = len(Theta), kernel._index.shape
+    mu = np.zeros((N, k, 1 + problem.m2))
+    mu[:, np.arange(k)[:, None], kernel._index] = slots[..., :k_max]
+    mu = mu[..., 1:]
+    b = problem.b_C + Theta[:, problem.n + problem.m1:]
+    primal = residual[..., 1:] / np.abs(b).max(-1, initial=1.0)[:, None, None]
     mu_scale = np.abs(mu, where=model.active_mask, out=np.zeros_like(mu)).max(-1, initial=1.0)
     dual = np.where(model.active_mask, -mu / mu_scale[..., None], -np.inf)
     return primal, dual
@@ -435,8 +408,8 @@ def region_residuals(
 def locate_array(model: ClosedFormModel, Theta: np.ndarray) -> np.ndarray:
     """Which discovered critical region contains each row of an (N, d)
     array of stacked thetas: an (N,) array of region rows, -1 where none
-    does.  ``model.locate_rows`` rows are tested at a time, so the
-    temporaries stay bounded for any N.
+    does.  ``model.region_kernel.chunk_rows`` rows are tested at a time,
+    so the temporaries stay bounded for any N.
 
     A region's violation is its largest :func:`region_residuals` entry
     (its multiplier part is 0 for an empty active set, and its primal
@@ -447,7 +420,7 @@ def locate_array(model: ClosedFormModel, Theta: np.ndarray) -> np.ndarray:
     Theta = model.problem.theta_rows(Theta)
     rows = np.empty(len(Theta), dtype=np.intp)
     has_active = model.active_mask.any(-1)
-    step = model.locate_rows
+    step = model.region_kernel.chunk_rows
     for lo in range(0, len(Theta), step):
         primal, dual = region_residuals(model, Theta[lo:lo + step])
         dual = np.where(has_active, dual.max(-1, initial=-np.inf), 0.0)

@@ -278,6 +278,8 @@ class FeasibilityKernel:
     multipliers as v[:k_max + 1] and the residuals as v[k_max:] - [0, s],
     each with zeros added; a zero changes neither test (both tolerances
     are positive) and keeps the reductions defined when k_max or m2 is 0.
+    A model's critical-region test (``cfqp.model.region_residuals``) is
+    this kernel :meth:`restricted` to its regions' sets.
     """
 
     __slots__ = ("_index", "_stack", "_z0")
@@ -298,9 +300,19 @@ class FeasibilityKernel:
             self._stack[rows, :k, :k] = -H_inv
             self._stack[rows, k_max + 1:, :k] = H[:, B].transpose(1, 0, 2) @ H_inv
 
+    def restricted(self, rows) -> "FeasibilityKernel":
+        """The kernel of the sets at positions ``rows``, repeats allowed:
+        it takes their rows of this one's arrays and shares the rest, so
+        each set's values are bitwise this kernel's; no inverse is
+        computed."""
+        kernel = object.__new__(FeasibilityKernel)
+        kernel._z0, kernel._index, kernel._stack = self._z0, self._index[rows], self._stack[rows]
+        return kernel
+
     @property
     def chunk_rows(self) -> int:
-        """Thetas :func:`feasible_array` evaluates at a time, so that its largest
+        """Thetas :func:`feasible_array` (or ``cfqp.model.locate_array``, on
+        a restricted kernel) evaluates at a time, so that its largest
         temporary, the (rows, S, k_max + 1 + m2) product with the stack,
         stays within _CHUNK_ELEMENTS."""
         return max(1, _CHUNK_ELEMENTS // (self._stack.shape[0] * self._stack.shape[1]))

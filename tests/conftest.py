@@ -317,9 +317,10 @@ def reference_identify_transition(problem, model, current_region, theta, tol=1e-
 
 
 # ---------------------------------------------------------------------------
-# Reference copy of model.region_residuals, as it was written before the
-# model cached its constants: -B, W0's nonzero rows, A_C^T, the base
-# inverse's first n rows and A_C are derived on every call.
+# The W0-formula reference for model.region_residuals, which reads the
+# feasibility kernel instead: each region's multipliers W0[i] z, and its x
+# recovered from them through the base inverse, as the network's solution
+# layer does.  The two agree to rounding, not bitwise.
 
 
 def reference_region_residuals(model, Theta):

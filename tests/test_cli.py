@@ -525,6 +525,14 @@ class TestGenDataAndKktReport:
                 theta = ParameterPoint.of_theta_e(problem, r["theta_e"])
                 assert r["feasible"] == (next(_accepted(problem, theta), None) is not None)
 
+    def test_largest_seed_is_accepted(self, case_file, tmp_path):
+        """A seed is a 128-bit Philox key, so 2**128 - 1 is the largest
+        one (2**128 is a usage error, see test_bad_argument_is_usage_error)."""
+        data = tmp_path / "local.jsonl"
+        assert main(["gen-data", "local", "--case", case_file, "--count", "3",
+                     "--seed", str(2 ** 128 - 1), "--out", str(data)]) == 0
+        assert len(data.read_text().splitlines()) == 3
+
     def test_scaled_counts_printed(self, case_file, tmp_path, capsys):
         data = tmp_path / "scaled.jsonl"
         assert main([
@@ -722,18 +730,22 @@ class TestBench:
     (["bench", "--case", "CASE", "--model", "MODEL", "--count", "0"], "--count"),
     (["bench", "--case", "CASE", "--model", "MODEL", "--jitter", "nan"], "--jitter"),
     (["bench", "--case", "CASE", "--model", "MODEL", "--jitter", "inf"], "--jitter"),
+    (["gen-data", "local", "--case", "MISSING", "--count", "3", "--seed", "-1"], "--seed"),
+    (["gen-data", "scaled", "--case", "MISSING", "--seed", str(2 ** 128)], "--seed"),
+    (["bench", "--case", "CASE", "--model", "MODEL", "--seed", "-1"], "--seed"),
 ], ids=["discover-steps", "discover-extent-length", "discover-tol-nan",
         "discover-tol-inf", "discover-tol-negative", "discover-scales-order",
         "discover-scales-repeated", "local-count", "scaled-count", "gen-data-scales-order",
         "gen-data-scales-repeated", "extreme-steps",
-        "bench-count-negative", "bench-count-zero", "bench-jitter-nan", "bench-jitter-inf"])
+        "bench-count-negative", "bench-count-zero", "bench-jitter-nan", "bench-jitter-inf",
+        "local-seed-negative", "scaled-seed-too-large", "bench-seed-negative"])
 def test_bad_argument_is_usage_error(
     problem_file, case_file, tmp_path, capsys, monkeypatch, argv, flag
 ):
     """A bad argument exits 2 naming its flag, before any feasibility
     bisection and before any output is written.  bench has no --out; its
     model path does not exist, so only a check made before the model is
-    read can give exit 2."""
+    read can give exit 2, and the same holds for a MISSING gen-data case."""
     import cfqp.cli
 
     def no_bisection(*args):
@@ -741,7 +753,8 @@ def test_bad_argument_is_usage_error(
 
     monkeypatch.setattr(cfqp.cli, "feasible_extents", no_bisection)
     out = tmp_path / "out"
-    inputs = {"PROBLEM": problem_file, "CASE": case_file, "MODEL": str(tmp_path / "none.json")}
+    missing = str(tmp_path / "none.json")
+    inputs = {"PROBLEM": problem_file, "CASE": case_file, "MODEL": missing, "MISSING": missing}
     argv = [inputs.get(a, a) for a in argv]
     if argv[0] != "bench":
         argv += ["--out", str(out)]

@@ -324,19 +324,20 @@ class TestLocateRegion:
         assert locate_region(model, far) is None
 
     def test_cached_residual_constants_leave_no_cycle(self):
-        """region_residuals' constants are cached on the model and hold
-        arrays only, so a model that went through locate_array is freed
-        by its reference count alone once dropped."""
+        """region_residuals' constants, the model's region_kernel, are
+        cached on the model and hold arrays only, so a model that went
+        through locate_array is freed by its reference count alone once
+        dropped."""
         problem, theta0 = two_parameter_problem(), two_parameter_theta0()
         gc.collect()
         gc.disable()
         try:
             model = init_model(problem, ActiveSet([3, 4]), theta0)
             assert locate_array(model, theta0.stacked()[None]).tolist() == [0]
-            constants = vars(model)["_residual_layers"]
-            assert all(type(part) is np.ndarray for part in constants)
+            kernel = vars(model)["region_kernel"]
+            assert all(type(getattr(kernel, name)) is np.ndarray for name in kernel.__slots__)
             ref = weakref.ref(model)
-            del model, constants
+            del model, kernel
             assert ref() is None
         finally:
             gc.enable()

@@ -643,14 +643,14 @@ def reference_rows(model, thetas):
                                 st.integers(0, 1)), max_size=25),
     sweep_box=st.lists(st.tuples(st.floats(min_value=-90.0, max_value=90.0),
                                  st.sampled_from([None, 3, 4, 5])), max_size=25),
-    chunk_elements=st.sampled_from([None, 2000]),
+    chunk_elements=st.sampled_from([None, 200]),
 )
 def test_locate_array_matches_reference(two_param, model_2d, box_model, sweep_2d, sweep_box,
                                         chunk_elements):
     """Every row of locate_array, at sweep points (some beyond the feasible
     boundary) and at every witness, is what the reference loop locates;
     identify_transition from every region agrees with its reference too.
-    At 2000 elements a block holds one to a few thetas."""
+    At 200 elements a block holds a few thetas."""
     cases = [
         (model_2d, [ParameterPoint.of_theta_e(two_param, [100.0 + t * (axis == 0),
                                                           100.0 + t * (axis == 1)])
@@ -660,10 +660,9 @@ def test_locate_array_matches_reference(two_param, model_2d, box_model, sweep_2d
     for model, thetas in cases:
         thetas += [region.witness_theta for region in model.regions]
         Theta = np.array([theta.stacked() for theta in thetas])
-        fresh = dataclasses.replace(model)  # no cached locate_rows
-        with mock.patch.object(cfqp.model, "_CHUNK_ELEMENTS",
-                               chunk_elements or cfqp.model._CHUNK_ELEMENTS):
-            rows = locate_array(fresh, Theta)
+        with mock.patch.object(cfqp.oracle, "_CHUNK_ELEMENTS",
+                               chunk_elements or cfqp.oracle._CHUNK_ELEMENTS):
+            rows = locate_array(model, Theta)
         assert rows.tolist() == reference_rows(model, thetas)
         for theta in thetas:
             for region in model.regions:
@@ -686,10 +685,12 @@ def test_locate_array_matches_reference(two_param, model_2d, box_model, sweep_2d
 )
 # the empty set alone, at one row
 @example(n=2, q_vals=[1.0] * 4, sets=[0], tree=[(0, 1)] * 5, N=1, seed=0, bits=32)
-def test_region_residuals_match_reference_bitwise(n, q_vals, sets, tree, N, seed, bits):
-    """region_residuals, on the model's cached constants, is bitwise the
-    reference that derives them on every call, and so is locate_array; on
-    models of 1 to 5 regions of a box QP, the empty set among the
+def test_region_residuals_per_region_and_per_row(n, q_vals, sets, tree, N, seed, bits):
+    """region_residuals reads each region's rows of the feasibility kernel
+    on their own: a region's residuals are bitwise those of a one-region
+    model of its set, and a theta's those of a one-row call; they agree
+    with the W0-formula reference to 1e-12, with the same -inf entries.
+    On models of 1 to 5 regions of a box QP, the empty set among the
     candidates, at 32 and 64 bits, on blocks of 0, 1, 2, 40 and 300 rows,
     theta_C included."""
     problem = box_qp(n, q_vals, [0.5, -1.0, 0.0, 0.25], bound=6.0)
@@ -706,11 +707,17 @@ def test_region_residuals_match_reference_bitwise(n, q_vals, sets, tree, N, seed
         W0=np.stack([region_slopes(problem, B) for B in active_sets]))
     Theta = np.random.default_rng(seed).uniform(-30.0, 30.0, (N, problem.d))
     got = region_residuals(model, Theta)
-    want = reference_region_residuals(model, Theta)
-    assert [_bits(part) for part in got] == [_bits(part) for part in want]
-    with mock.patch.object(cfqp.model, "region_residuals", reference_region_residuals):
-        reference = locate_array(model, Theta)
-    assert _bits(locate_array(model, Theta)) == _bits(reference)
+    for region in regions:
+        own = region_residuals(alone(model, region), Theta)
+        assert [_bits(part[:, region.id]) for part in got] == [_bits(part[:, 0]) for part in own]
+    for row, theta in enumerate(Theta):
+        own = region_residuals(model, theta[None])
+        assert [_bits(part[row]) for part in got] == [_bits(part[0]) for part in own]
+    for part, want in zip(got, reference_region_residuals(model, Theta)):
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(part), finite)
+        assert np.array_equal(part[~finite], want[~finite])
+        assert np.abs(part[finite] - want[finite]).max(initial=0.0) <= 1e-12
 
 
 def test_locate_array_exact_tie_goes_to_first_region(model_2d, box_model):

@@ -3,6 +3,7 @@ model and log must be exactly those of the point-by-point walk
 (conftest.reference_discover), halving and abandoned points included."""
 
 import collections
+import hashlib
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cfqp.cli
-import cfqp.model
 import cfqp.oracle
 from cfqp import discovery
 from cfqp.cases import bundled_case_json, bundled_problem_json
@@ -79,6 +79,43 @@ def test_cli_outputs_match_reference_walk(files, tmp_path, monkeypatch, argv):
     assert outputs[0] == outputs[1]
 
 
+#: sha256 of each benchmark fixture's model file, and of its log with every
+#: record's ``kkt`` value removed.
+FIXTURE_DIGESTS = {
+    "two_parameter": (
+        "8a4009b5429a2f444b3b960d53a3fa43a4d9e83807438bc5eb95d7786c75248d",
+        "dd8414965cc744f487e0e8cfa7aca68e4c93c9a12a2b377d8f184feeea4cc35e",
+    ),
+    "case6": (
+        "f840e46a4f54d09c8fcd4106e030cedf8f04982064fffe742f00aeb4c390084d",
+        "8f8154837c8de84e160b7d634924c1abc61f503a205b27fe4f09566e3bb794c4",
+    ),
+    "case6_lines": (
+        "de6e50076f5aa2d5f7287bcd884ed3ce7bddcabb7ce1d1f046563b021668332c",
+        "089b6942ffa570073963fd4d4e525f2b574b9c33afdbfbc7eb10979c6f38af43",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,name", zip(BENCHMARK_ARGVS, FIXTURE_DIGESTS),
+                         ids=list(FIXTURE_DIGESTS))
+def test_fixture_outputs_are_pinned(files, tmp_path, argv, name):
+    """The benchmark fixtures' models and logs, which a change to discovery
+    or to the kernels it reads is expected to leave byte-identical.  The
+    models are pinned whole.  The logs are pinned without the points'
+    ``kkt`` values: those are einsum sums, whose last bit may differ
+    between numpy versions, while witnesses, sets, directions and events
+    do not.  A change that moves a digest must say why in CHANGES.md."""
+    model, log = tmp_path / "model.json", tmp_path / "log.jsonl"
+    argv = [arg.format(**files) for arg in argv]
+    assert cfqp.cli.main(["discover", *argv, "--out", str(model), "--log", str(log)]) == 0
+    records = (json.loads(line) for line in log.read_text().splitlines())
+    text = "".join(json.dumps({key: value for key, value in record.items() if key != "kkt"})
+                   + "\n" for record in records)
+    assert (hashlib.sha256(model.read_bytes()).hexdigest(),
+            hashlib.sha256(text.encode()).hexdigest()) == FIXTURE_DIGESTS[name]
+
+
 def test_benchmark_discover_traffic(files, tmp_path, monkeypatch):
     """The model and oracle calls of the benchmark's three discover runs
     together.  Each point is evaluated once per model: a sweep's anchor
@@ -143,24 +180,27 @@ def test_criterion_7_pattern_matches_reference_walk(power_case, line_problem, mo
     assert duplicates
 
 
-@pytest.mark.parametrize("chunk_elements", [None, 8000])
+@pytest.mark.parametrize("fixture", ["two_parameter", "box"])
 def test_block_boundaries_mid_direction(two_param, theta0_2d, box_problem, monkeypatch,
-                                        chunk_elements):
-    """A sweep longer than a block, at the default block size and at
-    blocks of a few rows, so that boundaries fall before, at and after the
-    points that expand the model."""
-    if chunk_elements is None:
+                                        fixture):
+    """A sweep longer than a block, at blocks of a few hundred rows on the
+    two-parameter problem and of a few rows on the box problem, so that
+    boundaries fall before, at and after the points that expand the
+    model."""
+    if fixture == "two_parameter":
+        monkeypatch.setattr(cfqp.oracle, "_CHUNK_ELEMENTS", 8000)
         problem, theta0, pattern = two_param, theta0_2d, two_param_pattern(theta0_2d, 1500)
     else:
-        monkeypatch.setattr(cfqp.model, "_CHUNK_ELEMENTS", chunk_elements)
+        monkeypatch.setattr(cfqp.oracle, "_CHUNK_ELEMENTS", 100)
         problem, _ = box_problem
         theta0, pattern = box_pattern(problem, extent_up=87.0, extent_dn=56.0)
     blocks = []
     locate_array = discovery.locate_array
     monkeypatch.setattr(discovery, "locate_array", lambda model, Theta: (
-        blocks.append((len(Theta), model.locate_rows)), locate_array(model, Theta))[1])
+        blocks.append((len(Theta), model.region_kernel.chunk_rows)),
+        locate_array(model, Theta))[1])
     model = discover(problem, theta0, pattern)
-    assert max(d.max_steps for d in pattern.directions) > model.locate_rows
+    assert max(d.max_steps for d in pattern.directions) > model.region_kernel.chunk_rows
     assert all(rows <= cap for rows, cap in blocks)
     assert any(rows == cap for rows, cap in blocks)
     assert_same_walk(problem, theta0, pattern)
