@@ -3,7 +3,8 @@
 
 Sweeps both demand parameters from (100, 100) out to the feasible
 boundary, prints the region tree, and spot-checks the model against the
-enumeration oracle at a few parameter points on the sweeps.
+enumeration oracle at a few parameter points on the sweeps and two off
+them, inside regions [1,3,4,5] and [1,3,4,6].
 
 Usage:
     python3 scripts/discover_two_parameter.py [--steps N] [--out model.json]
@@ -50,7 +51,8 @@ def main():
     print(f"{len(transitions)} transitions recorded")
 
     print("spot checks against the enumeration oracle:")
-    for theta_e in ([150.0, 100.0], [400.0, 100.0], [100.0, 700.0], [750.0, 100.0]):
+    for theta_e in ([150.0, 100.0], [400.0, 100.0], [100.0, 700.0], [750.0, 100.0],
+                    [798.7, 29.8], [-14.4, 853.4]):
         theta = ParameterPoint.of_theta_e(problem, theta_e)
         got = forward(model, theta)
         want = brute_force_solve(problem, theta).solution

@@ -148,21 +148,6 @@ _BLOCK_CHARS = 1 << 21
 Block = Tuple[np.ndarray, np.ndarray]
 
 
-def _text_blocks(fh, size: int) -> Iterator[str]:
-    """An open text file's contents, ``size`` characters at a time and cut
-    after the last newline, so each piece but the last ends a line."""
-    carry = ""
-    for chunk in iter(lambda: fh.read(size), ""):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield carry + chunk[:cut]
-            carry = chunk[cut:]
-        else:
-            carry += chunk
-    if carry:
-        yield carry
-
-
 def _csv_header(problem: MpQpProblem, row: List[str]):
     """None when the file's first CSV row holds numbers; when it is a
     header (it has a non-numeric field), the columns it selects: the
@@ -186,11 +171,15 @@ def _loadtxt_block(problem: MpQpProblem, lines: List[str]) -> Optional[Block]:
     """A block of CSV lines parsed by ``np.loadtxt``, or None when the line
     loop must read it: loadtxt raised (on '1_0', a blank cell, a quote or
     '4,5,6 # tail', all of which the line loop reads or rejects itself),
-    gave a width other than m1 or d, or a non-finite value."""
+    gave a width other than m1 or d or a non-finite value, or a line
+    holds one of '\\x1c'-'\\x1f', which loadtxt strips around a number
+    and ``float()`` rejects."""
     n, m1, d = problem.n, problem.m1, problem.d
     data = [line for line in lines if (s := line.lstrip()) and s[0] != "#"]  # no blank or comment
     if not data:
         return np.empty((0, d)), np.empty(0, bool)
+    if any(map("".join(data).__contains__, "\x1c\x1d\x1e\x1f")):
+        return None
     try:
         table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError:
@@ -218,7 +207,7 @@ def _line_loop(problem: MpQpProblem, path: str, lines: List[str], lineno: int, j
         flag = True
         try:
             if jsonl:
-                rec = json.loads(line)
+                rec = json.loads(line.removesuffix("\n"))  # an error's position stays on line 1
                 if not isinstance(rec, dict):
                     raise ValueError("not a JSON object")
                 parts = [rec.get("theta_c", pad_c), rec.get("theta_e"), rec.get("theta_C", pad_C)]
@@ -261,19 +250,23 @@ def _read_dataset(problem: MpQpProblem, path: str) -> Iterator[Block]:
     m1 (theta_e only) or d (stacked) numeric columns.  A malformed or
     non-finite row is a usage error naming its file:line.
 
-    The file is read _BLOCK_CHARS characters at a time.  A CSV block
-    goes through ``np.loadtxt`` and, only where that rejects it (or the
-    header selects columns), through the line loop; both give the floats
-    ``float()`` gives.  JSON-lines blocks go through the line loop."""
+    Lines end where the file iterator ends them, at '\\n', '\\r\\n' or
+    '\\r' (not at the other ends ``str.splitlines`` knows, such as '\\f'
+    or '\\u2028').  The file is read in blocks of whole lines
+    (``readlines``), each ending at the first line end at or past
+    _BLOCK_CHARS characters.  A CSV block goes through ``np.loadtxt``
+    and, only where that rejects it (or the header selects columns),
+    through the line loop; both give the floats ``float()`` gives.
+    JSON-lines blocks go through the line loop."""
     jsonl = True if path.endswith(".jsonl") else None  # None: not known yet
     first = True  # the first data line, which may be a header, is still to come
     columns = flag_at = None
     lineno = 0
     with open(path) as fh:
-        for text in _text_blocks(fh, _BLOCK_CHARS):
-            lines = text.splitlines()
-            if jsonl is None and not text.isspace():
-                jsonl = text.lstrip()[0] == "{"
+        # readlines stops once its lines exceed the hint; a hint of 0 reads all
+        for lines in iter(lambda: fh.readlines(max(_BLOCK_CHARS - 1, 1)), []):
+            if jsonl is None:
+                jsonl = next((s[0] == "{" for line in lines if (s := line.lstrip())), None)
             if first and not jsonl:
                 at = next((i for i, line in enumerate(lines)
                            if (s := line.lstrip()) and s[0] != "#"), None)

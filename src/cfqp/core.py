@@ -38,6 +38,11 @@ __all__ = [
 # singular.
 _PIVOT_RTOL = 1e-12
 
+#: Elements the largest temporaries of one block of a row-independent
+#: kernel may hold together (2 MiB at float64): the block budget of
+#: ``cfqp.model`` and ``cfqp.oracle``.
+_CHUNK_ELEMENTS = 1 << 18
+
 
 def _fails_pivot_test(matrices: np.ndarray, lus: np.ndarray) -> np.ndarray:
     """The pivot test over the last two axes of matrices and their getrf

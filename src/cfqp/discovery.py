@@ -370,12 +370,12 @@ def discover(
             current = region
             last_set = region.active_set
 
-    def expand_at(theta, di, pi, depth, scalar=None):
+    def expand_at(theta, di, pi, depth, scalar):
         """Expand the model until ``theta`` passes ``tol``: True when it
         does, False when the point was abandoned (only in non-strict mode
         or past the feasible boundary), None when no single transition
-        resolves it and it must be approached by halving.  ``scalar``,
-        when given, is theta's KKT scalar on the current model."""
+        resolves it and it must be approached by halving.  ``scalar`` is
+        theta's KKT scalar on the current model, or None if not known."""
         nonlocal model, current
         Theta = theta.stacked()[None]
         for _ in range(_MAX_EXPANSIONS_PER_POINT):
@@ -417,10 +417,10 @@ def discover(
             )
         return abandon(theta, di, pi, "expansion_limit")
 
-    def resolve(theta, lo_theta, di, pi, scalar=None):
+    def resolve(theta, lo_theta, di, pi, scalar):
         """Make ``theta`` pass ``tol``, expanding the model as needed.
         ``lo_theta`` is the nearest point already known to pass, and
-        ``scalar``, when given, theta's KKT scalar on the current model.
+        ``scalar`` theta's KKT scalar on the current model.
         A point that needs halving is reached through the midpoint from
         its ``lo_theta`` first, up to _MAX_HALVINGS levels deep:
         ``pending`` holds (point, known-passing point, depth) in
@@ -458,36 +458,32 @@ def discover(
     def sweep_block(direction, di, first, prev):
         """Points ``first`` onwards of a sweep, as many as
         :func:`locate_array` tests at a time, evaluated as one block and
-        replayed in order.  The first block's row 0, the start, sets the
-        sweep's anchor region.  A point that passes is logged and settled
-        as :func:`resolve` would; the first that fails goes through
-        ``resolve`` itself, with its scalar, which may change the model, so
-        the block ends there.  ``prev`` is the nearest point known to pass.
-        Returns the next point's index and its ``prev``."""
+        replayed in order.  Row i is bitwise ``direction.point(i)``, except
+        that row 0 is the start itself (start + 0 * step would turn a -0.0
+        entry into +0.0, and a failing point can become a region's
+        witness); the first block's row 0 sets the sweep's anchor region.
+        A point that passes is logged and settled as :func:`resolve` would;
+        the first that fails goes through ``resolve`` itself, with its
+        scalar, which may change the model, so the block ends there.
+        ``prev`` is the nearest point known to pass.  Returns the next
+        point's index and its ``prev``."""
         nonlocal last_set
         index = np.arange(first, min(direction.max_steps + 1,
                                      first + model.region_kernel.chunk_rows))
-        # bitwise direction.point(i).stacked() for every i
         Theta = direction.start.stacked() + index[:, None] * direction.step.stacked()
+        Theta[index == 0] = direction.start.stacked()
         scalars = block_scalars(Theta)
         rows = locate_array(model, Theta).tolist()
         if first == 0:
             # The one-transition invariant is per sweep: restart the
-            # tracked active set at each new direction.  For a finite
-            # step, row 0 differs from the start at most in the sign of a
-            # zero entry, which changes no residual's value, so it is in
-            # the start's region.
+            # tracked active set at each new direction.
             last_set = model.regions[rows[0]].active_set if rows[0] >= 0 else seed.active_set
         for i, scalar, row in zip(index.tolist(), scalars, rows):
             if not scalar <= tol:
-                # start + 0 * step would turn a -0.0 entry of the start into
-                # +0.0, and a failing point can become a region's witness,
-                # so the start is evaluated again; row i > 0 is bitwise
-                # direction.point(i), so its scalar stands
                 target = direction.point(i) if i else direction.start
                 if prev is None:
                     prev = direction.point(i - 1)
-                passed = resolve(target, prev, di, i, scalar if i else None)
+                passed = resolve(target, prev, di, i, scalar)
                 return i + 1, target if passed else direction.start
             log.emit(
                 event="point", direction=di, index=i, kkt=scalar,

@@ -7,9 +7,11 @@ built from region slopes:
   ``grad_mu`` block, of which forward multiplies only the nonzero rows
   (those of the region's active constraints); the incidence layer
   combines candidate shadow prices of a region with its discovery-tree
-  parent; ReLU applies to the combined differences; the direction
-  vector signs each block's contribution.  mu*(theta) is the signed
-  sum of all blocks.
+  parent; ReLU applies to the combined differences of every region but
+  the root, whose block passes unclipped; the direction vector signs
+  each block's contribution.  A last ReLU layer gives mu*(theta) =
+  max(0, signed sum of all blocks): inside a child region the child's
+  block cancels every root row, a negative one too.
 * solution subnetwork: the fixed base inverse J^{-1}
   (``MpQpProblem.base_inverse``) recovers (x, lambda) from mu* and theta.
 
@@ -36,7 +38,7 @@ import numpy as np
 
 # factorize is not called here but stays bound: benchmark/tracing.py
 # wraps this module attribute.
-from .core import factorize, region_slopes, rowwise_matvec  # noqa: F401
+from .core import _CHUNK_ELEMENTS, factorize, region_slopes, rowwise_matvec  # noqa: F401
 from .errors import (
     DigestMismatch,
     DuplicateRegion,
@@ -71,11 +73,6 @@ __all__ = [
 
 _FORMAT = "cfqp-model"
 _VERSION = 3
-
-#: Elements the largest temporaries of one :func:`forward_chunks` chunk may
-#: hold together (2 MiB at float64); it sets
-#: :attr:`ClosedFormModel.chunk_rows`.
-_CHUNK_ELEMENTS = 1 << 18
 
 #: Largest normalized critical-region violation :func:`locate_region`
 #: accepts.
@@ -163,7 +160,8 @@ class ClosedFormModel:
         * each row's parent, (k+1,); a root and the zero row take the
           zero row
         * lower and upper ReLU clip bounds per row, (k+1,) each: [0, inf)
-          for direction +1, (-inf, 0] for -1 and [0, 0] for the zero row
+          for direction +1, (-inf, 0] for -1, (-inf, inf) for a root
+          (the output ReLU clips it) and [0, 0] for the zero row
         * A_C^T, (n, m2)
         * -[C, b_e] at float64, (n + m1,)
         * the problem's base inverse, (n+m1, n+m1)
@@ -172,7 +170,8 @@ class ClosedFormModel:
         p = self.problem
         k = self.k
         j, i = np.nonzero(self.W0.any(-1).T)  # stacked order: constraint, then region
-        v = np.array(self.direction)
+        # 0 for a root, whose block is not clipped
+        v = np.array(self.direction) * [r.parent_id is not None for r in self.regions]
         return (
             -p.stacked_coefficients(dtype),
             self.W0[i, j].astype(dtype),
@@ -180,7 +179,7 @@ class ClosedFormModel:
             np.array([k if r.parent_id is None else r.parent_id
                       for r in self.regions] + [k], dtype=np.intp),
             np.append(np.where(v > 0, 0.0, -np.inf), 0.0).astype(dtype),
-            np.append(np.where(v > 0, np.inf, 0.0), 0.0).astype(dtype),
+            np.append(np.where(v < 0, 0.0, np.inf), 0.0).astype(dtype),
             np.ascontiguousarray(p.A_C.T, dtype=dtype),
             -p.stacked_coefficients()[:p.n + p.m1],
             p.base_inverse.astype(dtype),
@@ -228,7 +227,9 @@ def init_model(
 
 
 def _forward_rows(model: ClosedFormModel, Theta: np.ndarray):
-    """The network on a block of stacked thetas, all rows at once.
+    """The network on a block of stacked thetas, all rows at once: the
+    region blocks, clipped except the root's, their signed sum, the
+    output ReLU mu = max(0, sum), then the solution layer.
 
     Every product goes through ``rowwise_matvec``, whose entries depend
     only on their own rows of A and V, and all else is elementwise or per
@@ -241,15 +242,16 @@ def _forward_rows(model: ClosedFormModel, Theta: np.ndarray):
     # nonzero rows are multiplied; the rest of H stays +0.0), the tree
     # incidence (h_j - h_parent, with the zero row as the roots' parent),
     # then v * relu(v * .), which for v = +-1 is a clip to the half-line
-    # of v's sign
+    # of v's sign (a root's block is not clipped)
     Z = np.subtract(neg_B, Theta, dtype=dtype)
     H = np.zeros((len(Theta), problem.m2 * len(parent)), dtype=dtype)
     H[:, nonzero] = rowwise_matvec(W, Z)
     H = H.reshape(len(Theta), problem.m2, len(parent))
     D = H - H.take(parent, -1)
     # the +0.0 start clears -0.0, so leaving out the zero rows (whose
-    # products are -0.0 where z < 0) keeps Mu bitwise unchanged
-    Mu = np.add.reduce(D.clip(lower, upper), -1, initial=0.0)
+    # products are -0.0 where z < 0) keeps Mu bitwise unchanged; the
+    # output ReLU then clips the sum
+    Mu = np.maximum(np.add.reduce(D.clip(lower, upper), -1, initial=0.0), 0.0)
     # solution subnetwork: the base inverse maps [z_c + A_C^T mu; z_e]
     # (rounded from float64) to (x, lambda)
     rhs = (neg_rhs - Theta[:, :n + m1]).astype(dtype, copy=False)
@@ -296,8 +298,7 @@ def forward_array(
 
 def forward(model: ClosedFormModel, theta: ParameterPoint) -> PrimalDualSolution:
     """Full solution at one theta: the one-row case of :func:`forward_array`."""
-    theta.check_dims(model.problem)
-    Theta = np.concatenate([theta.theta_c, theta.theta_e, theta.theta_C])[None]
+    Theta = model.problem.theta_rows(theta.check_dims(model.problem).stacked()[None])
     X, Lam, Mu, objective = _forward_rows(model, Theta)
     return PrimalDualSolution(x=X[0], lam=Lam[0], mu=Mu[0], objective=objective[0])
 
@@ -316,6 +317,7 @@ def expand(
     block is added or subtracted.
     """
     problem = model.problem
+    probe_theta.check_dims(problem)
     new_set.validate(problem)
     for r in model.regions:
         if r.active_set == new_set:
@@ -386,11 +388,12 @@ def region_residuals(
 
     A positive entry is a violation.  The kernel's values for a set at a
     theta depend neither on the other sets nor on the other thetas, so
-    neither do a region's residuals.
+    neither do a region's residuals.  A non-finite theta is a
+    ProblemFormatError, as in every kernel (``MpQpProblem.theta_rows``).
     """
     problem = model.problem
     kernel = model.region_kernel
-    Theta = np.asarray(Theta, dtype=np.float64)
+    Theta = problem.theta_rows(Theta)
     slots, residual, _ = kernel._rows(problem, Theta)
     # scatter each set's multiplier slots into its constraints; the
     # padding slots, index 0, land in column 0, which is dropped
@@ -434,7 +437,7 @@ def locate_array(model: ClosedFormModel, Theta: np.ndarray) -> np.ndarray:
 def locate_region(model: ClosedFormModel, theta: ParameterPoint) -> Optional[RegionEntry]:
     """Which discovered critical region contains theta, if any: the
     one-row case of :func:`locate_array`."""
-    row = locate_array(model, theta.stacked()[None])[0]
+    row = locate_array(model, theta.check_dims(model.problem).stacked()[None])[0]
     return model.regions[row] if row >= 0 else None
 
 

@@ -11,8 +11,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import gradient_rows, lagrangian_gradients, nonsingular, solve_active_set
-from .errors import EnumerationLimit, Infeasible, ProblemFormatError
+from .core import (_CHUNK_ELEMENTS, gradient_rows, lagrangian_gradients, nonsingular,
+                   solve_active_set)
+from .errors import EnumerationLimit, Infeasible
 from .problem import ActiveSet, MpQpProblem, ParameterPoint, PrimalDualSolution
 
 __all__ = [
@@ -39,10 +40,6 @@ ORACLE_TOL = 1e-8
 #: Candidate active sets whose H_BB the walk gathers and pivot-tests at
 #: once; bounds the transient memory of one cardinality level.
 _WALK_CHUNK = 512
-
-#: Elements the largest temporary of one :func:`feasible_array` chunk may
-#: hold (2 MiB at float64), as in ``cfqp.model``.
-_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -150,17 +147,6 @@ class OracleResult:
         return iter((self.solution, self.active_set))
 
 
-def _finite_rows(problem: MpQpProblem, Theta) -> np.ndarray:
-    """Both oracles' guard: Theta as an (N, d) float64 array of finite
-    stacked thetas (a NaN fails no comparison, so it would pass every
-    acceptance test); a wrong shape or a non-finite entry is a
-    ProblemFormatError."""
-    Theta = problem.theta_rows(Theta)
-    if not np.isfinite(Theta).all():
-        raise ProblemFormatError("theta has non-finite entries")
-    return Theta
-
-
 def _nonsingular_sets(problem: MpQpProblem) -> tuple:
     """Every active set whose J_B (so H_BB) is nonsingular, as 1-based
     index tuples, by cardinality and then lexicographically; cached as
@@ -206,7 +192,7 @@ def _accepted(problem: MpQpProblem, theta: ParameterPoint, sets=None):
     the data magnitude).  A weakly active set has a binding constraint
     with mu ~ 0.
     """
-    _finite_rows(problem, theta.check_dims(problem).stacked()[None])
+    problem.theta_rows(theta.check_dims(problem).stacked()[None])
     primal_tol = ORACLE_TOL * float(np.abs(problem.b_C + theta.theta_C).max(initial=1.0))
     for indices in problem.nonsingular_sets if sets is None else sets:
         B = ActiveSet(indices)
@@ -250,7 +236,7 @@ def solve(problem: MpQpProblem, theta: ParameterPoint) -> OracleResult:
     :class:`FeasibilityKernel` accepts at theta; where its test accepts none
     of them, :func:`brute_force_solve` itself.  The two agree wherever the
     kernel's per-set decisions are the enumeration's."""
-    Theta = _finite_rows(problem, theta.check_dims(problem).stacked()[None])
+    Theta = problem.theta_rows(theta.check_dims(problem).stacked()[None])
     mask = problem.feasibility_kernel.accepts(problem, Theta)[0]
     sets = [B for B, ok in zip(problem.nonsingular_sets, mask) if ok]
     found = list(_accepted(problem, theta, sets))
@@ -421,7 +407,7 @@ def feasible_array(problem: MpQpProblem, Theta: np.ndarray) -> np.ndarray:
     dual and primal tests, with the same scalings.  A wrong shape or a
     non-finite entry is a ProblemFormatError.  The rows are evaluated
     ``FeasibilityKernel.chunk_rows`` at a time."""
-    Theta, kernel = _finite_rows(problem, Theta), problem.feasibility_kernel
+    Theta, kernel = problem.theta_rows(Theta), problem.feasibility_kernel
     parts = []
     for lo in range(0, max(len(Theta), 1), kernel.chunk_rows):
         parts.append(kernel.accepts(problem, Theta[lo:lo + kernel.chunk_rows]).any(-1))

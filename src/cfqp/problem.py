@@ -224,12 +224,16 @@ class MpQpProblem:
         return FeasibilityKernel(self)
 
     def theta_rows(self, Theta) -> np.ndarray:
-        """Theta as an (N, d) float64 array of stacked thetas; any other
-        shape is a ProblemFormatError."""
+        """Theta as an (N, d) float64 array of finite stacked thetas: the
+        one guard every kernel's theta goes through (a NaN fails no
+        comparison, so it would pass every acceptance test).  Another
+        shape or a non-finite entry is a ProblemFormatError."""
         Theta = np.asarray(Theta, dtype=np.float64)
         if Theta.ndim != 2 or Theta.shape[1] != self.d:
             raise ProblemFormatError(
                 f"theta array must have shape (N, {self.d}), got {Theta.shape}")
+        if not np.isfinite(Theta).all():
+            raise ProblemFormatError("theta has non-finite entries")
         return Theta
 
     def stacked_coefficients(self, dtype=np.float64) -> np.ndarray:

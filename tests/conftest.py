@@ -361,14 +361,14 @@ def reference_dense_layers(model):
     k = model.k
     W = np.zeros((p.m2, k + 1, p.d), dtype=dtype)
     W[:, :k] = model.W0.transpose(1, 0, 2)
-    v = np.array(model.direction)
+    v = np.array(model.direction) * [r.parent_id is not None for r in model.regions]  # 0: root
     return (
         -p.stacked_coefficients(dtype),
         W.reshape(-1, p.d),
         np.array([k if r.parent_id is None else r.parent_id
                   for r in model.regions] + [k], dtype=np.intp),
         np.append(np.where(v > 0, 0.0, -np.inf), 0.0).astype(dtype),
-        np.append(np.where(v > 0, np.inf, 0.0), 0.0).astype(dtype),
+        np.append(np.where(v < 0, 0.0, np.inf), 0.0).astype(dtype),
         np.ascontiguousarray(p.A_C.T, dtype=dtype),
         -p.stacked_coefficients()[:p.n + p.m1],
         p.base_inverse.astype(dtype),
@@ -385,6 +385,7 @@ def reference_dense_forward(model, Theta):
     H = rowwise_matvec(W, Z).reshape(len(Theta), problem.m2, len(parent))
     D = H - H.take(parent, -1)
     Mu = np.add.reduce(D.clip(lower, upper), -1, initial=0.0)  # +0.0 start clears -0.0
+    Mu = np.maximum(Mu, 0.0)  # the output ReLU
     rhs = (neg_rhs - Theta[:, :n + m1]).astype(dtype, copy=False)
     rhs[:, :n] += rowwise_matvec(A_C_T, Mu)
     S = rowwise_matvec(base_inverse, rhs)
@@ -398,14 +399,16 @@ def reference_dense_forward(model, Theta):
 # ---------------------------------------------------------------------------
 # Reference copy of the dataset reader, as it was written before it read a
 # file in blocks: the whole text at once, one line at a time, one csv.reader
-# running in step with the lines.
+# running in step with the lines.  Lines end as the file iterator ends them
+# (read_text turns '\r\n' and '\r' into '\n'), not at every end
+# str.splitlines knows.
 
 
 def reference_read_dataset(problem, path):
     """A dataset's rows as an (N, d) array and their N feasible flags."""
     text = Path(path).read_text()
     jsonl = path.endswith(".jsonl") or text.lstrip()[:1] == "{"
-    lines = text.splitlines()
+    lines = text.split("\n")
     n, m1, m2, d = problem.n, problem.m1, problem.m2, problem.d
     pad_c, pad_C = [0.0] * n, [0.0] * m2
     names = [f"theta_e{i+1}" for i in range(m1)]

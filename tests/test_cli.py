@@ -283,9 +283,11 @@ class TestPredictCommand:
         thetas = tmp_path / "thetas.csv"
         out = tmp_path / "solutions.csv"
         # wrong length, then a non-finite row after a good one, then an
-        # inf row whose line number counts comment and blank lines
+        # inf row whose line number counts comment and blank lines, then a
+        # cell np.loadtxt reads as 100 and float() rejects
         for text, line in (("1,2,3,4,5\n", 1), ("150,150\nnan,100\n", 2),
-                           ("# load\n150,150\n\n100,inf\n", 4)):
+                           ("# load\n150,150\n\n100,inf\n", 4),
+                           ("150,150\n100\x1c,100\n", 2)):
             thetas.write_text(text)
             for target in ([], ["--out", str(out)]):
                 assert main([

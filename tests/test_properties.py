@@ -790,17 +790,22 @@ number = st.one_of(
     st.floats(min_value=-1e3, max_value=1e3).map(repr),
     st.integers(-10**6, 10**6).map(str),
 )
-# cells float() reads, most of which np.loadtxt rejects
+# cells float() reads, most of which np.loadtxt rejects; '\f' and
+# '\u2028' end a line for str.splitlines but not for the file iterator
 quirky_cell = st.one_of(
     number.map(lambda t: f'"{t}"'),
     number.map(lambda t: f" {t}\t"),
     number.map(lambda t: f"\u2003{t}"),
+    number.map(lambda t: f"{t}\f"),
+    number.map(lambda t: f"\u2028{t}"),
     st.sampled_from(["1_0", "-2_5.5", "\u0661"]),
 )
 # cells both parse, to a non-finite float
 non_finite_cell = st.sampled_from(["nan", "-inf", "1e999", "Infinity"])
-# cells that make a row bad for both, or change its width
-bad_cell = st.sampled_from(["", " ", '""', "x", "4 # tail", "0x10"])
+# cells that make a row bad for both, or change its width; np.loadtxt
+# reads '4\x1c' as 4, float() rejects it
+bad_cell = st.sampled_from(["", " ", '""', "x", "4 # tail", "0x10",
+                           "\f", "1\u20282", "4\x1c"])
 
 
 @st.composite
@@ -832,13 +837,13 @@ def csv_text(draw):
 @st.composite
 def jsonl_text(draw):
     """JSON-lines records after leading blank lines, with a bad record at
-    times."""
+    times; a truncated one's error names the column past its end."""
     m1 = DATASET_PROBLEM.m1
     record = st.one_of(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=m1, max_size=m1)
         .map(lambda v: json.dumps({"theta_e": v})),
         st.booleans().map(lambda f: json.dumps({"theta_e": [1.0] * m1, "feasible": f})),
-        st.sampled_from(["", "  ", '{"theta_e": [1, 2, 3]}', "[1]", "{bad"]),
+        st.sampled_from(["", "  ", '{"theta_e": [1, 2, 3]}', "[1]", "{bad", '{"theta_e": [1']),
     )
     lead = draw(st.sampled_from(["", "\n", " \n\n"]))
     return lead + "\n".join(draw(st.lists(record, min_size=1, max_size=15))) + "\n"

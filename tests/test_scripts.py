@@ -26,6 +26,10 @@ def test_script_exits_0(argv, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    if argv[0] == "discover_two_parameter.py":  # every spot check, off the sweeps too
+        kkts = [float(line.rsplit("kkt = ", 1)[1]) for line in result.stdout.splitlines()
+                if "kkt = " in line]
+        assert len(kkts) == 6 and max(kkts) <= 1e-8, kkts
     if argv[1:] == ["scaled"]:  # seed 7: criterion 7's survival counts, all located
         assert "scale 1.125:  113\n" in result.stdout and "scale 1.875:    2\n" in result.stdout
         assert "433 feasible points inside discovered regions" in result.stdout
