@@ -16,8 +16,11 @@ import itertools
 import json
 import math
 import os
+import shutil
+import signal
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Iterator, List, Optional, TextIO, Tuple
@@ -388,9 +391,85 @@ def cmd_discover(args) -> int:
     return 0
 
 
+def _chunk_texts(problem: MpQpProblem, model, Theta: np.ndarray) -> Iterator[str]:
+    """The CSV text of each :func:`forward_chunks` chunk of Theta's rows:
+    the solution, the objective and the five KKT means."""
+    for rows, X, Lam, Mu, objective in forward_chunks(model, Theta):
+        table = np.hstack([X, Lam, Mu, objective[:, None], kkt_means(problem, X, Lam, Mu, rows)])
+        yield _csv_rows(table)
+
+
+def _fork_run(problem: MpQpProblem, model, Theta: np.ndarray, spill: TextIO) -> int:
+    """Fork a worker that writes the CSV text of Theta's rows to ``spill``
+    and exits 0, or replaces them with its error and exits 1; return its
+    pid.  The worker never returns: ``os._exit`` skips every flush and
+    clean-up of the parent's buffers and files."""
+    # Safe though the parent may hold OpenBLAS threads, of which Python
+    # >= 3.12 warns here with a DeprecationWarning: the child has only the
+    # forking thread and calls no BLAS or LAPACK, only einsum, elementwise
+    # numpy and repr on the model's layers, which cmd_predict built before
+    # any fork.  It writes to nothing of the parent's but its spill.
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        for text in _chunk_texts(problem, model, Theta):
+            spill.write(text)
+        spill.flush()
+        code = 0
+    except Exception as exc:  # the error replaces the rows written so far
+        os.ftruncate(spill.fileno(), 0)
+        os.pwrite(spill.fileno(), f"{type(exc).__name__}: {exc}".encode(), 0)
+    finally:
+        os._exit(code)
+
+
+def _write_block(out: TextIO, problem: MpQpProblem, model, Theta: np.ndarray) -> int:
+    """Write the CSV rows of a block of thetas to ``out`` in row order and
+    return the number of processes that evaluated them.
+
+    The block's chunks are split into W contiguous runs, W being the
+    CPUs this process may run on, at most the chunks, and 1 where it
+    cannot fork.  W - 1 forked workers each evaluate a later run into an
+    unlinked temporary file while this process writes run 0; then it
+    reaps them all and appends their files in order.  A row's text does
+    not depend on the run it falls in, so the bytes are those of one
+    process.  If run 0 raises, the workers are killed before they are
+    reaped; a failed worker is a ChildProcessError."""
+    step = model.chunk_rows
+    chunks = max(-(-len(Theta) // step), 1)
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    processes = min(len(os.sched_getaffinity(0)), chunks) if can_fork else 1
+    cuts = [step * (chunks * r // processes) for r in range(processes)] + [len(Theta)]
+    workers = []
+    with contextlib.ExitStack() as spills:
+        try:
+            for lo, hi in zip(cuts[1:], cuts[2:]):
+                spill = spills.enter_context(tempfile.TemporaryFile("w+", newline=""))
+                workers.append((_fork_run(problem, model, Theta[lo:hi], spill), spill))
+            for text in _chunk_texts(problem, model, Theta[:cuts[1]]):
+                out.write(text)
+        except BaseException:
+            for pid, _ in workers:
+                os.kill(pid, signal.SIGKILL)  # a worker holds nothing to clean up
+            raise
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
+        for (pid, spill), code in zip(workers, codes):
+            spill.seek(0)
+            if code:
+                reason = spill.read() if code == 1 else ""
+                raise ChildProcessError(
+                    f"predict worker {pid} failed: {reason or f'exit code {code}'}")
+            shutil.copyfileobj(spill, out)
+    return processes
+
+
 def cmd_predict(args) -> int:
     problem = _load_problem(args)
     model = deserialize(Path(args.model).read_bytes(), problem)
+    model._layers  # built here, once, so that no forked worker builds it
     header = (
         [f"x{i+1}" for i in range(problem.n)]
         + [f"lambda{i+1}" for i in range(problem.m1)]
@@ -400,18 +479,15 @@ def cmd_predict(args) -> int:
     start = time.perf_counter()
     blocks = _read_dataset(problem, args.thetas)
     first = next(blocks)  # read before any output, so a bad row in it prints nothing
-    count = 0
+    count = processes = 0
     with _output(args.out) as out:
         out.write(",".join(header) + "\r\n")
         for thetas, _ in itertools.chain([first], blocks):
             count += len(thetas)
-            for rows, X, Lam, Mu, objective in forward_chunks(model, thetas):
-                table = np.hstack([
-                    X, Lam, Mu, objective[:, None], kkt_means(problem, X, Lam, Mu, rows),
-                ])
-                out.write(_csv_rows(table))
+            processes = max(processes, _write_block(out, problem, model, thetas))
     elapsed = time.perf_counter() - start
-    print(f"batch of {count} evaluated in {elapsed:.4f} s", file=sys.stderr)
+    print(f"batch of {count} evaluated in {elapsed:.4f} s on {processes} "
+          f"process{'es' if processes > 1 else ''}", file=sys.stderr)
     return 0
 
 

@@ -2,6 +2,9 @@ import csv
 import gc
 import hashlib
 import json
+import os
+import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 import cfqp.cli
+import cfqp.model
 from cfqp.cases import bundled_case_json, bundled_problem_json, case6
 from cfqp.cli import EXIT_CODES, _csv_rows, _read_dataset, main
 from cfqp.dcopf import build_dcopf, build_dcopf_with_lines
@@ -416,6 +420,135 @@ class TestPredictFormatting:
         X, Lam, Mu, objective = forward_array(model, Theta)
         table = np.hstack([X, Lam, Mu, objective[:, None], kkt_means(problem, X, Lam, Mu, Theta)])
         assert out.read_bytes().split(b"\r\n", 1)[1] == repr_rows(table).encode()
+
+
+def fixed_width_thetas(tmp_path, count=24):
+    """The same ``count`` theta_e rows as a CSV file and a JSON-lines file,
+    each line of a file as long as every other, so that a block of b
+    rows is b times a line's length."""
+    a = np.linspace(100.0, 499.0, count)
+    pairs = [f"{x:.3f},{y:.3f}" for x, y in zip(a, a[::-1])]
+    files = {}
+    for fmt, line in (("csv", "{}\n"), ("jsonl", '{{"theta_e": [{}]}}\n')):
+        lines = [line.format(pair) for pair in pairs]
+        assert len(set(map(len, lines))) == 1
+        files[fmt] = tmp_path / f"thetas.{fmt}"
+        files[fmt].write_text("".join(lines))
+    return files
+
+
+class TestPredictWorkers:
+    """predict splits each block's chunks among forked workers, one per
+    CPU it may run on (``os.sched_getaffinity``) and at most one per
+    chunk; its output does not depend on how many."""
+
+    @pytest.mark.parametrize("elements", [1, 1000], ids=["row-chunks", "multi-row-chunks"])
+    @pytest.mark.parametrize("block_chunks", [1, 2, 5, None],
+                             ids=["one-chunk-blocks", "two-chunk-blocks", "five-chunk-blocks",
+                                  "one-block"])
+    def test_output_does_not_depend_on_processes(self, problem_file, model_2d_file, tmp_path,
+                                                 capsys, monkeypatch, elements, block_chunks):
+        """With chunks of ``elements`` elements and blocks of
+        ``block_chunks`` chunks, 1, 2 and 3 CPUs give the bytes one block
+        of one chunk gives, to --out and to stdout, from CSV and
+        JSON-lines thetas; a block of fewer chunks than CPUs takes one
+        process per chunk."""
+        files = fixed_width_thetas(tmp_path)
+        argv = ["predict", "--problem", problem_file, "--model", model_2d_file]
+        out = tmp_path / "solutions.csv"
+        assert main(argv + ["--thetas", str(files["csv"]), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.endswith(" on 1 process\n")
+        expected = out.read_bytes()
+        assert expected.count(b"\r\n") == 25
+
+        monkeypatch.setattr(cfqp.model, "_CHUNK_ELEMENTS", elements)
+        problem = MpQpProblem.from_json(Path(problem_file).read_text())
+        chunk = deserialize(Path(model_2d_file).read_bytes(), problem).chunk_rows
+        assert (chunk == 1) == (elements == 1)
+        block = 24 if block_chunks is None else block_chunks * chunk
+        chunks = -(-min(block, 24) // chunk)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            processes = min(cpus, chunks)
+            line = f" on {processes} process{'es' if processes > 1 else ''}\n"
+            for fmt, thetas in files.items():
+                width = len(thetas.read_text().split("\n", 1)[0]) + 1
+                monkeypatch.setattr(cfqp.cli, "_BLOCK_CHARS", block * width)
+                assert main(argv + ["--thetas", str(thetas), "--out", str(out)]) == 0
+                assert out.read_bytes() == expected
+                assert capsys.readouterr().err.endswith(line)
+                assert main(argv + ["--thetas", str(thetas)]) == 0
+                captured = capsys.readouterr()
+                assert captured.out.encode() == expected
+                assert captured.err.endswith(line)
+
+    def test_no_worker_outlives_predict(self, problem_file, model_2d_file, tmp_path, capsys,
+                                        monkeypatch):
+        """Two CPUs and one-row chunks in blocks of 8 rows: after a good
+        run, a run stopped by a bad row in the fifth block, a run whose
+        worker raises and one whose own run raises, no worker is left
+        unreaped and no file is left behind, temporary or not.  A failed
+        worker exits 1 with one error line; when the parent's own run
+        raises, it kills its workers rather than wait for them."""
+        monkeypatch.setattr(cfqp.model, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(cfqp.cli, "_BLOCK_CHARS", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where the workers spill
+        thetas = tmp_path / "thetas.csv"
+        out = tmp_path / "solutions.csv"
+        argv = ["predict", "--problem", problem_file, "--model", model_2d_file,
+                "--thetas", str(thetas)]
+        thetas.write_text("150,150\n" * 39 + "200,100\n")
+        files = sorted(tmp_path.iterdir())
+
+        def no_worker_left():
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert sorted(tmp_path.iterdir()) == files
+
+        assert main(argv) == 0
+        whole = capsys.readouterr()
+        assert whole.out.count("\r\n") == 41
+        assert whole.err.endswith(" on 2 processes\n")
+        no_worker_left()
+
+        thetas.write_text("150,150\n" * 39 + "150,nan\n")
+        assert main(argv + ["--out", str(out)]) == EXIT_CODES["usage"]
+        no_worker_left()
+        assert main(argv) == EXIT_CODES["usage"]
+        captured = capsys.readouterr()
+        assert f"{thetas}:40:" in captured.err
+        assert captured.out == "".join(whole.out.splitlines(keepends=True)[:33])
+        no_worker_left()
+
+        thetas.write_text("150,150\n" * 39 + "200,100\n")
+        test_pid, csv_rows = os.getpid(), cfqp.cli._csv_rows
+
+        def failing_worker(table):
+            if os.getpid() != test_pid:
+                raise RuntimeError("a worker failed")
+            return csv_rows(table)
+
+        monkeypatch.setattr(cfqp.cli, "_csv_rows", failing_worker)
+        for target in (["--out", str(out)], []):
+            assert main(argv + target) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "RuntimeError: a worker failed" in err
+            no_worker_left()
+
+        def failing_parent(table):
+            if os.getpid() == test_pid:
+                raise RuntimeError("the parent failed")
+            time.sleep(20)  # a worker the parent did not kill holds the run up
+            return csv_rows(table)
+
+        monkeypatch.setattr(cfqp.cli, "_csv_rows", failing_parent)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="the parent failed"):
+            main(argv + ["--out", str(out)])
+        assert time.perf_counter() - start < 10
+        no_worker_left()
 
 
 class TestGenDataAndKktReport:
