@@ -380,8 +380,10 @@ def cmd_discover(args) -> int:
     print(f"regions: {model.k}")
     for region in model.regions:
         print(f"  region {region.id}: active set {sorted(region.active_set)}")
-    events = collections.Counter(r["event"] for r in log.records)
-    halvings = sum(r["event"] == "point" and r["depth"] > 0 for r in log.records)
+    events, halvings = collections.Counter(), 0
+    for record in log.records:
+        events[record["event"]] += 1
+        halvings += record["event"] == "point" and record["depth"] > 0
     print(f"counters: points {events['point']}, halvings {halvings}, "
           f"transitions {events['transition']}, boundary {events['boundary']}, "
           f"warnings {events['warning']}, extent bisection {extent_s:.3f} s")

@@ -120,9 +120,13 @@ class DiscoveryLog:
         self._fh = open(path, "w") if path else None
 
     def emit(self, **record):
-        self.records.append(record)
+        self.extend([record])
+
+    def extend(self, records: List[dict]):
+        """Append records at once; a file gets the lines an emit each writes."""
+        self.records += records
         if self._fh:
-            self._fh.write(json.dumps(record) + "\n")
+            self._fh.write("".join(json.dumps(record) + "\n" for record in records))
             self._fh.flush()
 
     def close(self):
@@ -145,17 +149,16 @@ def identify_transition(
 ) -> Transition:
     """Which single constraint change explains a KKT violation at theta.
 
-    From the current region's row of :func:`region_residuals`:
+    From :func:`region_residuals` of the current region alone:
     Add(k) is the non-active constraint with the largest positive
     normalized residual, Drop(k) the active constraint with the largest
     normalized negated multiplier.  When both occur the larger wins (add
     on ties); the lowest index wins among equal entries.
     """
     theta.check_dims(problem)
-    primal, dual = region_residuals(model, theta.stacked()[None])
     row = current_region.id
-    add = np.where(model.active_mask[row], -np.inf, primal[0, row])
-    drop = dual[0, row]
+    primal, drop = (part[0, 0] for part in region_residuals(model, theta.stacked()[None], [row]))
+    add = np.where(model.active_mask[row], -np.inf, primal)
     add_norm = float(add.max(initial=0.0))
     drop_norm = float(drop.max(initial=0.0))
     if add_norm <= _TRANSITION_TOL and drop_norm <= _TRANSITION_TOL:
@@ -314,9 +317,9 @@ def discover(
     Along every direction, the first point whose prediction violates ``tol``
     triggers transition identification and model expansion; evaluation
     resumes at the violating point.  Every point goes through the array
-    kernels :func:`forward_array`, :func:`kkt_scalars` and
-    :func:`locate_array`: a sweep's points, its start first, in blocks,
-    replayed in order so that the log and the model are those of a
+    kernels :func:`forward_array` and :func:`kkt_scalars`, and a passing
+    one through :func:`locate_array`: a sweep's points, its start first, in
+    blocks, replayed in order so that the log and the model are those of a
     point-by-point walk.  Each point is evaluated once per model: the
     sweep's anchor region is row 0 of its first block, a failing row's
     scalar is the first the expansion reads, and only a point whose model
@@ -351,24 +354,16 @@ def discover(
         return kkt_scalars(problem, X, Lam, Mu, Theta).tolist()
 
     def settle(row, di, pi):
-        """Record a passing point located in region ``row`` (-1 when no
-        region contains it): update the current region and check the
-        one-transition invariant along the sweep."""
+        """Make region ``row``, which contains a passing point, the current
+        region, checking the one-transition invariant along the sweep: the
+        records to log, a warning if the move breaks it."""
         nonlocal current, last_set
-        if row >= 0:
-            region = model.regions[row]
-            sym = set(region.active_set.indices) ^ set(last_set.indices)
-            if len(sym) > 1:
-                log.emit(
-                    event="warning",
-                    kind="multi_constraint_jump",
-                    direction=di,
-                    index=pi,
-                    from_set=list(last_set),
-                    to_set=list(region.active_set),
-                )
-            current = region
-            last_set = region.active_set
+        region, records = model.regions[row], []
+        if len(set(region.active_set.indices) ^ set(last_set.indices)) > 1:
+            records.append(dict(event="warning", kind="multi_constraint_jump", direction=di,
+                                index=pi, from_set=list(last_set), to_set=list(region.active_set)))
+        current, last_set = region, region.active_set
+        return records
 
     def expand_at(theta, di, pi, depth, scalar):
         """Expand the model until ``theta`` passes ``tol``: True when it
@@ -386,7 +381,9 @@ def discover(
                 region=current.id, depth=depth,
             )
             if scalar <= tol:
-                settle(locate_array(model, Theta)[0], di, pi)
+                row = locate_array(model, Theta)[0]
+                if row >= 0:
+                    log.extend(settle(row, di, pi))
                 return True
             try:
                 tr = identify_transition(problem, model, current, theta)
@@ -461,37 +458,43 @@ def discover(
         replayed in order.  Row i is bitwise ``direction.point(i)``, except
         that row 0 is the start itself (start + 0 * step would turn a -0.0
         entry into +0.0, and a failing point can become a region's
-        witness); the first block's row 0 sets the sweep's anchor region.
-        A point that passes is logged and settled as :func:`resolve` would;
-        the first that fails goes through ``resolve`` itself, with its
-        scalar, which may change the model, so the block ends there.
-        ``prev`` is the nearest point known to pass.  Returns the next
-        point's index and its ``prev``."""
+        witness).  Only the rows the replay reads are located: the passing
+        prefix, and row 0 of a sweep's first block, which sets the sweep's
+        anchor region.  The prefix is logged at once and settled where its
+        region changes; the first failing point goes through
+        :func:`resolve`, with its scalar, which may change the model, so
+        the block ends there.  ``prev`` is the nearest point known to pass,
+        None for ``direction.point(first - 1)``.  Returns the next point's
+        index and its ``prev``."""
         nonlocal last_set
         index = np.arange(first, min(direction.max_steps + 1,
                                      first + model.region_kernel.chunk_rows))
         Theta = direction.start.stacked() + index[:, None] * direction.step.stacked()
         Theta[index == 0] = direction.start.stacked()
-        scalars = block_scalars(Theta)
-        rows = locate_array(model, Theta).tolist()
+        scalars, index = block_scalars(Theta), index.tolist()
+        passing = next((j for j, scalar in enumerate(scalars) if not scalar <= tol), len(index))
+        located = max(passing, int(first == 0))
+        rows = locate_array(model, Theta[:located]).tolist() if located else []
         if first == 0:
             # The one-transition invariant is per sweep: restart the
             # tracked active set at each new direction.
             last_set = model.regions[rows[0]].active_set if rows[0] >= 0 else seed.active_set
-        for i, scalar, row in zip(index.tolist(), scalars, rows):
-            if not scalar <= tol:
-                target = direction.point(i) if i else direction.start
-                if prev is None:
-                    prev = direction.point(i - 1)
-                passed = resolve(target, prev, di, i, scalar)
-                return i + 1, target if passed else direction.start
-            log.emit(
-                event="point", direction=di, index=i, kkt=scalar,
-                region=current.id, depth=0,
-            )
-            settle(row, di, i)
-            prev = None  # direction.point(i), built only if it is needed
-        return first + len(index), prev
+        records, settled = [], -1
+        for i, scalar, row in zip(index[:passing], scalars, rows):
+            records.append(dict(event="point", direction=di, index=i, kkt=scalar,
+                                region=current.id, depth=0))
+            if row not in (-1, settled):
+                records += settle(row, di, i)
+                settled = row
+        log.extend(records)
+        if passing == len(index):
+            return first + passing, None
+        i = index[passing]
+        target = direction.point(i) if i else direction.start
+        if passing or prev is None:
+            prev = direction.point(i - 1)
+        passed = resolve(target, prev, di, i, scalars[passing])
+        return i + 1, target if passed else direction.start
 
     boundary_hit = False
     for di, direction in enumerate(pattern.directions):

@@ -369,10 +369,10 @@ def batch_forward(
 
 
 def region_residuals(
-    model: ClosedFormModel, Theta: np.ndarray
+    model: ClosedFormModel, Theta: np.ndarray, regions=None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The critical-region test of every region at each row of an (N, d)
-    array of stacked thetas, in float64.
+    """The critical-region test of every region (or of those at positions
+    ``regions``) at each row of an (N, d) array of stacked thetas, in float64.
 
     Region i's multipliers mu_i and primal point x_i are its active
     set's, read from set i of ``model.region_kernel``: bitwise the
@@ -391,21 +391,32 @@ def region_residuals(
     neither do a region's residuals.  A non-finite theta is a
     ProblemFormatError, as in every kernel (``MpQpProblem.theta_rows``).
     """
-    problem = model.problem
-    kernel = model.region_kernel
+    problem, kernel = model.problem, model.region_kernel
+    if regions is not None:
+        kernel = kernel.restricted(regions)
     Theta = problem.theta_rows(Theta)
-    slots, residual, _ = kernel._rows(problem, Theta)
-    # scatter each set's multiplier slots into its constraints; the
-    # padding slots, index 0, land in column 0, which is dropped
+    v, scale = kernel._rows(problem, Theta)
     N, (k, k_max) = len(Theta), kernel._index.shape
-    mu = np.zeros((N, k, 1 + problem.m2))
-    mu[:, np.arange(k)[:, None], kernel._index] = slots[..., :k_max]
-    mu = mu[..., 1:]
-    b = problem.b_C + Theta[:, problem.n + problem.m1:]
-    primal = residual[..., 1:] / np.abs(b).max(-1, initial=1.0)[:, None, None]
-    mu_scale = np.abs(mu, where=model.active_mask, out=np.zeros_like(mu)).max(-1, initial=1.0)
-    dual = np.where(model.active_mask, -mu / mu_scale[..., None], -np.inf)
-    return primal, dual
+    primal = v[k_max + 1:].transpose(1, 2, 0) / scale[:, None, None]
+    _, mu_scale = _multiplier_bounds(kernel, v)
+    # scatter each set's slots into its constraints; the padding slots,
+    # index 0, land in column 0, which is dropped
+    dual = np.full((N, k, 1 + problem.m2), -np.inf)
+    dual[:, np.arange(k)[:, None], kernel._index] = (-v[:k_max] / mu_scale).transpose(1, 2, 0)
+    return primal, dual[..., 1:]
+
+
+def _multiplier_bounds(kernel, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(N, S) least multipliers of each set's own slots, +inf for the empty
+    set, and scales max(1, |mu_B|) = max(1, max mu_B, -min mu_B), from the
+    kernel's slot-major values ``v``, whose padding slots become +inf.  A
+    padding slot holds a signed zero, or NaN where s_B overflowed; fmax
+    skips that NaN, and a real slot's NaN passes on through the least."""
+    mu = v[:kernel._index.shape[1]]
+    hi = np.fmax.reduce(mu, initial=1.0)
+    np.copyto(mu, np.inf, where=(kernel._index == 0).T[:, None])
+    lo = np.minimum.reduce(mu, initial=np.inf)
+    return lo, np.maximum(hi, -lo)
 
 
 def locate_array(model: ClosedFormModel, Theta: np.ndarray) -> np.ndarray:
@@ -419,18 +430,24 @@ def locate_array(model: ClosedFormModel, Theta: np.ndarray) -> np.ndarray:
     part 0 when m2 = 0).  The region of smallest violation answers when
     that violation is at most LOCATE_TOL; the first region wins a tie.
     Each row's answer is what :func:`locate_region` gives for its theta.
+    It reads the kernel's slots without scattering them: division by a
+    positive scale is monotone, so the largest primal residual, and -min
+    mu_i[B_i], over their scales are bitwise those largest entries.
     """
-    Theta = model.problem.theta_rows(Theta)
+    problem, kernel = model.problem, model.region_kernel
+    Theta = problem.theta_rows(Theta)
     rows = np.empty(len(Theta), dtype=np.intp)
+    k_max = kernel._index.shape[1]
     has_active = model.active_mask.any(-1)
-    step = model.region_kernel.chunk_rows
-    for lo in range(0, len(Theta), step):
-        primal, dual = region_residuals(model, Theta[lo:lo + step])
-        dual = np.where(has_active, dual.max(-1, initial=-np.inf), 0.0)
-        violation = np.maximum(primal.max(-1, initial=-np.inf), dual)
+    for lo in range(0, len(Theta), kernel.chunk_rows):
+        v, scale = kernel._rows(problem, Theta[lo:lo + kernel.chunk_rows])
+        primal = np.maximum.reduce(v[k_max + 1:], initial=-np.inf) / scale[:, None]
+        least, mu_scale = _multiplier_bounds(kernel, v)
+        dual = np.where(has_active, -least / mu_scale, 0.0)
+        violation = np.maximum(primal, dual)
         best = np.argmin(violation, -1)
         inside = np.take_along_axis(violation, best[:, None], -1)[:, 0] <= LOCATE_TOL
-        rows[lo:lo + step] = np.where(inside, best, -1)
+        rows[lo:lo + kernel.chunk_rows] = np.where(inside, best, -1)
     return rows
 
 

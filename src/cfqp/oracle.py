@@ -298,32 +298,37 @@ class FeasibilityKernel:
     @property
     def chunk_rows(self) -> int:
         """Thetas :func:`feasible_array` (or ``cfqp.model.locate_array``, on
-        a restricted kernel) evaluates at a time, so that its largest
-        temporary, the (rows, S, k_max + 1 + m2) product with the stack,
-        stays within _CHUNK_ELEMENTS."""
+        a restricted kernel) evaluates at a time, so that the (rows, S,
+        k_max + 1 + m2) stack product and its slot-major copy, the two
+        largest temporaries, each stay within _CHUNK_ELEMENTS."""
         return max(1, _CHUNK_ELEMENTS // (self._stack.shape[0] * self._stack.shape[1]))
 
     def _rows(self, problem: MpQpProblem, Theta: np.ndarray):
-        """Every set's (N, S, k_max + 1) multipliers and (N, S, 1 + m2)
-        residuals at each row of an (N, d) theta array, and the (N,)
-        primal tolerances.  Every product is a matrix-vector product per
-        row and set, so a row's values are bitwise the same whatever N and
-        the other rows."""
+        """Every set's slots at each row of an (N, d) theta array, as one
+        C-ordered (k_max + 1 + m2, N, S) array, so that a reduction over
+        slots passes over contiguous (N, S) slabs: the multipliers, then
+        from the shared zero slot k_max the residuals b_C + theta_C - A_C x;
+        and the (N,) data scales max(1, |b_C + theta_C|).  Every product is
+        a matrix-vector product per row and set, so a row's values are
+        bitwise the same whatever N and the other rows."""
         n, m1, k_max = problem.n, problem.m1, self._index.shape[1]
         rhs = problem.b_C + Theta[:, n + m1:]
         x0 = problem.base_inverse[:n] @ (self._z0 - Theta[:, :n + m1])[:, :, None]
         s = np.zeros((len(Theta), 1 + problem.m2))
         np.subtract((problem.A_C @ x0)[..., 0], rhs, out=s[:, 1:])
-        v = (self._stack @ s[:, self._index, None])[..., 0]
-        primal_tol = ORACLE_TOL * np.abs(rhs).max(1, initial=1.0)
-        return v[..., :k_max + 1], v[..., k_max:] - s[:, None], primal_tol
+        v = (self._stack @ s[:, self._index, None])[..., 0].transpose(2, 0, 1).copy()
+        v[k_max:] -= s.T[:, :, None]
+        return v, np.abs(rhs).max(1, initial=1.0)
 
     def accepts(self, problem: MpQpProblem, Theta: np.ndarray) -> np.ndarray:
         """(N, S) booleans: set j passes :func:`_accepted`'s dual and primal
-        tests, with the same scalings, at row i of an (N, d) theta array."""
-        mu, residual, primal_tol = self._rows(problem, Theta)
-        return ((mu.min(-1) >= -ORACLE_TOL * np.abs(mu).max(-1, initial=1.0))
-                & (residual.max(-1) <= primal_tol[:, None]))
+        tests, with the same scalings, at row i of an (N, d) theta array.
+        The dual scale max(1, |mu|) is max(1, max mu, -min mu), exactly."""
+        v, scale = self._rows(problem, Theta)
+        k_max = self._index.shape[1]
+        lo, hi = np.minimum.reduce(v[:k_max + 1]), np.maximum.reduce(v[:k_max + 1], initial=1.0)
+        return ((lo >= -ORACLE_TOL * np.maximum(hi, -lo))
+                & (np.maximum.reduce(v[k_max:]) <= ORACLE_TOL * scale[:, None]))
 
     def ray_extents(
         self, problem: MpQpProblem, theta0: np.ndarray, D: np.ndarray
@@ -350,7 +355,7 @@ class FeasibilityKernel:
 
         The rays are bracketed _CHUNK_ELEMENTS // (20 * 2 S (k_max + 2 +
         m2)) at a time (at least one), so that the ratio test's
-        temporaries, about twenty (rays, 2 S, k_max + 2 + m2) arrays, stay
+        temporaries, about twenty (k_max + 2 + m2, rays, 2 S) arrays, stay
         within _CHUNK_ELEMENTS together.
         """
         S, k_max = self._index.shape
@@ -360,9 +365,10 @@ class FeasibilityKernel:
                 self.ray_extents(problem, theta0, D[lo:lo + step])
                 for lo in range(0, len(D), step))))
         n, m1 = problem.n, problem.m1
-        mu, r, tol = self._rows(problem, np.vstack([theta0, theta0 + D]))
-        v = np.concatenate([mu, -r], 2)  # a set passes where every v >= -tol
-        v0, slope, k, S = v[0], v[1:] - v[0], mu.shape[2], mu.shape[1]
+        v, scale = self._rows(problem, np.vstack([theta0, theta0 + D]))
+        k = k_max + 1
+        v = np.concatenate([v[:k], -v[k - 1:]])  # a set passes where every v >= -tol
+        v0, slope = v[:, :1], v[:, 1:] - v[:, :1]
         # The rounding bound: eps times the operation count times the
         # magnitudes summed, |stack| |s_B| (plus |s| on a residual row), at
         # theta0 and per unit t.  The probe and the two evaluations here
@@ -372,30 +378,31 @@ class FeasibilityKernel:
         sig = np.abs(problem.A_C) @ np.abs(problem.base_inverse[:n]) @ z.transpose(0, 2, 1)
         sig[..., 0] += np.abs(problem.b_C + theta0[n + m1:])
         sig = np.concatenate([np.zeros((len(D), 1, 2)), sig], 1)  # padded as s is
-        phi = np.abs(self._stack) @ sig[:, self._index]
-        phi = np.concatenate([phi[:, :, :k], phi[:, :, k - 1:] + sig[:, None]], 2)
+        phi = (np.abs(self._stack) @ sig[:, self._index]).transpose(3, 2, 0, 1)
+        phi = np.concatenate([phi[:, :k], phi[:, k - 1:] + sig.transpose(2, 1, 0)[..., None]], 1)
         gamma = 4 * (2 * n + m1 + k + 6) * np.finfo(float).eps
-        err0, err1 = gamma * phi[..., 0], gamma * (phi[..., 0] + phi[..., 1] + np.abs(slope))
-        tol = np.repeat([ORACLE_TOL, tol[0]], [k, v0.shape[1] - k])
+        err0, err1 = gamma * phi[0], gamma * (phi[0] + phi[1] + np.abs(slope))
+        tol = np.repeat([ORACLE_TOL, ORACLE_TOL * scale[0]], [k, len(v) - k])[:, None, None]
         rho = 4 * np.finfo(float).eps
         with np.errstate(all="ignore"):  # an overflowed ray's bracket is replaced below
-            # Along axis 1, rows 0..S-1 test the tight form, rows S.. the loose one.
-            a = np.concatenate([v0 + (tol / 2 - err0), v0 + (2 * tol + err0)], 1)
-            b = np.concatenate([slope - err1, slope + err1], 1)
-            a[:, S:, :k] += 2 * ORACLE_TOL * (np.abs(v0) + err0)[..., :k].max(-1, keepdims=True)
-            b[:, S:, :k] += 2 * ORACLE_TOL * (np.abs(slope) + err1)[..., :k].max(-1, keepdims=True)
-            # Per row, the t >= 0 where a + t * b >= 0 in every column:
+            # Along the last axis, sets 0..S-1 test the tight form, S.. the loose one.
+            a = np.concatenate([v0 + (tol / 2 - err0), v0 + (2 * tol + err0)], -1)
+            b = np.concatenate([slope - err1, slope + err1], -1)
+            a[:k, :, S:] += 2 * ORACLE_TOL * np.maximum.reduce((np.abs(v0) + err0)[:k])
+            b[:k, :, S:] += 2 * ORACLE_TOL * np.maximum.reduce((np.abs(slope) + err1)[:k])
+            # Per set, the t >= 0 where a + t * b >= 0 in every slot:
             # [lo, hi], empty when lo > hi.
             root = -a / b
-            lo = np.where(b > 0, root, np.where(a >= 0, 0.0, np.inf)).max(-1, initial=0.0)
-            hi = np.where(b < 0, root, np.inf).min(-1, initial=np.inf)
+            lo = np.maximum.reduce(np.where(b > 0, root, np.where(a >= 0, 0.0, np.inf)),
+                                   initial=0.0)
+            hi = np.minimum.reduce(np.where(b < 0, root, np.inf), initial=np.inf)
             lo_out, hi_out = lo[:, S:] * (1 - rho), hi[:, S:] * (1 + rho)
             t_out = np.where(lo_out <= hi_out, hi_out, -np.inf).max(-1, initial=-np.inf)
             lo, hi, t_in, last = lo[:, :S] * (1 + rho), hi[:, :S] * (1 - rho), np.zeros(len(D)), None
             # An empty interval (lo > hi) that starts below t_in ends below it too.
             while not np.array_equal(t_in, last, equal_nan=True):
                 last, t_in = t_in, np.maximum(t_in, np.where(lo <= t_in[:, None], hi, 0.0).max(-1))
-        ok = np.isfinite(err1).all((1, 2))
+        ok = np.isfinite(err1).all((0, 2))
         return np.where(ok, t_in, 0.0), np.where(ok, t_out, np.inf)
 
 

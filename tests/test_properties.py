@@ -412,10 +412,11 @@ def _bits(array):
 )
 @example(n=2, q_vals=[1.0] * 4, c_vals=[0.0] * 4, thetas=[], rows=1)
 def test_feasible_array_rows_match_one_row_calls(n, q_vals, c_vals, thetas, rows):
-    """Each row of a block has bitwise the multipliers, residuals and
-    primal tolerance of that theta alone, and its label, with the block
-    chunked 1 to 3 rows at a time, is is_feasible's.  A non-finite row and
-    a wrong width are format errors."""
+    """Each row of a block has bitwise the slots (multipliers and
+    residuals, row axis 1 of the slot-major array) and data scale of that
+    theta alone, and its label, with the block chunked 1 to 3 rows at a
+    time, is is_feasible's.  A non-finite row and a wrong width are format
+    errors."""
     problem = box_qp(n, q_vals, c_vals, bound=6.0)
     Theta = np.array([theta[:problem.d] for theta in thetas]).reshape(-1, problem.d)
     kernel = problem.feasibility_kernel
@@ -427,10 +428,11 @@ def test_feasible_array_rows_match_one_row_calls(n, q_vals, c_vals, thetas, rows
         with pytest.raises(ProblemFormatError, match="shape"):
             feasible_array(problem, Theta[:, 1:])
     assert labels.shape == (len(Theta),) and labels.dtype == bool
-    block = kernel._rows(problem, Theta)
+    slots, scale = kernel._rows(problem, Theta)
     for i, row in enumerate(Theta):
-        alone = kernel._rows(problem, row[None])
-        assert [_bits(part[i]) for part in block] == [_bits(part[0]) for part in alone]
+        alone, alone_scale = kernel._rows(problem, row[None])
+        assert _bits(slots[:, i]) == _bits(alone[:, 0])
+        assert _bits(scale[i]) == _bits(alone_scale[0])
         assert labels[i] == is_feasible(problem, ParameterPoint.from_stacked(problem, row))
 
 

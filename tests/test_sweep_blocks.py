@@ -3,7 +3,9 @@ model and log must be exactly those of the point-by-point walk
 (conftest.reference_discover), halving and abandoned points included."""
 
 import collections
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -97,6 +99,22 @@ FIXTURE_DIGESTS = {
 }
 
 
+def pinned_discover(files, tmp_path, argv):
+    """Run ``discover`` on argv: its exit code, the sha256 of its model
+    file and of its log with every record's ``kkt`` value removed, and
+    its stdout lines."""
+    model, log = tmp_path / "model.json", tmp_path / "log.jsonl"
+    argv = [arg.format(**files) for arg in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cfqp.cli.main(["discover", *argv, "--out", str(model), "--log", str(log)])
+    records = (json.loads(line) for line in log.read_text().splitlines())
+    text = "".join(json.dumps({key: value for key, value in record.items() if key != "kkt"})
+                   + "\n" for record in records)
+    return (code, hashlib.sha256(model.read_bytes()).hexdigest(),
+            hashlib.sha256(text.encode()).hexdigest(), out.getvalue().splitlines())
+
+
 @pytest.mark.parametrize("argv,name", zip(BENCHMARK_ARGVS, FIXTURE_DIGESTS),
                          ids=list(FIXTURE_DIGESTS))
 def test_fixture_outputs_are_pinned(files, tmp_path, argv, name):
@@ -106,14 +124,24 @@ def test_fixture_outputs_are_pinned(files, tmp_path, argv, name):
     ``kkt`` values: those are einsum sums, whose last bit may differ
     between numpy versions, while witnesses, sets, directions and events
     do not.  A change that moves a digest must say why in CHANGES.md."""
-    model, log = tmp_path / "model.json", tmp_path / "log.jsonl"
-    argv = [arg.format(**files) for arg in argv]
-    assert cfqp.cli.main(["discover", *argv, "--out", str(model), "--log", str(log)]) == 0
-    records = (json.loads(line) for line in log.read_text().splitlines())
-    text = "".join(json.dumps({key: value for key, value in record.items() if key != "kkt"})
-                   + "\n" for record in records)
-    assert (hashlib.sha256(model.read_bytes()).hexdigest(),
-            hashlib.sha256(text.encode()).hexdigest()) == FIXTURE_DIGESTS[name]
+    code, *digests, _ = pinned_discover(files, tmp_path, argv)
+    assert code == 0 and tuple(digests) == FIXTURE_DIGESTS[name]
+
+
+def test_lenient_halving_walk_is_pinned(files, tmp_path):
+    """The lenient walk from (700, 100), pinned as the fixtures are, with
+    its counters: 7,785 of its 8,727 points are halving midpoints and 314
+    are abandoned at the halving limit (its 315 warnings), so most blocks
+    resume after a halved or abandoned point, which the fixtures' walks
+    never do."""
+    code, *digests, lines = pinned_discover(files, tmp_path, [
+        "--problem", "{problem}", "--theta0", "700,100", "--steps", "200", "--lenient"])
+    assert code == 0 and tuple(digests) == (
+        "b6251d05c5ececaf7a223b83c4d1469e5a316f8ef07f3404f3c96bf3400dcf73",
+        "a9b7630ef24355a01b049b5807da41007ea9e0de04e4a4e582cbcd881027fc68",
+    )
+    assert [line.rsplit(", extent", 1)[0] for line in lines if line.startswith("counters:")] == [
+        "counters: points 8727, halvings 7785, transitions 5, boundary 0, warnings 315"]
 
 
 def test_benchmark_discover_traffic(files, tmp_path, monkeypatch):
@@ -121,20 +149,23 @@ def test_benchmark_discover_traffic(files, tmp_path, monkeypatch):
     together.  Each point is evaluated once per model: a sweep's anchor
     region comes from its first block and a failing row's scalar from its
     block, so there is one forward_array and kkt_scalars pass per block
-    or re-evaluated point.  The extent bisection asks is_feasible only
-    for the three start checks, and feasible_array once for the 20
+    or re-evaluated point, 2,238 rows.  locate_array evaluates only the
+    rows the replay reads, 1,788: each block's passing prefix (and row 0
+    of a sweep's first block) and each point that passes after an
+    expansion.  The extent bisection asks is_feasible only for the three
+    start checks, and feasible_array once for the 20
     in-band probes of the two unbounded two-parameter rays.  Each anchor
     solves only the one active set the feasibility kernel accepts there,
     not the 52, 19 and 73 nonsingular sets, and none falls back to
     brute_force_solve."""
-    calls, rows = collections.Counter(), []
+    calls, rows = collections.Counter(), collections.Counter()
     for module, name in [(discovery, name) for name in (
             "forward_array", "kkt_scalars", "locate_array", "is_feasible",
             "feasible_array", "brute_force_solve")] + [(cfqp.oracle, "solve_active_set")]:
         def counting(*args, fn=getattr(module, name), name=name):
             calls[name] += 1
-            if name == "feasible_array":
-                rows.append(len(args[1]))
+            if name in ("forward_array", "kkt_scalars", "locate_array", "feasible_array"):
+                rows[name] += len(args[-1])  # the theta rows
             return fn(*args)
         monkeypatch.setattr(module, name, counting)
     for argv in BENCHMARK_ARGVS:
@@ -142,7 +173,8 @@ def test_benchmark_discover_traffic(files, tmp_path, monkeypatch):
         assert cfqp.cli.main(["discover", *argv, "--out", str(tmp_path / "model")]) == 0
     assert calls == {"forward_array": 50, "kkt_scalars": 50, "locate_array": 50,
                      "is_feasible": 3, "feasible_array": 1, "solve_active_set": 3}
-    assert rows == [20]
+    assert rows == {"forward_array": 2238, "kkt_scalars": 2238, "locate_array": 1788,
+                    "feasible_array": 20}
 
 
 def test_criterion_9_box_pattern_matches_reference_walk(box_problem):
