@@ -49,11 +49,10 @@ def run_scaled(seed):
     case = case6()
     problem, _ = dcopf.build_dcopf_with_lines(case)
     scales = [1.0 + 0.125 * i for i in range(9)]
-    points = dcopf.scaled_dataset(case, scales, 200, seed=seed, problem=problem)
-    counts = dcopf.survival_counts(points)
+    theta_e, feasible = dcopf.scaled_dataset(case, scales, 200, seed=seed, problem=problem)
     print("feasible points per scale (200 sampled each):")
-    for s in scales:
-        print(f"  scale {s:5.3f}: {counts[s]:4d}")
+    for s, count in zip(scales, feasible.reshape(len(scales), -1).sum(1).tolist()):
+        print(f"  scale {s:5.3f}: {count:4d}")
 
     P_d = case.demand_vector()
     origin = ParameterPoint.of_theta_e(problem, P_d)
@@ -71,9 +70,9 @@ def run_scaled(seed):
     )
     print(f"discovered {model.k} regions in {time.perf_counter() - start:.2f} s")
 
-    feasible = np.array([p.theta.stacked() for p in points if p.feasible]).reshape(-1, problem.d)
-    Theta = feasible[locate_array(model, feasible) >= 0]
-    undiscovered = len(feasible) - len(Theta)
+    stacked = np.pad(theta_e[feasible], [(0, 0), (problem.n, problem.m2)])
+    Theta = stacked[locate_array(model, stacked) >= 0]
+    undiscovered = len(stacked) - len(Theta)
     scalars = np.hstack(kkt_vectors(model, Theta)).mean(axis=1)  # per-row KKT scalar
     print(f"{len(scalars)} feasible points inside discovered regions, "
           f"mean kkt {np.mean(scalars):.2e}, worst {np.max(scalars):.2e}")
@@ -115,12 +114,8 @@ def run_precision(seed):
     case = case6()
     problem, _ = dcopf.build_dcopf(case)
     theta0, pattern = load_bus_pattern(problem, extent_up=56.0, extent_dn=56.0)
-    P_d = case.demand_vector()
-    Theta = np.zeros((1000, problem.d))
-    for i in range(1000):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, i]))
-        r = rng.uniform(0.6, 1.4, size=P_d.shape)
-        Theta[i, problem.n:problem.n + problem.m1] = (1.0 - r) * P_d
+    theta_e, _ = dcopf.local_perturbation_dataset(case, 1000, seed, problem=problem)
+    Theta = np.pad(theta_e, [(0, 0), (problem.n, problem.m2)])
 
     header = f"{'condition':12s} {'mean(64)':>10s} {'worst(64)':>10s} " \
              f"{'mean(32)':>10s} {'worst(32)':>10s}"

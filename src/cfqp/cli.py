@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: discover, predict, kkt-report, gen-data (local|extreme|
-scaled), bench, import-case.  Every error family maps to a distinct
+scaled), import-case.  Every error family maps to a distinct
 exit code (see EXIT_CODES); all randomness flows through --seed.
 """
 
@@ -18,7 +18,6 @@ import math
 import os
 import shutil
 import signal
-import statistics
 import sys
 import tempfile
 import time
@@ -28,8 +27,9 @@ from typing import Iterator, List, Optional, TextIO, Tuple
 import numpy as np
 
 from . import dcopf, errors
-# feasible_extent, batch_forward, forward and kkt_report are not called
-# here but stay bound: benchmark/tracing.py wraps these module attributes.
+# feasible_extent, batch_forward, forward, kkt_report and brute_force_solve
+# are not called here but stay bound: benchmark/tracing.py wraps these
+# module attributes.
 from .discovery import (  # noqa: F401
     DiscoveryLog,
     SearchPattern,
@@ -43,14 +43,11 @@ from .model import (  # noqa: F401
     batch_forward,
     deserialize,
     forward,
-    forward_array,
     forward_chunks,
     serialize,
 )
 from .oracle import (  # noqa: F401
-    MAX_ENUM_M2,
     brute_force_solve,
-    feasible_array,
     kkt_batch,
     kkt_means,
     kkt_report,
@@ -217,7 +214,7 @@ def _line_loop(problem: MpQpProblem, path: str, lines: List[str], lineno: int, j
                 if [len(p) if isinstance(p, list) else None for p in parts] != [n, m1, m2]:
                     raise ValueError(f"theta_c, theta_e and theta_C must be lists of {n}, "
                                      f"{m1} and {m2} numbers")
-                flag = bool(rec.get("feasible", True))
+                flag = _floats([rec.get("feasible", True)]) != [0.0]  # as a CSV cell
                 vals = _floats(parts[0] + parts[1] + parts[2])
             else:
                 row = next(csv.reader([line]))
@@ -245,9 +242,10 @@ def _read_dataset(problem: MpQpProblem, path: str) -> Iterator[Block]:
 
     A JSON-lines file (``.jsonl``, or text starting with '{') holds one
     record per line with ``theta_e`` and optionally ``theta_c``,
-    ``theta_C`` (zeros by default) and ``feasible``.  A CSV file may have
-    '#' comments, blank lines and a header: the first other row, if it
-    has a non-numeric field.  A header naming theta_e1..theta_e{m1} (as
+    ``theta_C`` (zeros by default) and ``feasible``, read as a CSV flag
+    cell is (a boolean, a finite number or numeric text; 0 is false).
+    A CSV file may have '#' comments, blank lines and a header: the first
+    other row, if it has a non-numeric field.  A header naming theta_e1..theta_e{m1} (as
     ``gen-data --format csv`` writes) selects those columns and one named
     ``feasible`` gives the flags (0 is false); otherwise a row has either
     m1 (theta_e only) or d (stacked) numeric columns.  A malformed or
@@ -540,91 +538,40 @@ def cmd_gen_data(args) -> int:
         raise CliError(f"--seed must be in [0, 2**128), got {args.seed}")
     case, problem = _load_case(args)
     with _output(args.out) as out:
+        scale_of = itertools.repeat(None)  # each row's scale, for scaled only
         if args.kind == "local":
-            points = dcopf.local_perturbation_dataset(
+            theta_e, feasible = dcopf.local_perturbation_dataset(
                 case, args.count, args.seed, problem=problem
             )
         elif args.kind == "extreme":
-            points = dcopf.extreme_dataset(case, steps=args.steps, problem=problem)
+            theta_e, feasible = dcopf.extreme_dataset(case, steps=args.steps, problem=problem)
         else:
             scales = _parse_scales(args.scales)
-            points = dcopf.scaled_dataset(
+            theta_e, feasible = dcopf.scaled_dataset(
                 case, scales, args.count, args.seed, problem=problem
             )
-            counts = dcopf.survival_counts(points)
-            for scale, count in counts.items():
+            counts = feasible.reshape(len(scales), -1).sum(1).tolist()
+            for scale, count in zip(scales, counts):
                 print(f"scale {scale:g}: {count} of {args.count} feasible", file=sys.stderr)
+            scale_of = np.repeat(scales, args.count).tolist()
+        rows = zip(theta_e.tolist(), feasible.tolist(), scale_of)
         if args.format == "jsonl":
-            for p in points:
-                rec = {
-                    "theta_e": p.theta.theta_e.tolist(),
-                    "feasible": p.feasible,
-                }
-                if p.scale is not None:
-                    rec["scale"] = p.scale
+            for theta, flag, scale in rows:
+                rec = {"theta_e": theta, "feasible": flag}
+                if scale is not None:
+                    rec["scale"] = scale
                 out.write(json.dumps(rec) + "\n")
         else:
             writer = csv.writer(out)
             writer.writerow(
                 [f"theta_e{i+1}" for i in range(problem.m1)] + ["feasible", "scale"]
             )
-            for p in points:
-                writer.writerow(
-                    [repr(float(v)) for v in p.theta.theta_e]
-                    + [int(p.feasible), "" if p.scale is None else repr(p.scale)]
-                )
-    if args.out:
-        print(f"{len(points)} points written to {args.out}", file=sys.stderr)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    if args.count < 1:
-        raise CliError(f"--count must be >= 1, got {args.count}")
-    if not np.isfinite(args.jitter):
-        raise CliError(f"--jitter must be finite, got {args.jitter}")
-    if args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
-    problem = _load_problem(args)
-    model = deserialize(Path(args.model).read_bytes(), problem)
-    rng = np.random.default_rng(args.seed)
-    n, m1 = problem.n, problem.m1
-    thetas = np.tile(model.regions[0].witness_theta.stacked(), (args.count, 1))
-    thetas[:, n:n + m1] += rng.uniform(-1.0, 1.0, (args.count, m1)) * args.jitter
-    with_oracle = problem.m2 <= MAX_ENUM_M2
-    if with_oracle:
-        infeasible = int(np.count_nonzero(~feasible_array(problem, thetas)))
-        points = [ParameterPoint.from_stacked(problem, row) for row in thetas]
-        if infeasible:
-            raise CliError(
-                f"--jitter {args.jitter:g} puts {infeasible} of {args.count} points "
-                "outside the feasible domain; use a smaller --jitter"
+            writer.writerows(
+                list(map(repr, theta)) + [int(flag), "" if scale is None else repr(scale)]
+                for theta, flag, scale in rows
             )
-
-    model_times = []
-    for _ in range(5):
-        start = time.perf_counter()
-        forward_array(model, thetas)
-        model_times.append(time.perf_counter() - start)
-    model_time = statistics.median(model_times)
-    print(f"model batch: {args.count} points in {model_time:.4f} s (median of 5)")
-
-    if not with_oracle:
-        print(f"oracle skipped: m2={problem.m2} exceeds the enumeration "
-              f"guard ({MAX_ENUM_M2}); model-only benchmark")
-        return 0
-    oracle_times = []
-    for _ in range(5):
-        start = time.perf_counter()
-        for theta in points:
-            brute_force_solve(problem, theta)
-        oracle_times.append(time.perf_counter() - start)
-    oracle_time = statistics.median(oracle_times)
-    print(f"oracle: {args.count} solves in {oracle_time:.4f} s (median of 5)")
-    if args.count >= 10 and model_time > 0:
-        print(f"speedup: {oracle_time / model_time:.1f}x")
-    else:
-        print("speedup: not reported (sample too small for timer resolution)")
+    if args.out:
+        print(f"{len(theta_e)} points written to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -707,14 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("bench", help="model batch vs oracle timing")
-    add_common(p, model=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--jitter", type=float, default=1.0,
-                   help="theta_e jitter radius around the root witness")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("import-case", help="convert a MATPOWER-style case file")
     p.add_argument("--matpower", required=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "Line",
     "PowerCase",
     "DcOpfIndexMap",
-    "DatasetPoint",
     "build_dcopf",
     "build_dcopf_with_lines",
     "inject_renewable",
@@ -46,7 +45,6 @@ __all__ = [
     "local_perturbation_dataset",
     "extreme_dataset",
     "scaled_dataset",
-    "survival_counts",
     "parse_matpower",
 ]
 
@@ -375,27 +373,19 @@ def renewable_samples(count: int, buses: int, seed: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DatasetPoint:
-    theta: ParameterPoint
-    feasible: bool
-    scale: Optional[float] = None
-    ratios: Optional[tuple] = None
+def _demand_ratios(count: int, buses: int, seed: int) -> np.ndarray:
+    """Per-bus demand ratios, Uniform(0.6, 1.4): row i is point i's draw."""
+    rng = _point_rngs(seed)
+    out = np.empty((count, buses))
+    for i in range(count):
+        out[i] = rng(i).uniform(0.6, 1.4, size=buses)
+    return out
 
 
-def _labelled(
-    problem: MpQpProblem, theta_e: np.ndarray, ratios=None, scales=None
-) -> List[DatasetPoint]:
-    """A DatasetPoint per row of an (N, m1) theta_e array, all labelled
-    by one :func:`feasible_array` call, with its row of demand ratios
-    and its scale when those are given."""
-    Theta = np.pad(theta_e, [(0, 0), (problem.n, problem.m2)])
-    return [
-        DatasetPoint(ParameterPoint.of_theta_e(problem, theta_e[i]), feasible,
-                     scale=None if scales is None else scales[i],
-                     ratios=None if ratios is None else tuple(ratios[i]))
-        for i, feasible in enumerate(feasible_array(problem, Theta).tolist())
-    ]
+def _labelled(problem: MpQpProblem, theta_e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """An (N, m1) theta_e array and its (N,) feasible labels, all from
+    one :func:`feasible_array` call."""
+    return theta_e, feasible_array(problem, np.pad(theta_e, [(0, 0), (problem.n, problem.m2)]))
 
 
 def local_perturbation_dataset(
@@ -404,15 +394,14 @@ def local_perturbation_dataset(
     seed: int,
     *,
     problem: MpQpProblem,
-) -> List[DatasetPoint]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Demand at each bus scaled by an independent Uniform(0.6, 1.4)
-    ratio; infeasible draws are flagged, never dropped."""
+    ratio: the (count, m1) theta_e array and its feasible labels;
+    infeasible draws are flagged, never dropped."""
     if count < 1:
         raise ValueError("count must be >= 1")
     P_d = case.demand_vector()
-    rng = _point_rngs(seed)
-    r = np.array([rng(i).uniform(0.6, 1.4, size=P_d.shape) for i in range(count)])
-    return _labelled(problem, (1.0 - r) * P_d, ratios=r.tolist())
+    return _labelled(problem, (1.0 - _demand_ratios(count, len(P_d), seed)) * P_d)
 
 
 #: Load at every bus but the swept one in the extreme dataset.
@@ -424,10 +413,11 @@ def extreme_dataset(
     steps: int = 100,
     *,
     problem: MpQpProblem,
-) -> List[DatasetPoint]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Per-bus extreme sweeps: one bus's demand runs from 0 to the sum
     of generator upper limits while every other load is set to
-    _EXTREME_FLOOR (MW)."""
+    _EXTREME_FLOOR (MW).  Returns the (m1 * steps, m1) theta_e array, a
+    block of steps per swept bus, and its feasible labels."""
     P_d = case.demand_vector()
     total_cap = sum(g.pmax for g in case.generators)
     target = np.full((len(P_d), steps, len(P_d)), _EXTREME_FLOOR)
@@ -443,30 +433,18 @@ def scaled_dataset(
     seed: int,
     *,
     problem: MpQpProblem,
-) -> List[DatasetPoint]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Local perturbations around a scaled base load: effective demand
-    is r * k * P_d with r ~ Uniform(0.6, 1.4) per bus, for each scale k."""
+    is r * k * P_d with r ~ Uniform(0.6, 1.4) per bus, for each scale k.
+    Returns the theta_e array and its feasible labels, with rows ordered
+    by scale: row i has scale ``scales[i // per_scale_count]``."""
     scales = [float(s) for s in scales]
     if sorted(set(scales)) != scales:
         raise ValueError("scales must be strictly ascending")
     P_d = case.demand_vector()
-    rng = _point_rngs(seed)
-    r = np.array([rng(i).uniform(0.6, 1.4, size=P_d.shape)
-                  for i in range(len(scales) * per_scale_count)]).reshape(-1, len(P_d))
+    r = _demand_ratios(len(scales) * per_scale_count, len(P_d), seed)
     k = np.repeat(scales, per_scale_count)
-    return _labelled(problem, P_d - r * k[:, None] * P_d, r.tolist(), k.tolist())
-
-
-def survival_counts(points: Sequence[DatasetPoint]) -> Dict[float, int]:
-    """Feasible-point count per scale (insertion-ordered by scale)."""
-    counts: Dict[float, int] = {}
-    for p in points:
-        if p.scale is None:
-            continue
-        counts.setdefault(p.scale, 0)
-        if p.feasible:
-            counts[p.scale] += 1
-    return counts
+    return _labelled(problem, P_d - r * k[:, None] * P_d)
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,7 @@ def reference_read_dataset(problem, path):
                 if [len(p) if isinstance(p, list) else None for p in parts] != [n, m1, m2]:
                     raise ValueError(f"theta_c, theta_e and theta_C must be lists of {n}, "
                                      f"{m1} and {m2} numbers")
-                flag = bool(rec.get("feasible", True))
+                flag = _floats([rec.get("feasible", True)]) != [0.0]  # as a CSV cell
                 vals = _floats(parts[0] + parts[1] + parts[2])
             else:
                 if first:

@@ -326,7 +326,7 @@ def test_criterion_06_transition_structure(two_param, theta0_2d, box_problem):
 def scaled_experiment(power_case, line_problem):
     problem, _ = line_problem
     scales = [1.0 + 0.125 * i for i in range(9)]
-    points = dcopf.scaled_dataset(power_case, scales, 200, seed=7, problem=problem)
+    theta_e, feasible = dcopf.scaled_dataset(power_case, scales, 200, seed=7, problem=problem)
     P_d = power_case.demand_vector()
     origin = ParameterPoint.of_theta_e(problem, P_d)
     base = ParameterPoint.of_theta_e(problem, -P_d)
@@ -342,24 +342,23 @@ def scaled_experiment(power_case, line_problem):
         problem, origin + base.scale(1.0), SearchPattern(directions),
         log=log, strict=False,
     )
-    return problem, model, points, scales, log
+    return problem, model, theta_e, feasible, scales, log
 
 
 def test_criterion_07_line_limit_pattern(scaled_experiment):
-    problem, model, points, scales, log = scaled_experiment
-    counts = dcopf.survival_counts(points)
+    problem, model, theta_e, feasible, scales, log = scaled_experiment
+    counts = dict(zip(scales, feasible.reshape(len(scales), -1).sum(1).tolist()))
     monotone = all(
         counts[a] >= counts[b] for a, b in zip(scales, scales[1:])
     )
     in_region = []
     undiscovered = []
-    for p in points:
-        if not p.feasible:
-            continue
-        if locate_region(model, p.theta) is None:
-            undiscovered.append(p)
+    for row in theta_e[feasible]:
+        theta = ParameterPoint.of_theta_e(problem, row)
+        if locate_region(model, theta) is None:
+            undiscovered.append(theta)
         else:
-            in_region.append(p.theta)
+            in_region.append(theta)
     scalars = [
         kkt_report(problem, forward(model, theta), theta).scalar
         for theta in in_region
@@ -374,7 +373,7 @@ def test_criterion_07_line_limit_pattern(scaled_experiment):
     assert monotone, counts
     assert mean_kkt <= 1e-12
     # undiscovered points are reported, not silently dropped
-    assert len(in_region) + len(undiscovered) == sum(1 for p in points if p.feasible)
+    assert len(in_region) + len(undiscovered) == int(feasible.sum())
 
 
 # -- criterion 8 ------------------------------------------------------------

@@ -586,7 +586,11 @@ class TestGenDataAndKktReport:
         {"theta_e": [float("nan"), 150.0]},          # non-finite
         "150,150\n150,x\n",                          # CSV: not a number
         "theta_e1,theta_e2,feasible\n150,150,yes\n",  # CSV: not a flag
-    ], ids=["missing", "wrong_length", "non_finite", "csv_row", "csv_flag"])
+        {"theta_e": [150.0, 150.0], "feasible": "false"},  # JSON: not a flag
+        {"theta_e": [150.0, 150.0], "feasible": "no"},
+        {"theta_e": [150.0, 150.0], "feasible": None},
+    ], ids=["missing", "wrong_length", "non_finite", "csv_row", "csv_flag",
+            "json_flag_text", "json_flag_word", "json_flag_null"])
     def test_kkt_report_bad_record_is_usage_error(
         self, problem_file, model_2d_file, tmp_path, capsys, record
     ):
@@ -602,6 +606,21 @@ class TestGenDataAndKktReport:
             "--dataset", str(data),
         ]) == EXIT_CODES["usage"]
         assert f"{data}:2:" in capsys.readouterr().err
+
+    def test_kkt_report_reads_json_flags_as_csv_cells(
+        self, problem_file, model_2d_file, tmp_path, capsys
+    ):
+        """A JSON-lines ``feasible`` is read as a CSV cell is: false, 0 and
+        "0" skip the infeasible theta_e (5000, 5000); true, 1, "1" and a
+        missing flag keep the feasible (100, 100)."""
+        data = tmp_path / "data.jsonl"
+        records = [{"theta_e": [5000.0, 5000.0], "feasible": f} for f in (False, 0, "0", 0.0)]
+        records += [{"theta_e": [100.0, 100.0], "feasible": f} for f in (True, 1, "1")]
+        records += [{"theta_e": [100.0, 100.0]}]
+        data.write_text("".join(json.dumps(record) + "\n" for record in records))
+        assert main(["kkt-report", "--problem", problem_file, "--model", model_2d_file,
+                     "--dataset", str(data)]) == 0
+        assert "feasible rows: 4, infeasible rows excluded: 4" in capsys.readouterr().out
 
     def test_empty_variable_group_exit_code(self, tmp_path, capsys):
         """A problem with an empty variable group is malformed, so both
@@ -737,6 +756,41 @@ class TestGenDataAndKktReport:
         assert a.read_text() == b.read_text()
 
 
+#: sha256 of gen-data's output file per kind, format and problem, for
+#: --seed 5 --count 40 --steps 10 and the default scales.
+GEN_DATA_DIGESTS = {
+    "local-jsonl": "80f28a21035738a0cc12d272561b250c5fd7d6851be7f5b39c590249d2282b92",
+    "local-csv": "0093a7c979fb247aeeb9b5f432024256bf2c07ad135d6d5b4484335c425ac248",
+    "scaled-jsonl": "b2890e31ea7507f9f3dd0e8537af68b5fe082103be0fd3d9200a64b098de3d09",
+    "scaled-csv": "7b94eed6a548134a5d6889c30b7e9cd26df60bcdb021fee51290b94480ed5ee5",
+    "extreme-jsonl": "9a5b1be5fa2c0d128da8efda8a76ddb89fe8144350543e78ec7cf2cb7bc3d75a",
+    "extreme-csv": "7d01ebd7e00eea502e1ec6125199aff16d65781f745a34248a778ff022967529",
+    "local-jsonl-lines": "80f28a21035738a0cc12d272561b250c5fd7d6851be7f5b39c590249d2282b92",
+    "local-csv-lines": "0093a7c979fb247aeeb9b5f432024256bf2c07ad135d6d5b4484335c425ac248",
+    "scaled-jsonl-lines": "c91deb638ff192bcfaf4afb10bdf966af1ed8430b93e0747db51bdde82e3e28f",
+    "scaled-csv-lines": "5ab0c4f74f053995cc236050041a3107bb3db6cd63516e80795c29d296649e2f",
+    "extreme-jsonl-lines": "31ad27c9e3d83295910778d8932f030107215663d5c05c89e2a51f76b6a4818d",
+    "extreme-csv-lines": "d2f286a6dff8738e1ba4770c9c4ae6b08c37a81f9664a389daac260d22aa522f",
+}
+
+
+@pytest.mark.parametrize("name", GEN_DATA_DIGESTS)
+def test_gen_data_outputs_are_pinned(case_file, tmp_path, capsys, name):
+    """gen-data's files, which a change to the draws, the labels or the
+    writers is expected to leave byte-identical.  The labels rest on the
+    bits of the feasibility kernel's matmul.  Every local draw is feasible
+    on case6 with or without line limits, so those two files match.  A
+    change that moves a digest must say why in CHANGES.md."""
+    kind, fmt, *lines = name.split("-")
+    out = tmp_path / "data"
+    assert main(["gen-data", kind, "--case", case_file, *(["--lines"] * bool(lines)),
+                 "--seed", "5", "--count", "40", "--steps", "10", "--format", fmt,
+                 "--out", str(out)]) == 0
+    rows = 40 * 9 if kind == "scaled" else 40 if kind == "local" else 10 * 6
+    assert capsys.readouterr().err.endswith(f"{rows} points written to {out}\n")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DATA_DIGESTS[name]
+
+
 class TestImportCase:
     def test_import_and_build(self, tmp_path, capsys):
         mfile = tmp_path / "tiny.m"
@@ -811,41 +865,6 @@ class TestImportCase:
         assert "A_e has non-finite entries" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_bench_reports_speedup(self, case_file, tmp_path, capsys):
-        model = tmp_path / "model6.json"
-        assert main([
-            "discover", "--case", case_file, "--steps", "30",
-            "--out", str(model),
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "bench", "--case", case_file, "--model", str(model),
-            "--count", "50", "--jitter", "10",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "model batch" in out
-        assert "oracle" in out
-        assert "speedup" in out
-
-    def test_infeasible_jitter_is_usage_error(self, problem_file, tmp_path, capsys):
-        """Every jittered point is checked before any timing: a jitter
-        that leaves the feasible domain exits 2 and prints no timing."""
-        model = tmp_path / "model2d.json"
-        assert main([
-            "discover", "--problem", problem_file, "--theta0", "100,100",
-            "--steps", "40", "--out", str(model),
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "bench", "--problem", problem_file, "--model", str(model),
-            "--count", "20", "--jitter", "2000",
-        ]) == EXIT_CODES["usage"]
-        captured = capsys.readouterr()
-        assert "--jitter" in captured.err and " of 20 points" in captured.err
-        assert "model batch" not in captured.out
-
-
 @pytest.mark.parametrize("argv,flag", [
     (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--steps", "1"], "--steps"),
     (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--extent", "5"], "--extent"),
@@ -861,26 +880,20 @@ class TestBench:
     (["gen-data", "scaled", "--case", "CASE", "--count", "2", "--scales", "2,1"], "--scales"),
     (["gen-data", "scaled", "--case", "CASE", "--count", "3", "--scales", "1,1,1.5"], "--scales"),
     (["gen-data", "extreme", "--case", "CASE", "--steps", "0"], "--steps"),
-    (["bench", "--case", "CASE", "--model", "MODEL", "--count", "-1"], "--count"),
-    (["bench", "--case", "CASE", "--model", "MODEL", "--count", "0"], "--count"),
-    (["bench", "--case", "CASE", "--model", "MODEL", "--jitter", "nan"], "--jitter"),
-    (["bench", "--case", "CASE", "--model", "MODEL", "--jitter", "inf"], "--jitter"),
     (["gen-data", "local", "--case", "MISSING", "--count", "3", "--seed", "-1"], "--seed"),
     (["gen-data", "scaled", "--case", "MISSING", "--seed", str(2 ** 128)], "--seed"),
-    (["bench", "--case", "CASE", "--model", "MODEL", "--seed", "-1"], "--seed"),
 ], ids=["discover-steps", "discover-extent-length", "discover-tol-nan",
         "discover-tol-inf", "discover-tol-negative", "discover-scales-order",
         "discover-scales-repeated", "local-count", "scaled-count", "gen-data-scales-order",
         "gen-data-scales-repeated", "extreme-steps",
-        "bench-count-negative", "bench-count-zero", "bench-jitter-nan", "bench-jitter-inf",
-        "local-seed-negative", "scaled-seed-too-large", "bench-seed-negative"])
+        "local-seed-negative", "scaled-seed-too-large"])
 def test_bad_argument_is_usage_error(
     problem_file, case_file, tmp_path, capsys, monkeypatch, argv, flag
 ):
     """A bad argument exits 2 naming its flag, before any feasibility
-    bisection and before any output is written.  bench has no --out; its
-    model path does not exist, so only a check made before the model is
-    read can give exit 2, and the same holds for a MISSING gen-data case."""
+    bisection and before any output is written.  A MISSING gen-data case
+    does not exist, so only a check made before the case is read can give
+    exit 2."""
     import cfqp.cli
 
     def no_bisection(*args):
@@ -889,10 +902,8 @@ def test_bad_argument_is_usage_error(
     monkeypatch.setattr(cfqp.cli, "feasible_extents", no_bisection)
     out = tmp_path / "out"
     missing = str(tmp_path / "none.json")
-    inputs = {"PROBLEM": problem_file, "CASE": case_file, "MODEL": missing, "MISSING": missing}
-    argv = [inputs.get(a, a) for a in argv]
-    if argv[0] != "bench":
-        argv += ["--out", str(out)]
+    inputs = {"PROBLEM": problem_file, "CASE": case_file, "MISSING": missing}
+    argv = [inputs.get(a, a) for a in argv] + ["--out", str(out)]
     assert main(argv) == EXIT_CODES["usage"]
     assert flag in capsys.readouterr().err
     assert not out.exists()

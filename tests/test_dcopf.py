@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from cfqp.dcopf import (
     parse_matpower,
     renewable_samples,
     scaled_dataset,
-    survival_counts,
 )
 from cfqp.errors import (
     DisconnectedNetwork,
@@ -221,20 +222,36 @@ class TestRenewablesAndDatasets:
 
     def test_counter_rng_is_order_independent(self, power_case):
         problem = build_dcopf(power_case)[0]
-        long = local_perturbation_dataset(power_case, 20, seed=4, problem=problem)
-        short = local_perturbation_dataset(power_case, 5, seed=4, problem=problem)
-        for a, b in zip(short, long[:5]):
-            assert np.array_equal(a.theta.theta_e, b.theta.theta_e)
+        long, long_feasible = local_perturbation_dataset(power_case, 20, seed=4, problem=problem)
+        short, short_feasible = local_perturbation_dataset(power_case, 5, seed=4, problem=problem)
+        assert np.array_equal(short, long[:5])
+        assert np.array_equal(short_feasible, long_feasible[:5])
 
     def test_local_dataset_flags_infeasible(self, power_case):
-        points = local_perturbation_dataset(
+        theta_e, feasible = local_perturbation_dataset(
             power_case, 100, seed=0, problem=build_dcopf(power_case)[0]
         )
-        assert len(points) == 100
-        assert all(p.feasible for p in points)  # 0.6..1.4 stays dispatchable
-        for p in points:
-            assert p.ratios is not None
-            assert all(0.6 <= r <= 1.4 for r in p.ratios)
+        assert theta_e.shape == (100, 6) and feasible.shape == (100,)
+        assert feasible.all()  # 0.6..1.4 stays dispatchable
+        # (1 - r) * P_d rounds monotonically in r, so r in [0.6, 1.4]
+        # puts theta_e exactly inside these bounds
+        P_d = power_case.demand_vector()
+        assert ((1.0 - 1.4) * P_d <= theta_e).all() and (theta_e <= (1.0 - 0.6) * P_d).all()
+
+    def test_local_dataset_peak_memory(self, power_case):
+        """The dataset is two arrays, not objects per row: drawing and
+        labelling 20,000 case6 rows peaks below 600 bytes a row of traced
+        memory (a theta_e row is 48 bytes and its stacked copy for the
+        labels 160; a labelled point object per row took about 1,250)."""
+        problem = build_dcopf(power_case)[0]
+        local_perturbation_dataset(power_case, 10, seed=0, problem=problem)  # kernel built
+        tracemalloc.start()
+        try:
+            local_perturbation_dataset(power_case, 20_000, seed=0, problem=problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000 * 600, peak
 
     def test_point_rngs_draw_as_fresh_philox(self):
         """One Philox serves a whole dataset: each point's draws are a
@@ -255,19 +272,27 @@ class TestRenewablesAndDatasets:
 
     def test_scaled_dataset_and_survival(self, power_case):
         scales = [1.0, 1.5, 2.0]
-        points = scaled_dataset(power_case, scales, 60, seed=7,
-                                problem=build_dcopf(power_case)[0])
-        counts = survival_counts(points)
+        problem = build_dcopf(power_case)[0]
+        theta_e, feasible = scaled_dataset(power_case, scales, 60, seed=7, problem=problem)
+        counts = dict(zip(scales, feasible.reshape(len(scales), -1).sum(1).tolist()))
         assert list(counts) == scales
         assert counts[1.0] >= counts[1.5] >= counts[2.0]
         assert counts[1.0] == 60 and counts[2.0] < 60
+        # row i has scale scales[i // 60] and point i's ratios, which
+        # the local dataset draws as theta_e = (1 - r) * P_d; the two
+        # formulas differ by a few roundings of numbers up to 2 * P_d
+        P_d = power_case.demand_vector()
+        local, _ = local_perturbation_dataset(power_case, 180, seed=7, problem=problem)
+        k = np.repeat(scales, 60)[:, None]
+        assert np.allclose(theta_e, P_d - k * (P_d - local),
+                           rtol=0, atol=16 * np.finfo(float).eps * P_d.max())
 
     def test_extreme_dataset_shape(self, power_case):
-        points = dcopf.extreme_dataset(power_case, steps=10,
-                                       problem=build_dcopf(power_case)[0])
-        assert len(points) == 60  # 6 buses x 10 steps
-        assert any(not p.feasible for p in points)
-        assert any(p.feasible for p in points)
+        theta_e, feasible = dcopf.extreme_dataset(power_case, steps=10,
+                                                  problem=build_dcopf(power_case)[0])
+        assert len(theta_e) == len(feasible) == 60  # 6 buses x 10 steps
+        assert not feasible.all()
+        assert feasible.any()
 
 
 MATPOWER_TEXT = """
