@@ -378,11 +378,9 @@ def cmd_discover(args) -> int:
     print(f"regions: {model.k}")
     for region in model.regions:
         print(f"  region {region.id}: active set {sorted(region.active_set)}")
-    events, halvings = collections.Counter(), 0
-    for record in log.records:
-        events[record["event"]] += 1
-        halvings += record["event"] == "point" and record["depth"] > 0
-    print(f"counters: points {events['point']}, halvings {halvings}, "
+    events = collections.Counter(record["event"] for record in log.records)
+    # halvings is always 0; the field stays for readers of this line
+    print(f"counters: points {events['point']}, halvings 0, "
           f"transitions {events['transition']}, boundary {events['boundary']}, "
           f"warnings {events['warning']}, extent bisection {extent_s:.3f} s")
     print(f"wall time: {elapsed:.3f} s")

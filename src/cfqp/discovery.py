@@ -60,7 +60,6 @@ __all__ = [
     "feasible_extents",
 ]
 
-_MAX_HALVINGS = 20
 _MAX_EXPANSIONS_PER_POINT = 16
 
 #: Normalized violation below which identify_transition finds no change.
@@ -323,11 +322,13 @@ def discover(
     point-by-point walk.  Each point is evaluated once per model: the
     sweep's anchor region is row 0 of its first block, a failing row's
     scalar is the first the expansion reads, and only a point whose model
-    has grown, or a halving midpoint, is evaluated again, as a block of
-    one row.
-    Coarse steps that skip regions are refined by local step halving (up
-    to 20 levels).  With ``strict=False`` an unresolvable point is logged
-    and skipped instead of aborting the run.
+    has grown is evaluated again, as a block of one row.
+    A point is abandoned when no single transition explains its violation,
+    when its expansion is singular or after 16 expansions.  An infeasible
+    abandoned point ends its sweep; a feasible one raises
+    :class:`UnresolvableTransition`, or, with ``strict=False``, is logged
+    as an ``unresolved`` warning and skipped.  Every point record has
+    ``depth`` 0, a field kept for the log's readers.
 
     Discovery evaluates the model at float64 whatever ``precision`` is,
     so the region tree depends only on the problem; ``precision`` sets
@@ -365,12 +366,10 @@ def discover(
         current, last_set = region, region.active_set
         return records
 
-    def expand_at(theta, di, pi, depth, scalar):
-        """Expand the model until ``theta`` passes ``tol``: True when it
-        does, False when the point was abandoned (only in non-strict mode
-        or past the feasible boundary), None when no single transition
-        resolves it and it must be approached by halving.  ``scalar`` is
-        theta's KKT scalar on the current model, or None if not known."""
+    def expand_at(theta, di, pi, scalar):
+        """Expand the model until ``theta`` passes ``tol``, or abandon it.
+        ``scalar`` is theta's KKT scalar on the current model, or None if
+        not known."""
         nonlocal model, current
         Theta = theta.stacked()[None]
         for _ in range(_MAX_EXPANSIONS_PER_POINT):
@@ -378,17 +377,17 @@ def discover(
                 [scalar] = block_scalars(Theta)
             log.emit(
                 event="point", direction=di, index=pi, kkt=scalar,
-                region=current.id, depth=depth,
+                region=current.id, depth=0,
             )
             if scalar <= tol:
                 row = locate_array(model, Theta)[0]
                 if row >= 0:
                     log.extend(settle(row, di, pi))
-                return True
+                return
             try:
                 tr = identify_transition(problem, model, current, theta)
-            except UnresolvableTransition:
-                return None
+            except UnresolvableTransition as exc:
+                return abandon(theta, di, pi, "no_transition", exc)
             if tr.kind == "add":
                 new_set = ActiveSet(set(current.active_set) | {tr.constraint})
             else:
@@ -401,10 +400,10 @@ def discover(
                 # scalar, is unchanged
                 current = next(r for r in model.regions if r.active_set == new_set)
                 continue
-            except SingularActiveJacobian:
+            except SingularActiveJacobian as exc:
                 # Adding this constraint overdetermines the KKT system:
                 # typically the sweep has reached the feasible boundary.
-                return abandon(theta, di, pi, "singular_expansion")
+                return abandon(theta, di, pi, "singular_expansion", exc)
             current = model.regions[-1]
             scalar = None
             log.emit(
@@ -412,47 +411,26 @@ def discover(
                 kind=tr.kind, constraint=tr.constraint,
                 region=current.id, active_set=list(new_set),
             )
-        return abandon(theta, di, pi, "expansion_limit")
+        abandon(theta, di, pi, "expansion_limit")
 
-    def resolve(theta, lo_theta, di, pi, scalar):
-        """Make ``theta`` pass ``tol``, expanding the model as needed.
-        ``lo_theta`` is the nearest point already known to pass, and
-        ``scalar`` theta's KKT scalar on the current model.
-        A point that needs halving is reached through the midpoint from
-        its ``lo_theta`` first, up to _MAX_HALVINGS levels deep:
-        ``pending`` holds (point, known-passing point, depth) in
-        depth-first order.  Returns True on success, False when a point
-        was abandoned."""
-        pending = [(theta, lo_theta, 0)]
-        while pending:
-            theta, lo_theta, depth = pending.pop()
-            passed = expand_at(theta, di, pi, depth, scalar)
-            scalar = None
-            if passed is None:
-                if depth >= _MAX_HALVINGS:
-                    return abandon(theta, di, pi, "halving_limit")
-                mid = lo_theta + (theta - lo_theta).scale(0.5)
-                pending += [(theta, mid, depth + 1), (mid, lo_theta, depth + 1)]
-            elif not passed:
-                return False
-        return True
-
-    def abandon(theta, di, pi, reason):
+    def abandon(theta, di, pi, reason, cause=None):
+        """Give up on ``theta``: past the feasible boundary, end the sweep;
+        otherwise raise, chained to ``cause``, or in non-strict mode log a
+        warning."""
         nonlocal boundary_hit
         if not is_feasible(problem, theta):
             log.emit(event="boundary", direction=di, index=pi, reason=reason)
             boundary_hit = True
-            return False
-        if strict:
+        elif strict:
             raise UnresolvableTransition(
                 f"cannot resolve KKT violation at direction {di} point {pi} "
                 f"({reason})"
-            )
-        log.emit(event="warning", kind="unresolved", direction=di,
-                 index=pi, reason=reason)
-        return False
+            ) from cause
+        else:
+            log.emit(event="warning", kind="unresolved", direction=di,
+                     index=pi, reason=reason)
 
-    def sweep_block(direction, di, first, prev):
+    def sweep_block(direction, di, first):
         """Points ``first`` onwards of a sweep, as many as
         :func:`locate_array` tests at a time, evaluated as one block and
         replayed in order.  Row i is bitwise ``direction.point(i)``, except
@@ -462,10 +440,8 @@ def discover(
         prefix, and row 0 of a sweep's first block, which sets the sweep's
         anchor region.  The prefix is logged at once and settled where its
         region changes; the first failing point goes through
-        :func:`resolve`, with its scalar, which may change the model, so
-        the block ends there.  ``prev`` is the nearest point known to pass,
-        None for ``direction.point(first - 1)``.  Returns the next point's
-        index and its ``prev``."""
+        ``expand_at``, with its scalar, which may change the model, so the
+        block ends there.  Returns the next point's index."""
         nonlocal last_set
         index = np.arange(first, min(direction.max_steps + 1,
                                      first + model.region_kernel.chunk_rows))
@@ -488,23 +464,16 @@ def discover(
                 settled = row
         log.extend(records)
         if passing == len(index):
-            return first + passing, None
+            return first + passing
         i = index[passing]
-        target = direction.point(i) if i else direction.start
-        if passing or prev is None:
-            prev = direction.point(i - 1)
-        passed = resolve(target, prev, di, i, scalars[passing])
-        return i + 1, target if passed else direction.start
+        expand_at(direction.point(i) if i else direction.start, di, i, scalars[passing])
+        return i + 1
 
-    boundary_hit = False
     for di, direction in enumerate(pattern.directions):
         log.emit(event="direction", direction=di, max_steps=direction.max_steps)
-        boundary_hit = False
-        # Point 0, the start, is reached from theta0; after an abandoned
-        # point (non-strict mode) the next one is anchored at the start.
-        i, prev = 0, theta0
+        boundary_hit, i = False, 0
         while i <= direction.max_steps and not boundary_hit:
-            i, prev = sweep_block(direction, di, i, prev)
+            i = sweep_block(direction, di, i)
     log.emit(event="end", regions=model.k,
              active_sets=[list(r.active_set) for r in model.regions])
     return cast(model, precision)

@@ -18,7 +18,6 @@ from cfqp.discovery import (
     _EXTENT_CAP,
     _EXTENT_RESOLUTION,
     _MAX_EXPANSIONS_PER_POINT,
-    _MAX_HALVINGS,
     Direction,
     DiscoveryLog,
     SearchPattern,
@@ -503,21 +502,21 @@ def reference_discover(problem, theta0, pattern, tol=1e-10, precision=64, log=No
             current = region
             last_set = region.active_set
 
-    def expand_at(theta, di, pi, depth):
+    def expand_at(theta, di, pi):
         nonlocal model, current
         for _ in range(_MAX_EXPANSIONS_PER_POINT):
             scalar = evaluate(theta)
             log.emit(
                 event="point", direction=di, index=pi, kkt=scalar,
-                region=current.id, depth=depth,
+                region=current.id, depth=0,
             )
             if scalar <= tol:
                 settle(theta, di, pi)
-                return True
+                return
             try:
                 tr = discovery.identify_transition(problem, model, current, theta)
-            except UnresolvableTransition:
-                return None
+            except UnresolvableTransition as exc:
+                return abandon(theta, di, pi, "no_transition", exc)
             if tr.kind == "add":
                 new_set = ActiveSet(set(current.active_set) | {tr.constraint})
             else:
@@ -529,47 +528,32 @@ def reference_discover(problem, theta0, pattern, tol=1e-10, precision=64, log=No
                     r for r in model.regions if r.active_set == new_set
                 )
                 if existing.id == current.id:
-                    return None
+                    return abandon(theta, di, pi, "no_transition")
                 current = existing
                 continue
-            except SingularActiveJacobian:
-                return abandon(theta, di, pi, "singular_expansion")
+            except SingularActiveJacobian as exc:
+                return abandon(theta, di, pi, "singular_expansion", exc)
             current = model.regions[-1]
             log.emit(
                 event="transition", direction=di, index=pi,
                 kind=tr.kind, constraint=tr.constraint,
                 region=current.id, active_set=list(new_set),
             )
-        return abandon(theta, di, pi, "expansion_limit")
+        abandon(theta, di, pi, "expansion_limit")
 
-    def resolve(theta, lo_theta, di, pi):
-        pending = [(theta, lo_theta, 0)]
-        while pending:
-            theta, lo_theta, depth = pending.pop()
-            passed = expand_at(theta, di, pi, depth)
-            if passed is None:
-                if depth >= _MAX_HALVINGS:
-                    return abandon(theta, di, pi, "halving_limit")
-                mid = lo_theta + (theta - lo_theta).scale(0.5)
-                pending += [(theta, mid, depth + 1), (mid, lo_theta, depth + 1)]
-            elif not passed:
-                return False
-        return True
-
-    def abandon(theta, di, pi, reason):
+    def abandon(theta, di, pi, reason, cause=None):
         nonlocal boundary_hit
         if not is_feasible(problem, theta):
             log.emit(event="boundary", direction=di, index=pi, reason=reason)
             boundary_hit = True
-            return False
-        if strict:
+        elif strict:
             raise UnresolvableTransition(
                 f"cannot resolve KKT violation at direction {di} point {pi} "
                 f"({reason})"
-            )
-        log.emit(event="warning", kind="unresolved", direction=di,
-                 index=pi, reason=reason)
-        return False
+            ) from cause
+        else:
+            log.emit(event="warning", kind="unresolved", direction=di,
+                     index=pi, reason=reason)
 
     boundary_hit = False
     for di, direction in enumerate(pattern.directions):
@@ -577,13 +561,8 @@ def reference_discover(problem, theta0, pattern, tol=1e-10, precision=64, log=No
         boundary_hit = False
         anchor = locate_region(model, direction.start)
         last_set = anchor.active_set if anchor is not None else seed.active_set
-        resolve(direction.start, theta0, di, 0)
-        if boundary_hit:
-            continue
-        prev = direction.start
-        for i in range(1, direction.max_steps + 1):
-            target = direction.point(i)
-            prev = target if resolve(target, prev, di, i) else direction.start
+        for i in range(direction.max_steps + 1):
+            expand_at(direction.point(i) if i else direction.start, di, i)
             if boundary_hit:
                 break
     log.emit(event="end", regions=model.k,

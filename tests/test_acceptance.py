@@ -289,8 +289,8 @@ def test_criterion_05_continuity(two_param, model_2d):
 
 
 def single_transition_violations(log):
-    """Warnings that mark a step where the active set tried to change by
-    more than one constraint even after step halving."""
+    """Warnings that mark a step where the active set changed by more than
+    one constraint, or where no single transition explained a violation."""
     return [
         r for r in log.records
         if r["event"] == "warning" and r.get("kind") in
@@ -300,7 +300,7 @@ def single_transition_violations(log):
 
 def test_criterion_06_transition_structure(two_param, theta0_2d, box_problem):
     logs = []
-    for steps in (200, 8):  # the coarse sweep exercises step halving
+    for steps in (200, 8):  # the coarse sweep crosses a region per 100 MW step
         log = DiscoveryLog()
         discover(two_param, theta0_2d, two_param_pattern(theta0_2d, steps), log=log)
         logs.append(log)

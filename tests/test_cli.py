@@ -962,6 +962,18 @@ def test_failed_discover_leaves_no_file(problem_file, tmp_path, monkeypatch):
     assert set(tmp_path.iterdir()) == before
 
 
+def test_unresolvable_discover_exits_7(problem_file, tmp_path, capsys):
+    """From (700, 100), point 2 of direction 2 (the -theta1 sweep) has no
+    single transition that explains its violation: strict discover exits 7
+    with one error line naming it, and leaves no model file."""
+    before = set(tmp_path.iterdir())
+    assert main(["discover", "--problem", problem_file, "--theta0", "700,100",
+                 "--steps", "200", "--out", str(tmp_path / "m.json")]) == EXIT_CODES["transition"]
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].endswith("direction 2 point 2 (no_transition)")
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_kkt_report_without_feasible_rows_writes_header_only(
     problem_file, model_2d_file, tmp_path, capsys
 ):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import cfqp.discovery
-from cfqp.cases import two_parameter_problem, two_parameter_theta0
-from cfqp.cli import build_parser
+from cfqp.cases import bundled_problem_json, two_parameter_problem, two_parameter_theta0
+from cfqp.cli import build_parser, main
 from cfqp.discovery import (
     Direction,
     DiscoveryLog,
@@ -22,8 +22,8 @@ from cfqp.discovery import (
     scaled_base_pattern,
 )
 from cfqp.errors import InfeasibleStart, ProblemFormatError, UnresolvableTransition
-from cfqp.model import cast, init_model, serialize
-from cfqp.oracle import feasible_array, is_feasible
+from cfqp.model import cast, deserialize, forward_array, init_model, locate_array, serialize
+from cfqp.oracle import brute_force_solve, feasible_array, is_feasible, kkt_scalars, solve
 from cfqp.problem import ActiveSet, ParameterPoint
 
 from conftest import box_pattern, box_qp, reference_feasible_extent, two_param_pattern
@@ -219,8 +219,8 @@ class TestDiscover:
             (1, 3, 4, 6),
         }
 
-    def test_coarse_steps_resolved_by_halving(self, two_param, theta0_2d):
-        # 8 steps of 100 MW skip whole regions; halving must recover all 4
+    def test_coarse_steps_find_all_four_regions(self, two_param, theta0_2d):
+        # 8 steps of 100 MW: each violation is still one transition away
         model = discover(
             two_param, theta0_2d, two_param_pattern(theta0_2d, steps=8)
         )
@@ -305,3 +305,51 @@ class TestDiscover:
         model32 = discover(problem, theta0, pattern, precision=32, log=log32)
         assert serialize(model32) == serialize(cast(model64, 32))
         assert log32.records == log64.records
+
+
+#: ROADMAP item 1: from these anchors, forward is wrong inside regions that
+#: locate_array places grid points in.
+ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: forward is not exact "
+                                               "wherever it locates from this anchor")
+
+
+@pytest.mark.parametrize("anchor", [
+    "100,100",
+    pytest.param("700,100", marks=ITEM_1),
+    pytest.param("100,644", marks=ITEM_1),
+    pytest.param("272,100", marks=ITEM_1),
+    pytest.param("-500,-500", marks=ITEM_1),
+    "0,900",
+])
+def test_forward_exact_where_located_from_any_anchor(tmp_path, anchor):
+    """The lenient model of the command line's default pattern from each
+    anchor: at every feasible point of a 93 x 93 grid of [-1000, 1300]^2
+    that locate_array places in a region, forward's KKT scalar is at most
+    1e-8 and the region's active set is oracle.solve's, and on a seeded
+    subsample of 100 of them brute_force_solve's."""
+    problem = two_parameter_problem()
+    problem_file, model_file = tmp_path / "problem.json", tmp_path / "model.json"
+    problem_file.write_text(bundled_problem_json())
+    assert main(["discover", "--problem", str(problem_file), f"--theta0={anchor}",
+                 "--steps", "200", "--lenient", "--out", str(model_file)]) == 0
+    model = deserialize(model_file.read_bytes(), problem)
+    axis = np.linspace(-1000.0, 1300.0, 93)
+    Theta = np.zeros((93 * 93, problem.d))
+    Theta[:, problem.n:problem.n + 2] = np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)
+    Theta = Theta[feasible_array(problem, Theta)]
+    rows = locate_array(model, Theta)
+    located = np.flatnonzero(rows >= 0)
+    X, Lam, Mu, _ = forward_array(model, Theta[located])
+    scalars = kkt_scalars(problem, X, Lam, Mu, Theta[located])
+    wrong = np.count_nonzero(~(scalars <= 1e-8))
+    assert not wrong, f"{wrong} of {len(located)} located points have KKT > 1e-8"
+
+    def active_set(i):
+        return model.regions[rows[i]].active_set
+
+    thetas = {i: ParameterPoint.from_stacked(problem, Theta[i]) for i in located.tolist()}
+    assert [i for i, theta in thetas.items() if solve(problem, theta).active_set
+            != active_set(i)] == []
+    sample = np.random.default_rng(0).choice(located, min(100, len(located)), replace=False)
+    assert [i for i in sample.tolist() if brute_force_solve(problem, thetas[i]).active_set
+            != active_set(i)] == []

@@ -1,6 +1,6 @@
 """discover evaluates each sweep in blocks and replays them in order; its
 model and log must be exactly those of the point-by-point walk
-(conftest.reference_discover), halving and abandoned points included."""
+(conftest.reference_discover), abandoned points included."""
 
 import collections
 import contextlib
@@ -128,20 +128,20 @@ def test_fixture_outputs_are_pinned(files, tmp_path, argv, name):
     assert code == 0 and tuple(digests) == FIXTURE_DIGESTS[name]
 
 
-def test_lenient_halving_walk_is_pinned(files, tmp_path):
+def test_lenient_unresolved_walk_is_pinned(files, tmp_path):
     """The lenient walk from (700, 100), pinned as the fixtures are, with
-    its counters: 7,785 of its 8,727 points are halving midpoints and 314
-    are abandoned at the halving limit (its 315 warnings), so most blocks
-    resume after a halved or abandoned point, which the fixtures' walks
-    never do."""
+    its counters: 314 of its 810 points have no single transition that
+    explains their violation and are abandoned (with one
+    multi_constraint_jump, its 315 warnings), so most blocks resume after
+    an abandoned point, which the fixtures' walks never do."""
     code, *digests, lines = pinned_discover(files, tmp_path, [
         "--problem", "{problem}", "--theta0", "700,100", "--steps", "200", "--lenient"])
     assert code == 0 and tuple(digests) == (
         "b6251d05c5ececaf7a223b83c4d1469e5a316f8ef07f3404f3c96bf3400dcf73",
-        "a9b7630ef24355a01b049b5807da41007ea9e0de04e4a4e582cbcd881027fc68",
+        "1c7c20aba6a7f6d4719acb882d22a66125533e08ce18bbac7cf17c74f6a72837",
     )
     assert [line.rsplit(", extent", 1)[0] for line in lines if line.startswith("counters:")] == [
-        "counters: points 8727, halvings 7785, transitions 5, boundary 0, warnings 315"]
+        "counters: points 810, halvings 0, transitions 5, boundary 0, warnings 315"]
 
 
 def test_benchmark_discover_traffic(files, tmp_path, monkeypatch):
@@ -264,7 +264,7 @@ def test_random_box_qps_match_reference_walk(n, q_vals, c_vals, extents, steps, 
 
 
 # ---------------------------------------------------------------------------
-# Step halving and abandoned points, forced by refusing identify_transition
+# Abandoned points, forced by refusing identify_transition
 
 
 class Refuse:
@@ -287,13 +287,15 @@ def at(point):
 
 def refused_walks(monkeypatch, make_refuse, *args, **kwargs):
     """The block and reference walks, each with a fresh refusing
-    identify_transition; asserts they agree and returns the records."""
+    identify_transition; asserts they agree and returns the serialized
+    model or error message, and the records."""
     walks = []
     for fn in (discover, reference_discover):
         monkeypatch.setattr(discovery, "identify_transition", make_refuse())
         walks.append(walk(fn, *args, **kwargs))
     assert walks[0] == walks[1]
-    return [json.loads(line) for line in walks[0][1]]
+    out, lines = walks[0]
+    return out, [json.loads(line) for line in lines]
 
 
 #: Direction 0 of the two-parameter sweep expands the model at this point,
@@ -301,42 +303,54 @@ def refused_walks(monkeypatch, make_refuse, *args, **kwargs):
 EXPANDING_POINT = 43
 
 
-def test_forced_halving_matches_reference_walk(two_param, theta0_2d, monkeypatch):
+def test_refused_point_matches_reference_walk(two_param, theta0_2d, monkeypatch):
+    """The point that expands the model, refused once: the lenient walk
+    abandons it at once, with its one point record, and the strict walk
+    raises there, chained to the refusal."""
     pattern = two_param_pattern(theta0_2d)
     lines = walk(discover, two_param, theta0_2d, pattern)[1]
     assert any(f'"index": {EXPANDING_POINT}, "kind": "add"' in line for line in lines)
     target = pattern.directions[0].point(EXPANDING_POINT)
-    records = refused_walks(monkeypatch, lambda: Refuse(at(target), times=1),
-                            two_param, theta0_2d, pattern)
-    halved = [r for r in records if r["event"] == "point" and r["depth"] > 0]
-    assert halved and {r["index"] for r in halved} == {EXPANDING_POINT}
+
+    def refuse():
+        return Refuse(at(target), times=1)
+
+    _, records = refused_walks(monkeypatch, refuse, two_param, theta0_2d, pattern,
+                               strict=False)
+    at_target = [(r["event"], r.get("reason")) for r in records
+                 if r.get("direction") == 0 and r.get("index") == EXPANDING_POINT]
+    assert at_target == [("point", None), ("warning", "no_transition")]
     assert records[-1]["regions"] == 4
+    error, records = refused_walks(monkeypatch, refuse, two_param, theta0_2d, pattern)
+    assert error == (f"cannot resolve KKT violation at direction 0 point {EXPANDING_POINT} "
+                     "(no_transition)")
+    assert (records[-1]["event"], records[-1]["index"]) == ("point", EXPANDING_POINT)
+    monkeypatch.setattr(discovery, "identify_transition", refuse())
+    with pytest.raises(UnresolvableTransition) as info:
+        discover(two_param, theta0_2d, pattern)
+    assert str(info.value.__cause__) == "refused"
 
 
-def test_refused_sweep_start_is_reached_by_halving(monkeypatch):
-    """A sweep start outside the root region, with a -0.0 theta_e entry,
-    refused once: it is reached by halving from theta0, and the region it
-    opens keeps the start itself, -0.0 included, as its witness."""
+def test_sweep_start_keeps_negative_zero_witness():
+    """A sweep start outside the root region, with a -0.0 theta_e entry:
+    the region it opens keeps the start itself, -0.0 included, as its
+    witness."""
     problem = box_qp(3, [1.0] * 3, [0.0] * 3, bound=6.0)
     theta0 = ParameterPoint.zeros(problem)
     # x1 = -10 without bounds, so constraint 4 (x1 >= -6) binds at the start
     start = ParameterPoint(np.array([30.0, 0.0, 0.0]), np.array([-0.0]), np.zeros(problem.m2))
     pattern = SearchPattern([
         Direction(start=start, step=ParameterPoint.of_theta_e(problem, [0.5]), max_steps=4)])
-    records = refused_walks(monkeypatch, lambda: Refuse(at(start), times=1),
-                            problem, theta0, pattern)
-    halved = [r for r in records if r["event"] == "point" and r["depth"] > 0]
-    assert halved and {r["index"] for r in halved} == {0}
-    monkeypatch.setattr(discovery, "identify_transition", Refuse(at(start), times=1))
+    assert_same_walk(problem, theta0, pattern)
     model = discover(problem, theta0, pattern)
     assert [list(r.active_set) for r in model.regions] == [[], [4]]
     assert np.signbit(model.regions[1].witness_theta.theta_e[0])
 
 
 def test_abandoned_point_resets_the_sweep_anchor(two_param, theta0_2d, monkeypatch):
-    """Every theta between points 42 and 43 is refused, so point 43 is
-    abandoned after 20 halvings; point 44 is refused once, so its halving
-    starts from the midpoint between the sweep start and itself."""
+    """Point 43 is always refused and point 44 once: each is abandoned at
+    once, and the sweep goes on against the model it had, to its last
+    point."""
     direction = two_param_pattern(theta0_2d).directions[0]
     pattern = SearchPattern([direction])
     lo, hi = (direction.point(i).theta_e[0] for i in (EXPANDING_POINT - 1, EXPANDING_POINT))
@@ -347,17 +361,12 @@ def test_abandoned_point_resets_the_sweep_anchor(two_param, theta0_2d, monkeypat
         once = Refuse(at(after), times=1)
         return lambda *args: (segment if segment.refuse(args[-1]) else once)(*args)
 
-    evaluated = []
-    forward_array = discovery.forward_array
-    monkeypatch.setattr(discovery, "forward_array", lambda model, Theta: (
-        evaluated.extend(Theta), forward_array(model, Theta))[1])
-    records = refused_walks(monkeypatch, make_refuse, two_param, theta0_2d, pattern,
-                            strict=False)
+    _, records = refused_walks(monkeypatch, make_refuse, two_param, theta0_2d, pattern,
+                               strict=False)
     warnings = [r for r in records if r["event"] == "warning"]
     assert [(w["kind"], w["index"], w["reason"]) for w in warnings] == [
-        ("unresolved", EXPANDING_POINT, "halving_limit")]
-    mid = (direction.start + (after - direction.start).scale(0.5)).stacked()
-    assert any(np.array_equal(theta, mid) for theta in evaluated)
+        ("unresolved", EXPANDING_POINT, "no_transition"),
+        ("unresolved", EXPANDING_POINT + 1, "no_transition")]
     indices = [r["index"] for r in records if r["event"] == "point"]
     assert indices[-1] == direction.max_steps
-    assert EXPANDING_POINT + 1 in indices
+    assert EXPANDING_POINT + 2 in indices
