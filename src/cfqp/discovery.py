@@ -319,12 +319,15 @@ def discover(
     kernels :func:`forward_array` and :func:`kkt_scalars`, and a passing
     one through :func:`locate_array`: a sweep's points, its start first, in
     blocks, replayed in order so that the log and the model are those of a
-    point-by-point walk.  Each point is evaluated once per model: the
-    sweep's anchor region is row 0 of its first block, a failing row's
-    scalar is the first the expansion reads, and only a point whose model
-    has grown is evaluated again, as a block of one row.
+    point-by-point walk.  Each point is evaluated once per model: a block's
+    scalars hold through switches to regions the model already has and
+    past abandoned points, and a new block is evaluated only past the end
+    of the last one or when :func:`expand` adds a region, from the point
+    that grew the model.  Row 0 of a sweep's first block is located even
+    when it fails: it sets the sweep's anchor region.
     A point is abandoned when no single transition explains its violation,
-    when its expansion is singular or after 16 expansions.  An infeasible
+    when its expansion is singular, or after 16 expansions at that point,
+    to a new region or to one the model already has.  An infeasible
     abandoned point ends its sweep; a feasible one raises
     :class:`UnresolvableTransition`, or, with ``strict=False``, is logged
     as an ``unresolved`` warning and skipped.  Every point record has
@@ -347,12 +350,6 @@ def discover(
     log.emit(event="init", active_set=list(seed.active_set), degenerate=seed.degenerate)
 
     current = model.regions[0]
-    last_set = seed.active_set
-
-    def block_scalars(Theta):
-        """The KKT scalars of the model's solutions at Theta's rows."""
-        X, Lam, Mu, _ = forward_array(model, Theta)
-        return kkt_scalars(problem, X, Lam, Mu, Theta).tolist()
 
     def settle(row, di, pi):
         """Make region ``row``, which contains a passing point, the current
@@ -366,114 +363,94 @@ def discover(
         current, last_set = region, region.active_set
         return records
 
-    def expand_at(theta, di, pi, scalar):
-        """Expand the model until ``theta`` passes ``tol``, or abandon it.
-        ``scalar`` is theta's KKT scalar on the current model, or None if
-        not known."""
-        nonlocal model, current
-        Theta = theta.stacked()[None]
-        for _ in range(_MAX_EXPANSIONS_PER_POINT):
-            if scalar is None:
-                [scalar] = block_scalars(Theta)
-            log.emit(
-                event="point", direction=di, index=pi, kkt=scalar,
-                region=current.id, depth=0,
-            )
-            if scalar <= tol:
-                row = locate_array(model, Theta)[0]
-                if row >= 0:
-                    log.extend(settle(row, di, pi))
-                return
+    for di, direction in enumerate(pattern.directions):
+        log.emit(event="direction", direction=di, max_steps=direction.max_steps)
+        # The one-transition invariant is per sweep: last_set restarts at
+        # each direction, from row 0 of its first block.
+        boundary_hit, last_set, i, first, scalars, tries = False, None, 0, 0, [], 0
+        while i <= direction.max_steps and not boundary_hit:
+            if i == first + len(scalars) or model is not evaluated:
+                # Row k is bitwise direction.point(i + k), except that a
+                # start row is the start itself: start + 0 * step would
+                # turn a -0.0 entry into +0.0, and a failing point can
+                # become a region's witness.
+                index = np.arange(i, min(direction.max_steps + 1,
+                                         i + model.region_kernel.chunk_rows))
+                Theta = direction.start.stacked() + index[:, None] * direction.step.stacked()
+                Theta[index == 0] = direction.start.stacked()
+                X, Lam, Mu, _ = forward_array(model, Theta)
+                scalars = kkt_scalars(problem, X, Lam, Mu, Theta).tolist()
+                first, evaluated = i, model
+            j = i - first
+            passing = next((k for k in range(j, len(scalars)) if not scalars[k] <= tol),
+                           len(scalars))
+            if passing > j or last_set is None:
+                # A run of passing points, logged at once and settled where
+                # its region changes; row 0 of a sweep's first block is
+                # located even when it fails, for the sweep's anchor region.
+                rows = locate_array(model, Theta[j:max(passing, j + 1)]).tolist()
+                if last_set is None:
+                    last_set = (model.regions[rows[0]].active_set if rows[0] >= 0
+                                else seed.active_set)
+                records, settled = [], -1
+                for pi, row in zip(range(i, first + passing), rows):
+                    records.append(dict(event="point", direction=di, index=pi,
+                                        kkt=scalars[pi - first], region=current.id, depth=0))
+                    if row not in (-1, settled):
+                        records += settle(row, di, pi)
+                        settled = row
+                log.extend(records)
+                i, tries = first + passing, 0
+                continue
+            theta = ParameterPoint.from_stacked(problem, Theta[j].copy())
+            log.emit(event="point", direction=di, index=i, kkt=scalars[j],
+                     region=current.id, depth=0)
+            reason = cause = None
             try:
                 tr = identify_transition(problem, model, current, theta)
             except UnresolvableTransition as exc:
-                return abandon(theta, di, pi, "no_transition", exc)
-            if tr.kind == "add":
-                new_set = ActiveSet(set(current.active_set) | {tr.constraint})
+                reason, cause = "no_transition", exc
             else:
-                new_set = ActiveSet(set(current.active_set) - {tr.constraint})
-            try:
-                model = expand(model, current.id, new_set, theta)
-            except DuplicateRegion:
-                # never the current region: a transition adds an inactive
-                # constraint or drops an active one; the model, so the
-                # scalar, is unchanged
-                current = next(r for r in model.regions if r.active_set == new_set)
-                continue
-            except SingularActiveJacobian as exc:
-                # Adding this constraint overdetermines the KKT system:
-                # typically the sweep has reached the feasible boundary.
-                return abandon(theta, di, pi, "singular_expansion", exc)
-            current = model.regions[-1]
-            scalar = None
-            log.emit(
-                event="transition", direction=di, index=pi,
-                kind=tr.kind, constraint=tr.constraint,
-                region=current.id, active_set=list(new_set),
-            )
-        abandon(theta, di, pi, "expansion_limit")
-
-    def abandon(theta, di, pi, reason, cause=None):
-        """Give up on ``theta``: past the feasible boundary, end the sweep;
-        otherwise raise, chained to ``cause``, or in non-strict mode log a
-        warning."""
-        nonlocal boundary_hit
-        if not is_feasible(problem, theta):
-            log.emit(event="boundary", direction=di, index=pi, reason=reason)
-            boundary_hit = True
-        elif strict:
-            raise UnresolvableTransition(
-                f"cannot resolve KKT violation at direction {di} point {pi} "
-                f"({reason})"
-            ) from cause
-        else:
-            log.emit(event="warning", kind="unresolved", direction=di,
-                     index=pi, reason=reason)
-
-    def sweep_block(direction, di, first):
-        """Points ``first`` onwards of a sweep, as many as
-        :func:`locate_array` tests at a time, evaluated as one block and
-        replayed in order.  Row i is bitwise ``direction.point(i)``, except
-        that row 0 is the start itself (start + 0 * step would turn a -0.0
-        entry into +0.0, and a failing point can become a region's
-        witness).  Only the rows the replay reads are located: the passing
-        prefix, and row 0 of a sweep's first block, which sets the sweep's
-        anchor region.  The prefix is logged at once and settled where its
-        region changes; the first failing point goes through
-        ``expand_at``, with its scalar, which may change the model, so the
-        block ends there.  Returns the next point's index."""
-        nonlocal last_set
-        index = np.arange(first, min(direction.max_steps + 1,
-                                     first + model.region_kernel.chunk_rows))
-        Theta = direction.start.stacked() + index[:, None] * direction.step.stacked()
-        Theta[index == 0] = direction.start.stacked()
-        scalars, index = block_scalars(Theta), index.tolist()
-        passing = next((j for j, scalar in enumerate(scalars) if not scalar <= tol), len(index))
-        located = max(passing, int(first == 0))
-        rows = locate_array(model, Theta[:located]).tolist() if located else []
-        if first == 0:
-            # The one-transition invariant is per sweep: restart the
-            # tracked active set at each new direction.
-            last_set = model.regions[rows[0]].active_set if rows[0] >= 0 else seed.active_set
-        records, settled = [], -1
-        for i, scalar, row in zip(index[:passing], scalars, rows):
-            records.append(dict(event="point", direction=di, index=i, kkt=scalar,
-                                region=current.id, depth=0))
-            if row not in (-1, settled):
-                records += settle(row, di, i)
-                settled = row
-        log.extend(records)
-        if passing == len(index):
-            return first + passing
-        i = index[passing]
-        expand_at(direction.point(i) if i else direction.start, di, i, scalars[passing])
-        return i + 1
-
-    for di, direction in enumerate(pattern.directions):
-        log.emit(event="direction", direction=di, max_steps=direction.max_steps)
-        boundary_hit, i = False, 0
-        while i <= direction.max_steps and not boundary_hit:
-            i = sweep_block(direction, di, i)
+                if tr.kind == "add":
+                    new_set = ActiveSet(set(current.active_set) | {tr.constraint})
+                else:
+                    new_set = ActiveSet(set(current.active_set) - {tr.constraint})
+                try:
+                    model = expand(model, current.id, new_set, theta)
+                except DuplicateRegion:
+                    # never the current region: a transition adds an
+                    # inactive constraint or drops an active one; the
+                    # model, so the block's scalars, are unchanged
+                    current = next(r for r in model.regions if r.active_set == new_set)
+                except SingularActiveJacobian as exc:
+                    # Adding this constraint overdetermines the KKT system:
+                    # typically the sweep has reached the feasible boundary.
+                    reason, cause = "singular_expansion", exc
+                else:
+                    current = model.regions[-1]
+                    log.emit(
+                        event="transition", direction=di, index=i,
+                        kind=tr.kind, constraint=tr.constraint,
+                        region=current.id, active_set=list(new_set),
+                    )
+                tries += 1
+                if reason is None and tries == _MAX_EXPANSIONS_PER_POINT:
+                    reason = "expansion_limit"
+            if reason is not None:
+                # Give up on the point: past the feasible boundary, end the
+                # sweep; otherwise raise, or in non-strict mode log a warning.
+                if not is_feasible(problem, theta):
+                    log.emit(event="boundary", direction=di, index=i, reason=reason)
+                    boundary_hit = True
+                elif strict:
+                    raise UnresolvableTransition(
+                        f"cannot resolve KKT violation at direction {di} point {i} "
+                        f"({reason})"
+                    ) from cause
+                else:
+                    log.emit(event="warning", kind="unresolved", direction=di,
+                             index=i, reason=reason)
+                i, tries = i + 1, 0
     log.emit(event="end", regions=model.k,
              active_sets=[list(r.active_set) for r in model.regions])
     return cast(model, precision)

@@ -20,6 +20,7 @@ from cfqp.discovery import (
     Direction,
     DiscoveryLog,
     SearchPattern,
+    Transition,
     axis_sweep_pattern,
     discover,
     identify_transition,
@@ -146,18 +147,18 @@ def test_lenient_unresolved_walk_is_pinned(files, tmp_path):
 
 def test_benchmark_discover_traffic(files, tmp_path, monkeypatch):
     """The model and oracle calls of the benchmark's three discover runs
-    together.  Each point is evaluated once per model: a sweep's anchor
-    region comes from its first block and a failing row's scalar from its
-    block, so there is one forward_array and kkt_scalars pass per block
-    or re-evaluated point, 2,238 rows.  locate_array evaluates only the
-    rows the replay reads, 1,788: each block's passing prefix (and row 0
-    of a sweep's first block) and each point that passes after an
-    expansion.  The extent bisection asks is_feasible only for the three
-    start checks, and feasible_array once for the 20
-    in-band probes of the two unbounded two-parameter rays.  Each anchor
-    solves only the one active set the feasibility kernel accepts there,
-    not the 52, 19 and 73 nonsingular sets, and none falls back to
-    brute_force_solve."""
+    together.  Each point is evaluated once per model: a block's scalars
+    hold until expand adds a region, and the next block starts at the
+    point that grew the model, so there is one forward_array and
+    kkt_scalars pass per block, 39 blocks of 2,238 rows.  locate_array
+    evaluates only the rows the replay reads, 1,788: each block's passing
+    run (and row 0 of a sweep's first block), one call per block, as no
+    point of these walks is abandoned or needs a second expansion.  The
+    extent bisection asks is_feasible only for the three start checks, and
+    feasible_array once for the 20 in-band probes of the two unbounded
+    two-parameter rays.  Each anchor solves only the one active set the
+    feasibility kernel accepts there, not the 52, 19 and 73 nonsingular
+    sets, and none falls back to brute_force_solve."""
     calls, rows = collections.Counter(), collections.Counter()
     for module, name in [(discovery, name) for name in (
             "forward_array", "kkt_scalars", "locate_array", "is_feasible",
@@ -171,7 +172,7 @@ def test_benchmark_discover_traffic(files, tmp_path, monkeypatch):
     for argv in BENCHMARK_ARGVS:
         argv = [arg.format(**files) for arg in argv]
         assert cfqp.cli.main(["discover", *argv, "--out", str(tmp_path / "model")]) == 0
-    assert calls == {"forward_array": 50, "kkt_scalars": 50, "locate_array": 50,
+    assert calls == {"forward_array": 39, "kkt_scalars": 39, "locate_array": 39,
                      "is_feasible": 3, "feasible_array": 1, "solve_active_set": 3}
     assert rows == {"forward_array": 2238, "kkt_scalars": 2238, "locate_array": 1788,
                     "feasible_array": 20}
@@ -370,3 +371,103 @@ def test_abandoned_point_resets_the_sweep_anchor(two_param, theta0_2d, monkeypat
     indices = [r["index"] for r in records if r["event"] == "point"]
     assert indices[-1] == direction.max_steps
     assert EXPANDING_POINT + 2 in indices
+
+
+class Bounce:
+    """identify_transition, except that at thetas where ``where(theta)``
+    holds it answers at most ``times`` times (always, by default) with
+    constraint 1's transition, and otherwise defers to ``then``.  In the
+    two-parameter walk that moves between regions [3, 4] and [1, 3, 4],
+    which the model has from EXPANDING_POINT on, so each answer is a
+    DuplicateRegion switch and leaves the model as it was."""
+
+    def __init__(self, where, times=None, then=identify_transition):
+        self.where, self.times, self.then = where, times, then
+
+    def __call__(self, problem, model, region, theta):
+        if self.where(theta) and self.times != 0:
+            self.times = None if self.times is None else self.times - 1
+            return Transition("drop" if 1 in region.active_set else "add", 1)
+        return self.then(problem, model, region, theta)
+
+
+#: Direction 0's second point that expands the model, in the block that
+#: starts at EXPANDING_POINT.
+SECOND_EXPANDING_POINT = 150
+
+
+def test_expansion_cap_counts_each_point_alone(two_param, theta0_2d, monkeypatch):
+    """A point that only ever switches between regions the model has is
+    abandoned after 16 switches, with reason expansion_limit.  Lenient,
+    SECOND_EXPANDING_POINT switches four times and is then refused, and
+    the next point, in the same block, switches until the cap: the count
+    restarts at each point."""
+    pattern = two_param_pattern(theta0_2d)
+    first, second = (pattern.directions[0].point(SECOND_EXPANDING_POINT + k) for k in (0, 1))
+
+    def at_point(records, k):
+        """Each record of direction 0's point SECOND_EXPANDING_POINT + k:
+        a point's current region, or a warning's reason."""
+        return [r.get("reason", r.get("region")) for r in records
+                if r.get("direction") == 0 and r.get("index") == SECOND_EXPANDING_POINT + k]
+
+    error, records = refused_walks(monkeypatch, lambda: Bounce(at(first)),
+                                   two_param, theta0_2d, pattern)
+    assert error == (f"cannot resolve KKT violation at direction 0 point "
+                     f"{SECOND_EXPANDING_POINT} (expansion_limit)")
+    assert at_point(records, 0) == [1, 0] * 8
+
+    def make_bounce():
+        return Bounce(at(second), then=Bounce(at(first), times=4, then=Refuse(at(first))))
+
+    _, records = refused_walks(monkeypatch, make_bounce, two_param, theta0_2d, pattern,
+                               strict=False)
+    assert at_point(records, 0) == [1, 0, 1, 0, 1, "no_transition"]
+    assert at_point(records, 1) == [1, 0] * 8 + ["expansion_limit"]
+    assert records[-1]["regions"] == 4
+
+
+def count_evaluations(monkeypatch):
+    """Wrap forward_array: a Counter of its theta rows, each keyed by the
+    number of directions logged so far and by the model it is evaluated
+    on."""
+    counts, models, directions = collections.Counter(), [], 0
+    emit, forward_array = DiscoveryLog.emit, discovery.forward_array
+
+    def emitting(self, **record):
+        nonlocal directions
+        directions += record["event"] == "direction"
+        emit(self, **record)
+
+    def evaluating(model, Theta):
+        models.append(model)  # so that no two models share an id
+        counts.update((directions, id(model), row.tobytes()) for row in Theta)
+        return forward_array(model, Theta)
+
+    monkeypatch.setattr(DiscoveryLog, "emit", emitting)
+    monkeypatch.setattr(discovery, "forward_array", evaluating)
+    return counts
+
+
+def test_lenient_walk_evaluates_no_row_twice_on_one_model(files, tmp_path, monkeypatch):
+    """Within a direction, no theta row goes through forward_array twice on
+    the same model: a block's scalars hold past the 314 abandoned points
+    of the lenient walk from (700, 100)."""
+    counts = count_evaluations(monkeypatch)
+    assert cfqp.cli.main(["discover", "--problem", files["problem"], "--theta0", "700,100",
+                          "--steps", "200", "--lenient", "--out", str(tmp_path / "model")]) == 0
+    assert counts and max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("refused_walk", [
+    test_refused_point_matches_reference_walk,
+    test_abandoned_point_resets_the_sweep_anchor,
+    test_expansion_cap_counts_each_point_alone,
+])
+def test_refused_walks_evaluate_no_row_twice_on_one_model(two_param, theta0_2d, monkeypatch,
+                                                          refused_walk):
+    """The refused-point walks, each of whose abandoned points leaves its
+    block's scalars standing."""
+    counts = count_evaluations(monkeypatch)
+    refused_walk(two_param, theta0_2d, monkeypatch)
+    assert counts and max(counts.values()) == 1
