@@ -361,6 +361,8 @@ def cmd_discover(args) -> int:
         else:
             if not args.extent:
                 raise CliError("--extent is required for the scaled pattern")
+            if not theta0.stacked().any():
+                raise CliError("the scaled pattern needs a nonzero --theta0 (anchors k * theta0)")
             pattern = scaled_base_pattern(
                 theta0, _parse_scales(args.scales), args.steps,
                 _parse_theta_e(problem, args.extent, "--extent"),

@@ -38,6 +38,7 @@ from .model import (  # noqa: F401
     region_residuals,
 )
 from .oracle import (  # noqa: F401
+    ORACLE_TOL,
     brute_force_solve,
     feasible_array,
     is_feasible,
@@ -61,9 +62,6 @@ __all__ = [
 ]
 
 _MAX_EXPANSIONS_PER_POINT = 16
-
-#: Normalized violation below which identify_transition finds no change.
-_TRANSITION_TOL = 1e-9
 
 #: feasible_extent's largest step length, and its bisection resolution
 #: relative to max(1, step length).
@@ -148,19 +146,20 @@ def identify_transition(
 ) -> Transition:
     """Which single constraint change explains a KKT violation at theta.
 
-    From :func:`region_residuals` of the current region alone:
+    From the current region's row of :func:`region_residuals`:
     Add(k) is the non-active constraint with the largest positive
     normalized residual, Drop(k) the active constraint with the largest
     normalized negated multiplier.  When both occur the larger wins (add
-    on ties); the lowest index wins among equal entries.
+    on ties); the lowest index wins among equal entries.  Neither beyond
+    ORACLE_TOL, the oracle's tolerance, raises UnresolvableTransition.
     """
     theta.check_dims(problem)
     row = current_region.id
-    primal, drop = (part[0, 0] for part in region_residuals(model, theta.stacked()[None], [row]))
+    primal, drop = (part[0, row] for part in region_residuals(model, theta.stacked()[None]))
     add = np.where(model.active_mask[row], -np.inf, primal)
     add_norm = float(add.max(initial=0.0))
     drop_norm = float(drop.max(initial=0.0))
-    if add_norm <= _TRANSITION_TOL and drop_norm <= _TRANSITION_TOL:
+    if add_norm <= ORACLE_TOL and drop_norm <= ORACLE_TOL:
         raise UnresolvableTransition(
             "no violated constraint and no negative candidate multiplier "
             f"beyond tolerance at theta (add={add_norm:g}, drop={drop_norm:g})"

@@ -74,11 +74,6 @@ __all__ = [
 _FORMAT = "cfqp-model"
 _VERSION = 3
 
-#: Largest normalized critical-region violation :func:`locate_region`
-#: accepts.
-LOCATE_TOL = 1e-7
-
-
 @dataclass(frozen=True)
 class RegionEntry:
     """One critical region: its active set, discovery-tree parent and a
@@ -368,87 +363,24 @@ def batch_forward(
     ]
 
 
-def region_residuals(
-    model: ClosedFormModel, Theta: np.ndarray, regions=None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The critical-region test of every region (or of those at positions
-    ``regions``) at each row of an (N, d) array of stacked thetas, in float64.
-
-    Region i's multipliers mu_i and primal point x_i are its active
-    set's, read from set i of ``model.region_kernel``: bitwise the
-    feasibility kernel's, which the oracle's labels and anchor read.
-    Region i contains theta when x_i is primal feasible and its active
-    multipliers are nonnegative.  Returns two (N, k, m2) arrays:
-
-    * primal residuals b_C + theta_C - A_C x_i, divided by the data
-      scale max(1, |b_C + theta_C|);
-    * negated multipliers -mu_i, divided by the scale of region i's
-      active multipliers max(1, |mu_i[B_i]|), and -inf off its active
-      set B_i.
-
-    A positive entry is a violation.  The kernel's values for a set at a
-    theta depend neither on the other sets nor on the other thetas, so
-    neither do a region's residuals.  A non-finite theta is a
-    ProblemFormatError, as in every kernel (``MpQpProblem.theta_rows``).
-    """
-    problem, kernel = model.problem, model.region_kernel
-    if regions is not None:
-        kernel = kernel.restricted(regions)
-    Theta = problem.theta_rows(Theta)
-    v, scale = kernel._rows(problem, Theta)
-    N, (k, k_max) = len(Theta), kernel._index.shape
-    primal = v[k_max + 1:].transpose(1, 2, 0) / scale[:, None, None]
-    _, mu_scale = _multiplier_bounds(kernel, v)
-    # scatter each set's slots into its constraints; the padding slots,
-    # index 0, land in column 0, which is dropped
-    dual = np.full((N, k, 1 + problem.m2), -np.inf)
-    dual[:, np.arange(k)[:, None], kernel._index] = (-v[:k_max] / mu_scale).transpose(1, 2, 0)
-    return primal, dual[..., 1:]
-
-
-def _multiplier_bounds(kernel, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(N, S) least multipliers of each set's own slots, +inf for the empty
-    set, and scales max(1, |mu_B|) = max(1, max mu_B, -min mu_B), from the
-    kernel's slot-major values ``v``, whose padding slots become +inf.  A
-    padding slot holds a signed zero, or NaN where s_B overflowed; fmax
-    skips that NaN, and a real slot's NaN passes on through the least."""
-    mu = v[:kernel._index.shape[1]]
-    hi = np.fmax.reduce(mu, initial=1.0)
-    np.copyto(mu, np.inf, where=(kernel._index == 0).T[:, None])
-    lo = np.minimum.reduce(mu, initial=np.inf)
-    return lo, np.maximum(hi, -lo)
+def region_residuals(model: ClosedFormModel, Theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The critical-region test of every region at each row of an (N, d)
+    array of stacked thetas, ``model.region_kernel.residuals``: two (N, k,
+    m2) float64 arrays, the primal residuals over the data scale and the
+    negated active multipliers over their scale, -inf off the active set.
+    Region i contains theta when none of its entries is positive; they
+    are bitwise the feasibility kernel's for its set, whatever the other
+    regions and rows.  A non-finite theta is a ProblemFormatError."""
+    return model.region_kernel.residuals(model.problem, model.problem.theta_rows(Theta))
 
 
 def locate_array(model: ClosedFormModel, Theta: np.ndarray) -> np.ndarray:
     """Which discovered critical region contains each row of an (N, d)
-    array of stacked thetas: an (N,) array of region rows, -1 where none
-    does.  ``model.region_kernel.chunk_rows`` rows are tested at a time,
-    so the temporaries stay bounded for any N.
-
-    A region's violation is its largest :func:`region_residuals` entry
-    (its multiplier part is 0 for an empty active set, and its primal
-    part 0 when m2 = 0).  The region of smallest violation answers when
-    that violation is at most LOCATE_TOL; the first region wins a tie.
-    Each row's answer is what :func:`locate_region` gives for its theta.
-    It reads the kernel's slots without scattering them: division by a
-    positive scale is monotone, so the largest primal residual, and -min
-    mu_i[B_i], over their scales are bitwise those largest entries.
-    """
-    problem, kernel = model.problem, model.region_kernel
-    Theta = problem.theta_rows(Theta)
-    rows = np.empty(len(Theta), dtype=np.intp)
-    k_max = kernel._index.shape[1]
-    has_active = model.active_mask.any(-1)
-    for lo in range(0, len(Theta), kernel.chunk_rows):
-        v, scale = kernel._rows(problem, Theta[lo:lo + kernel.chunk_rows])
-        primal = np.maximum.reduce(v[k_max + 1:], initial=-np.inf) / scale[:, None]
-        least, mu_scale = _multiplier_bounds(kernel, v)
-        dual = np.where(has_active, -least / mu_scale, 0.0)
-        violation = np.maximum(primal, dual)
-        best = np.argmin(violation, -1)
-        inside = np.take_along_axis(violation, best[:, None], -1)[:, 0] <= LOCATE_TOL
-        rows[lo:lo + kernel.chunk_rows] = np.where(inside, best, -1)
-    return rows
+    array of stacked thetas, ``model.region_kernel.locate``: an (N,) array
+    of region rows, -1 where none does.  The region whose largest
+    :func:`region_residuals` entry is least answers if that is at most
+    ORACLE_TOL, the oracle's tolerance; the first region wins a tie."""
+    return model.region_kernel.locate(model.problem, model.problem.theta_rows(Theta))
 
 
 def locate_region(model: ClosedFormModel, theta: ParameterPoint) -> Optional[RegionEntry]:

@@ -264,8 +264,9 @@ class FeasibilityKernel:
     multipliers as v[:k_max + 1] and the residuals as v[k_max:] - [0, s],
     each with zeros added; a zero changes neither test (both tolerances
     are positive) and keeps the reductions defined when k_max or m2 is 0.
-    A model's critical-region test (``cfqp.model.region_residuals``) is
-    this kernel :meth:`restricted` to its regions' sets.
+    A model's critical-region test (``cfqp.model.region_residuals`` and
+    ``locate_array``) is :meth:`residuals` and :meth:`locate`, at
+    ORACLE_TOL too, of this kernel :meth:`restricted` to its regions' sets.
     """
 
     __slots__ = ("_index", "_stack", "_z0")
@@ -297,10 +298,10 @@ class FeasibilityKernel:
 
     @property
     def chunk_rows(self) -> int:
-        """Thetas :func:`feasible_array` (or ``cfqp.model.locate_array``, on
-        a restricted kernel) evaluates at a time, so that the (rows, S,
-        k_max + 1 + m2) stack product and its slot-major copy, the two
-        largest temporaries, each stay within _CHUNK_ELEMENTS."""
+        """Thetas :func:`feasible_array` and :meth:`locate` evaluate at a
+        time, so that the (rows, S, k_max + 1 + m2) stack product and its
+        slot-major copy, the two largest temporaries, each stay within
+        _CHUNK_ELEMENTS."""
         return max(1, _CHUNK_ELEMENTS // (self._stack.shape[0] * self._stack.shape[1]))
 
     def _rows(self, problem: MpQpProblem, Theta: np.ndarray):
@@ -329,6 +330,51 @@ class FeasibilityKernel:
         lo, hi = np.minimum.reduce(v[:k_max + 1]), np.maximum.reduce(v[:k_max + 1], initial=1.0)
         return ((lo >= -ORACLE_TOL * np.maximum(hi, -lo))
                 & (np.maximum.reduce(v[k_max:]) <= ORACLE_TOL * scale[:, None]))
+
+    def _multiplier_bounds(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(N, S) least multipliers mu_B, +inf for the empty set, and scales
+        max(1, |mu_B|), from :meth:`_rows`' ``v``, whose padding slots
+        become +inf.  A padding slot holds a signed zero, or NaN where s_B
+        overflowed; fmax skips that NaN, and the least keeps a real one."""
+        mu = v[:self._index.shape[1]]
+        hi = np.fmax.reduce(mu, initial=1.0)
+        np.copyto(mu, np.inf, where=(self._index == 0).T[:, None])
+        lo = np.minimum.reduce(mu, initial=np.inf)
+        return lo, np.maximum(hi, -lo)
+
+    def residuals(self, problem: MpQpProblem, Theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Two (N, S, m2) arrays at each row of an (N, d) theta array: each
+        set's residuals b_C + theta_C - A_C x over the data scale, and its
+        negated multipliers -mu over max(1, |mu_B|), -inf off B.  A
+        positive entry is a violation."""
+        v, scale = self._rows(problem, Theta)
+        (S, k_max), N = self._index.shape, len(Theta)
+        primal = v[k_max + 1:].transpose(1, 2, 0) / scale[:, None, None]
+        _, mu_scale = self._multiplier_bounds(v)
+        # the padding slots, index 0, land in column 0, which is dropped
+        dual = np.full((N, S, 1 + problem.m2), -np.inf)
+        dual[:, np.arange(S)[:, None], self._index] = (-v[:k_max] / mu_scale).transpose(1, 2, 0)
+        return primal, dual[..., 1:]
+
+    def locate(self, problem: MpQpProblem, Theta: np.ndarray) -> np.ndarray:
+        """(N,) positions: per theta row, the set whose largest
+        :meth:`residuals` entry (0 for an empty B's multipliers, and for the
+        residuals when m2 = 0) is least, if at most ORACLE_TOL, else -1;
+        the first set wins a tie.  Division by a positive scale is
+        monotone, so the slots are reduced unscattered, :attr:`chunk_rows`
+        rows at a time."""
+        rows = np.empty(len(Theta), dtype=np.intp)
+        k_max = self._index.shape[1]
+        has_active = self._index.any(1)  # k_max is 0 when every set is empty
+        for lo in range(0, len(Theta), self.chunk_rows):
+            v, scale = self._rows(problem, Theta[lo:lo + self.chunk_rows])
+            primal = np.maximum.reduce(v[k_max + 1:], initial=-np.inf) / scale[:, None]
+            least, mu_scale = self._multiplier_bounds(v)
+            violation = np.maximum(primal, np.where(has_active, -least / mu_scale, 0.0))
+            best = np.argmin(violation, -1)
+            inside = np.take_along_axis(violation, best[:, None], -1)[:, 0] <= ORACLE_TOL
+            rows[lo:lo + self.chunk_rows] = np.where(inside, best, -1)
+        return rows
 
     def ray_extents(
         self, problem: MpQpProblem, theta0: np.ndarray, D: np.ndarray

@@ -33,7 +33,7 @@ from cfqp.errors import (
     UnresolvableTransition,
 )
 from cfqp.model import cast, expand, forward, init_model, locate_region
-from cfqp.oracle import brute_force_solve, is_feasible, kkt_report
+from cfqp.oracle import ORACLE_TOL, brute_force_solve, is_feasible, kkt_report
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint, resolve_dtype
 
 
@@ -258,7 +258,7 @@ def reference_region_maps(model, theta):
     return x, mu
 
 
-def reference_locate_region(model, theta, tol=1e-7):
+def reference_locate_region(model, theta, tol=ORACLE_TOL):
     problem = model.problem
     xs, mus = reference_region_maps(model, theta)
     rhs = problem.b_C + theta.theta_C
@@ -277,7 +277,8 @@ def reference_locate_region(model, theta, tol=1e-7):
     return best
 
 
-def reference_identify_transition(problem, model, current_region, theta, tol=1e-9):
+def reference_identify_transition(problem, model, current_region, theta,
+                                  tol=ORACLE_TOL):
     theta.check_dims(problem)
     xs, mus = reference_region_maps(model, theta)
     x, mu_cand = xs[current_region.id], mus[current_region.id]

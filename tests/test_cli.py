@@ -875,6 +875,9 @@ class TestImportCase:
       "--scales", "2,1", "--extent", "100,100", "--steps", "5"], "--scales"),
     (["discover", "--problem", "PROBLEM", "--theta0", "100,100", "--pattern", "scaled",
       "--scales", "1,1", "--extent", "100,100", "--steps", "5"], "--scales"),
+    # every scale's anchor k * 0 is 0: the same sweeps once per scale
+    (["discover", "--problem", "PROBLEM", "--pattern", "scaled", "--scales", "1,1.5,2",
+      "--extent", "100,100", "--steps", "20"], "--theta0"),
     (["gen-data", "local", "--case", "CASE", "--count", "0"], "--count"),
     (["gen-data", "scaled", "--case", "CASE", "--count", "0"], "--count"),
     (["gen-data", "scaled", "--case", "CASE", "--count", "2", "--scales", "2,1"], "--scales"),
@@ -884,8 +887,8 @@ class TestImportCase:
     (["gen-data", "scaled", "--case", "MISSING", "--seed", str(2 ** 128)], "--seed"),
 ], ids=["discover-steps", "discover-extent-length", "discover-tol-nan",
         "discover-tol-inf", "discover-tol-negative", "discover-scales-order",
-        "discover-scales-repeated", "local-count", "scaled-count", "gen-data-scales-order",
-        "gen-data-scales-repeated", "extreme-steps",
+        "discover-scales-repeated", "discover-scaled-zero-theta0", "local-count",
+        "scaled-count", "gen-data-scales-order", "gen-data-scales-repeated", "extreme-steps",
         "local-seed-negative", "scaled-seed-too-large"])
 def test_bad_argument_is_usage_error(
     problem_file, case_file, tmp_path, capsys, monkeypatch, argv, flag

@@ -20,7 +20,7 @@ from cfqp.core import (
     rowwise_matvec,
     solve_active_set,
 )
-from cfqp.discovery import feasible_extent, identify_transition
+from cfqp.discovery import Transition, feasible_extent, identify_transition
 from cfqp.errors import Infeasible, ProblemFormatError, UnresolvableTransition
 from cfqp.model import (
     ClosedFormModel,
@@ -720,6 +720,54 @@ def test_region_residuals_per_region_and_per_row(n, q_vals, sets, tree, N, seed,
         assert np.array_equal(np.isfinite(part), finite)
         assert np.array_equal(part[~finite], want[~finite])
         assert np.abs(part[finite] - want[finite]).max(initial=0.0) <= 1e-12
+
+
+def root_at_violation(problem, target):
+    """The one-region model of the two-parameter problem rooted at [3, 4],
+    the oracle's set at (100, 100), and the theta on +e1 from there where
+    the root's largest region_residuals entry is ``target``, by bisection."""
+    theta0 = ParameterPoint.of_theta_e(problem, [100.0, 100.0])
+    model = init_model(problem, ActiveSet([3, 4]), theta0)
+    assert brute_force_solve(problem, theta0).active_set == model.regions[0].active_set
+
+    def worst(t):
+        theta = ParameterPoint.of_theta_e(problem, [100.0 + t, 100.0])
+        return max(part[0, 0].max() for part in region_residuals(model, theta.stacked()[None]))
+
+    lo, hi = 0.0, 800.0
+    assert worst(lo) <= target < worst(hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if worst(mid) <= target else (lo, mid)
+    assert abs(worst(lo) - target) <= 1e-12
+    return model, ParameterPoint.of_theta_e(problem, [100.0 + lo, 100.0])
+
+
+def root_accepted(problem, theta):
+    """Whether the feasibility kernel accepts the root's set [3, 4] at theta."""
+    accepted = problem.feasibility_kernel.accepts(problem, theta.stacked()[None])[0]
+    return bool(accepted[problem.nonsingular_sets.index((3, 4))])
+
+
+def test_one_tolerance_locates_only_where_the_oracle_accepts(two_param):
+    """Where the root's largest violation is 5e-8, above ORACLE_TOL, the
+    oracle rejects its set, so theta lies in no discovered region and the
+    violation names a transition."""
+    model, theta = root_at_violation(two_param, 5e-8)
+    assert not root_accepted(two_param, theta)
+    assert locate_region(model, theta) is None
+    assert identify_transition(two_param, model, model.regions[0], theta) == Transition("add", 1)
+
+
+def test_one_tolerance_gives_no_transition_where_the_oracle_accepts(two_param):
+    """Where the root's largest violation is 5e-9, below ORACLE_TOL, the
+    oracle accepts its set, so theta lies in the root and no transition
+    is needed."""
+    model, theta = root_at_violation(two_param, 5e-9)
+    assert root_accepted(two_param, theta)
+    assert locate_region(model, theta) == model.regions[0]
+    with pytest.raises(UnresolvableTransition):
+        identify_transition(two_param, model, model.regions[0], theta)
 
 
 def test_locate_array_exact_tie_goes_to_first_region(model_2d, box_model):
