@@ -538,7 +538,7 @@ def cmd_gen_data(args) -> int:
         raise CliError(f"--seed must be in [0, 2**128), got {args.seed}")
     case, problem = _load_case(args)
     with _output(args.out) as out:
-        scale_of = itertools.repeat(None)  # each row's scale, for scaled only
+        scale_of = []  # each row's scale, for scaled only
         if args.kind == "local":
             theta_e, feasible = dcopf.local_perturbation_dataset(
                 case, args.count, args.seed, problem=problem
@@ -554,22 +554,21 @@ def cmd_gen_data(args) -> int:
             for scale, count in zip(scales, counts):
                 print(f"scale {scale:g}: {count} of {args.count} feasible", file=sys.stderr)
             scale_of = np.repeat(scales, args.count).tolist()
-        rows = zip(theta_e.tolist(), feasible.tolist(), scale_of)
+        # One %-format writes the dataset: json.dumps's and csv.writer's
+        # text of each row, with repr for every float.
+        cells = ["%r"] * problem.m1
         if args.format == "jsonl":
-            for theta, flag, scale in rows:
-                rec = {"theta_e": theta, "feasible": flag}
-                if scale is not None:
-                    rec["scale"] = scale
-                out.write(json.dumps(rec) + "\n")
+            line = '{"theta_e": [' + ", ".join(cells) + '], "feasible": %s'
+            line += ', "scale": %r}\n' if scale_of else "}\n"
+            flags = np.where(feasible, "true", "false").tolist()
         else:
-            writer = csv.writer(out)
-            writer.writerow(
+            csv.writer(out).writerow(
                 [f"theta_e{i+1}" for i in range(problem.m1)] + ["feasible", "scale"]
             )
-            writer.writerows(
-                list(map(repr, theta)) + [int(flag), "" if scale is None else repr(scale)]
-                for theta, flag, scale in rows
-            )
+            line = ",".join(cells + ["%d", "%r" if scale_of else ""]) + "\r\n"
+            flags = feasible.tolist()
+        columns = theta_e.T.tolist() + [flags] + ([scale_of] if scale_of else [])
+        out.write((line * len(theta_e)) % tuple(itertools.chain.from_iterable(zip(*columns))))
     if args.out:
         print(f"{len(theta_e)} points written to {args.out}", file=sys.stderr)
     return 0

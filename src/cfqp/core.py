@@ -202,6 +202,7 @@ def lagrangian_gradients(
 
 def objective_value(problem: MpQpProblem, x: np.ndarray, theta: ParameterPoint) -> float:
     """z = x^T Q x + (C + theta_c)^T x + C0."""
+    theta.check_dims(problem)
     x = np.asarray(x, dtype=np.float64)
     return float(
         x @ problem.Q @ x + (problem.C + theta.theta_c) @ x + problem.C0

@@ -237,9 +237,9 @@ def feasible_extents(
     theta; only an in-band bisection midpoint asks :func:`is_feasible`."""
     theta0.check_dims(problem)
     for direction in directions:
-        direction.check_dims(problem)
         if not np.isfinite(direction.stacked()).all():
             raise ProblemFormatError("direction has non-finite entries")
+        direction.check_dims(problem)
         if not direction.stacked().any():
             raise ValueError("direction must be nonzero")
     if not directions:
@@ -401,7 +401,7 @@ def discover(
                 log.extend(records)
                 i, tries = first + passing, 0
                 continue
-            theta = ParameterPoint.from_stacked(problem, Theta[j].copy())
+            theta = ParameterPoint.from_stacked(problem, Theta[j])
             log.emit(event="point", direction=di, index=i, kkt=scalars[j],
                      region=current.id, depth=0)
             reason = cause = None

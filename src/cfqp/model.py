@@ -51,6 +51,7 @@ from .problem import (
     MpQpProblem,
     ParameterPoint,
     PrimalDualSolution,
+    _freeze,
     resolve_dtype,
 )
 
@@ -86,7 +87,7 @@ class RegionEntry:
     witness_theta: ParameterPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedFormModel:
     problem: MpQpProblem
     precision: int
@@ -105,9 +106,7 @@ class ClosedFormModel:
                 raise MalformedModel(
                     f"region {row} has parent {region.parent_id}, not an earlier region"
                 )
-        w0 = np.ascontiguousarray(self.W0, dtype=np.float64)
-        w0.setflags(write=False)
-        object.__setattr__(self, "W0", w0)
+        object.__setattr__(self, "W0", _freeze(self.W0, np.float64))
 
     @property
     def k(self) -> int:
@@ -293,7 +292,7 @@ def forward_array(
 
 def forward(model: ClosedFormModel, theta: ParameterPoint) -> PrimalDualSolution:
     """Full solution at one theta: the one-row case of :func:`forward_array`."""
-    Theta = model.problem.theta_rows(theta.check_dims(model.problem).stacked()[None])
+    Theta = theta.check_dims(model.problem).stacked()[None]
     X, Lam, Mu, objective = _forward_rows(model, Theta)
     return PrimalDualSolution(x=X[0], lam=Lam[0], mu=Mu[0], objective=objective[0])
 
@@ -462,8 +461,6 @@ def deserialize(data: bytes, problem: MpQpProblem) -> ClosedFormModel:
             )
             for rec in records
         )
-        if not all(np.isfinite(r.witness_theta.stacked()).all() for r in regions):
-            raise MalformedModel("a region witness has non-finite entries")
         sets = [r.active_set for r in regions]
         for row, active_set in enumerate(sets):
             if active_set in sets[:row]:

@@ -42,7 +42,7 @@ ORACLE_TOL = 1e-8
 _WALK_CHUNK = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KktReport:
     """Elementwise KKT violations.
 
@@ -192,7 +192,7 @@ def _accepted(problem: MpQpProblem, theta: ParameterPoint, sets=None):
     the data magnitude).  A weakly active set has a binding constraint
     with mu ~ 0.
     """
-    problem.theta_rows(theta.check_dims(problem).stacked()[None])
+    theta.check_dims(problem)
     primal_tol = ORACLE_TOL * float(np.abs(problem.b_C + theta.theta_C).max(initial=1.0))
     for indices in problem.nonsingular_sets if sets is None else sets:
         B = ActiveSet(indices)
@@ -236,7 +236,7 @@ def solve(problem: MpQpProblem, theta: ParameterPoint) -> OracleResult:
     :class:`FeasibilityKernel` accepts at theta; where its test accepts none
     of them, :func:`brute_force_solve` itself.  The two agree wherever the
     kernel's per-set decisions are the enumeration's."""
-    Theta = problem.theta_rows(theta.check_dims(problem).stacked()[None])
+    Theta = theta.check_dims(problem).stacked()[None]
     mask = problem.feasibility_kernel.accepts(problem, Theta)[0]
     sets = [B for B, ok in zip(problem.nonsingular_sets, mask) if ok]
     found = list(_accepted(problem, theta, sets))

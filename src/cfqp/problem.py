@@ -54,31 +54,22 @@ def resolve_dtype(precision: int) -> np.dtype:
     raise ValueError(f"precision must be 32 or 64, got {precision!r}")
 
 
-def _as_matrix(name, value, rows, cols):
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (rows, cols):
-        raise ProblemFormatError(
-            f"{name} must have shape ({rows}, {cols}), got {arr.shape}"
-        )
-    return arr
-
-
-def _as_vector(name, value, length):
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (length,):
-        raise ProblemFormatError(
-            f"{name} must have shape ({length},), got {arr.shape}"
-        )
-    return arr
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def _freeze(value, dtype=None) -> np.ndarray:
+    """A private read-only C-ordered copy of value (at dtype, if given):
+    a value type neither freezes nor aliases an array its caller holds."""
+    arr = np.array(value, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+def _shaped(name, value, shape):
+    arr = _freeze(value, np.float64)
+    if arr.shape != shape:
+        raise ProblemFormatError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class MpQpProblem:
     """Immutable mp-QP data: coefficients, dimensions, optional variable groups.
 
@@ -105,23 +96,15 @@ class MpQpProblem:
         n = np.asarray(self.Q).shape[0] if np.asarray(self.Q).ndim == 2 else -1
         if n <= 0:
             raise ProblemFormatError("Q must be a square 2-D matrix")
-        object.__setattr__(self, "Q", _freeze(_as_matrix("Q", self.Q, n, n)))
-        object.__setattr__(self, "C", _freeze(_as_vector("C", self.C, n)))
+        object.__setattr__(self, "Q", _shaped("Q", self.Q, (n, n)))
+        object.__setattr__(self, "C", _shaped("C", self.C, (n,)))
         object.__setattr__(self, "C0", float(self.C0))
-
-        A_e = np.asarray(self.A_e, dtype=np.float64)
-        if A_e.ndim != 2 or A_e.shape[1] != n:
-            raise ProblemFormatError(f"A_e must be m1 x {n}, got {A_e.shape}")
-        m1 = A_e.shape[0]
-        object.__setattr__(self, "A_e", _freeze(A_e))
-        object.__setattr__(self, "b_e", _freeze(_as_vector("b_e", self.b_e, m1)))
-
-        A_C = np.asarray(self.A_C, dtype=np.float64)
-        if A_C.ndim != 2 or A_C.shape[1] != n:
-            raise ProblemFormatError(f"A_C must be m2 x {n}, got {A_C.shape}")
-        m2 = A_C.shape[0]
-        object.__setattr__(self, "A_C", _freeze(A_C))
-        object.__setattr__(self, "b_C", _freeze(_as_vector("b_C", self.b_C, m2)))
+        for A, b, m in (("A_e", "b_e", "m1"), ("A_C", "b_C", "m2")):
+            rows = _freeze(getattr(self, A), np.float64)
+            if rows.ndim != 2 or rows.shape[1] != n:
+                raise ProblemFormatError(f"{A} must be {m} x {n}, got {rows.shape}")
+            object.__setattr__(self, A, rows)
+            object.__setattr__(self, b, _shaped(b, getattr(self, b), (len(rows),)))
         for name in ("Q", "C", "C0", "A_e", "b_e", "A_C", "b_C"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ProblemFormatError(f"{name} has non-finite entries")
@@ -132,7 +115,7 @@ class MpQpProblem:
             w = np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T))
             if w.min() < _PSD_EIG_TOL * max(1.0, abs(w).max()):
                 raise ProblemFormatError("Q must be positive semidefinite")
-        if m1 > 0 and np.linalg.matrix_rank(self.A_e) < m1:
+        if self.m1 > 0 and np.linalg.matrix_rank(self.A_e) < self.m1:
             raise ProblemFormatError("A_e must have full row rank")
         self.base_inverse  # factors the base KKT matrix: a singular one is refused
 
@@ -225,9 +208,10 @@ class MpQpProblem:
 
     def theta_rows(self, Theta) -> np.ndarray:
         """Theta as an (N, d) float64 array of finite stacked thetas: the
-        one guard every kernel's theta goes through (a NaN fails no
-        comparison, so it would pass every acceptance test).  Another
-        shape or a non-finite entry is a ProblemFormatError."""
+        guard of every theta array, as :meth:`ParameterPoint.check_dims` is
+        of one theta (a NaN fails no comparison, so it would pass every
+        acceptance test).  Another shape or a non-finite entry is a
+        ProblemFormatError."""
         Theta = np.asarray(Theta, dtype=np.float64)
         if Theta.ndim != 2 or Theta.shape[1] != self.d:
             raise ProblemFormatError(
@@ -301,7 +285,7 @@ class MpQpProblem:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterPoint:
     """The uncertainty vector theta = (theta_c, theta_e, theta_C)."""
 
@@ -311,10 +295,10 @@ class ParameterPoint:
 
     def __post_init__(self):
         for name in ("theta_c", "theta_e", "theta_C"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = _freeze(getattr(self, name), np.float64)
             if arr.ndim != 1:
                 raise ProblemFormatError(f"{name} must be a 1-D vector")
-            object.__setattr__(self, name, _freeze(arr))
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def zeros(cls, problem: MpQpProblem) -> "ParameterPoint":
@@ -323,8 +307,7 @@ class ParameterPoint:
     @classmethod
     def of_theta_e(cls, problem: MpQpProblem, theta_e) -> "ParameterPoint":
         """Pure equality-RHS perturbation (the common experimental case)."""
-        return cls(np.zeros(problem.n), np.asarray(theta_e, dtype=np.float64),
-                   np.zeros(problem.m2))
+        return cls(np.zeros(problem.n), theta_e, np.zeros(problem.m2))
 
     @classmethod
     def from_stacked(cls, problem: MpQpProblem, stacked) -> "ParameterPoint":
@@ -341,6 +324,9 @@ class ParameterPoint:
         return np.concatenate([self.theta_c, self.theta_e, self.theta_C])
 
     def check_dims(self, problem: MpQpProblem) -> "ParameterPoint":
+        """This point, if its parts fit the problem and are finite: the
+        guard of every function that takes one.  Either fault is a
+        ProblemFormatError."""
         if (self.theta_c.shape != (problem.n,)
                 or self.theta_e.shape != (problem.m1,)
                 or self.theta_C.shape != (problem.m2,)):
@@ -349,6 +335,8 @@ class ParameterPoint:
                 f"(expected {problem.n}/{problem.m1}/{problem.m2}, got "
                 f"{self.theta_c.shape[0]}/{self.theta_e.shape[0]}/{self.theta_C.shape[0]})"
             )
+        if not np.isfinite(self.stacked()).all():
+            raise ProblemFormatError("theta has non-finite entries")
         return self
 
     def __add__(self, other: "ParameterPoint") -> "ParameterPoint":
@@ -425,7 +413,7 @@ class ActiveSet:
         return f"ActiveSet({set(self.indices) if self.indices else '{}'})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimalDualSolution:
     """Optimal (x, lambda, mu) and the objective value."""
 
@@ -436,8 +424,8 @@ class PrimalDualSolution:
 
     def __post_init__(self):
         for name in ("x", "lam", "mu"):
-            arr = np.asarray(getattr(self, name))
+            arr = _freeze(getattr(self, name))
             if arr.ndim != 1:
                 raise ProblemFormatError(f"{name} must be a 1-D vector")
-            object.__setattr__(self, name, _freeze(arr))
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "objective", float(self.objective))

@@ -1,11 +1,20 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
 import pytest
 
+import cfqp
 from cfqp.cases import two_parameter_problem, two_parameter_theta0
-from cfqp.core import JacobianFactors, solve_active_set
+from cfqp.core import JacobianFactors, lagrangian_gradients, objective_value, solve_active_set
+from cfqp.discovery import (
+    SearchPattern,
+    discover,
+    feasible_extent,
+    feasible_extents,
+    identify_transition,
+)
 from cfqp.errors import DuplicateRegion, ProblemFormatError
 from cfqp.model import (
     batch_forward,
@@ -20,7 +29,7 @@ from cfqp.model import (
     region_residuals,
     serialize,
 )
-from cfqp.oracle import brute_force_solve, feasible_array, is_feasible, kkt_report
+from cfqp.oracle import brute_force_solve, feasible_array, is_feasible, kkt_report, solve
 from cfqp.problem import ActiveSet, MpQpProblem, ParameterPoint
 
 from conftest import reference_dense_forward
@@ -226,9 +235,18 @@ class TestForwardArray:
                 kernel(model_2d, np.zeros((3, model_2d.problem.d - 1)))
 
 
+def _root_solution(model):
+    return forward(model, model.regions[0].witness_theta)
+
+
+def _axis(model):
+    return ParameterPoint.of_theta_e(model.problem, np.eye(model.problem.m1)[0])
+
+
 class TestThetaGuard:
-    """Every kernel's theta goes through MpQpProblem.theta_rows, which
-    rejects what the oracles reject."""
+    """Every function's theta goes through ParameterPoint.check_dims, or
+    for an array MpQpProblem.theta_rows, which reject what the oracles
+    reject."""
 
     KERNELS = {
         "forward": lambda model, theta: forward(model, theta),
@@ -237,17 +255,55 @@ class TestThetaGuard:
         "locate_array": lambda model, theta: locate_array(model, theta.stacked()[None]),
         "locate_region": lambda model, theta: locate_region(model, theta),
         "region_residuals": lambda model, theta: region_residuals(model, theta.stacked()[None]),
+        "init_model": lambda model, theta: init_model(model.problem, ActiveSet(), theta),
+        "expand": lambda model, theta: expand(model, 0, ActiveSet([1]), theta),
+        "solve_active_set": lambda model, theta: solve_active_set(
+            model.problem, ActiveSet(), theta),
+        "lagrangian_gradients": lambda model, theta: lagrangian_gradients(
+            model.problem, _root_solution(model), theta),
+        "objective_value": lambda model, theta: objective_value(
+            model.problem, np.zeros(model.problem.n), theta),
+        "kkt_report": lambda model, theta: kkt_report(model.problem, _root_solution(model), theta),
+        "is_feasible": lambda model, theta: is_feasible(model.problem, theta),
+        "solve": lambda model, theta: solve(model.problem, theta),
+        "brute_force_solve": lambda model, theta: brute_force_solve(model.problem, theta),
+        "identify_transition": lambda model, theta: identify_transition(
+            model.problem, model, model.regions[0], theta),
+        "feasible_extent": lambda model, theta: feasible_extent(
+            model.problem, theta, _axis(model)),
+        "feasible_extents": lambda model, theta: feasible_extents(
+            model.problem, theta, [_axis(model)]),
+        "discover": lambda model, theta: discover(model.problem, theta, SearchPattern([])),
     }
+
+    #: They take a ParameterPoint but no problem to check it against.
+    UNGUARDED = {"axis_sweep_pattern", "scaled_base_pattern"}
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("part", ["theta_c", "theta_e", "theta_C"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_theta_rejected(self, model_2d, theta0_2d, kernel, part, value):
         parts = {name: getattr(theta0_2d, name).copy()
                  for name in ("theta_c", "theta_e", "theta_C")}
         parts[part][0] = value
         with pytest.raises(ProblemFormatError, match="non-finite"):
             self.KERNELS[kernel](model_2d, ParameterPoint(**parts))
+
+    def test_every_single_theta_entry_is_listed(self):
+        """Every public function of core, oracle, model and discovery with
+        a ParameterPoint parameter is in KERNELS, so a new single-theta
+        entry cannot skip the guard; the exceptions still are such
+        functions."""
+        takes_point = set()
+        for module in (cfqp.core, cfqp.oracle, cfqp.model, cfqp.discovery):
+            for name, f in vars(module).items():
+                if (inspect.isfunction(f) and f.__module__ == module.__name__
+                        and not name.startswith("_")
+                        and any("ParameterPoint" in str(p.annotation)
+                                for p in inspect.signature(f).parameters.values())):
+                    takes_point.add(name)
+        assert takes_point - self.UNGUARDED - set(self.KERNELS) == set()
+        assert self.UNGUARDED <= takes_point
 
     def test_wrong_split_rejected(self, model_2d, theta0_2d):
         """A point of the right total length whose theta_c/theta_e/theta_C

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from cfqp.discovery import Direction
 from cfqp.errors import ProblemFormatError
+from cfqp.oracle import brute_force_solve, kkt_report
 from cfqp.problem import (
     ActiveSet,
     MpQpProblem,
@@ -205,3 +207,54 @@ def test_primal_dual_solution_frozen():
     assert s.objective == 1.5
     with pytest.raises(ValueError):
         s.x[0] = 1.0
+
+
+class TestOwnership:
+    """A value type keeps private read-only copies of the arrays it is
+    given: the caller can still write its array, or the 2-D array whose
+    row it passed, and the write leaves the value unchanged."""
+
+    BUILDERS = {
+        "MpQpProblem": lambda p, mine: tiny_problem(
+            Q=mine(np.eye(2)), C=mine(np.ones(2)), A_e=mine(np.array([[1.0, 1.0]])),
+            b_e=mine(np.zeros(1)), A_C=mine(-np.eye(2)), b_C=mine(np.array([-5.0, -5.0]))),
+        "ParameterPoint": lambda p, mine: ParameterPoint(
+            mine(np.ones(p.n)), mine(np.ones(p.m1)), mine(np.ones(p.m2))),
+        "of_theta_e": lambda p, mine: ParameterPoint.of_theta_e(p, mine(np.ones(p.m1))),
+        "from_stacked": lambda p, mine: ParameterPoint.from_stacked(p, mine(np.ones(p.d))),
+        "PrimalDualSolution": lambda p, mine: PrimalDualSolution(
+            mine(np.ones(p.n)), mine(np.ones(p.m1)), mine(np.ones(p.m2)), 1.0),
+    }
+
+    @pytest.mark.parametrize("source", ["array", "row"])
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_caller_array_stays_the_callers(self, two_param, builder, source):
+        given = []
+
+        def mine(value):
+            arr = np.array(value) if source == "array" else np.stack([value, value])[0]
+            given.append(arr)
+            return arr
+
+        value = self.BUILDERS[builder](two_param, mine)
+        held = {name: arr for name, arr in vars(value).items() if isinstance(arr, np.ndarray)}
+        before = {name: arr.copy() for name, arr in held.items()}
+        for arr in given:
+            arr[...] = 5000.0  # raises if the value froze the caller's array
+        for name, arr in held.items():
+            assert not arr.flags.writeable
+            assert np.array_equal(arr, before[name]), name
+
+
+def test_value_types_compare_by_identity(model_2d, theta0_2d):
+    """Array-holding value types, and the dataclasses that hold them,
+    compare and hash by identity instead of raising."""
+    problem = model_2d.problem
+    result = brute_force_solve(problem, theta0_2d)
+    values = [problem, theta0_2d, result.solution, model_2d, model_2d.regions[0], result,
+              kkt_report(problem, result.solution, theta0_2d),
+              Direction(theta0_2d, ParameterPoint.of_theta_e(problem, [1.0, 0.0]), 3)]
+    for value in values:
+        assert value == value and hash(value) == hash(value)
+    twin = ParameterPoint.of_theta_e(problem, theta0_2d.theta_e)
+    assert twin != theta0_2d and len({twin, theta0_2d}) == 2
