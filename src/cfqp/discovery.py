@@ -237,7 +237,7 @@ def feasible_extents(
     theta; only an in-band bisection midpoint asks :func:`is_feasible`."""
     theta0.check_dims(problem)
     for direction in directions:
-        if not np.isfinite(direction.stacked()).all():
+        if not direction.finite:
             raise ProblemFormatError("direction has non-finite entries")
         direction.check_dims(problem)
         if not direction.stacked().any():

@@ -367,18 +367,19 @@ def region_residuals(model: ClosedFormModel, Theta: np.ndarray) -> Tuple[np.ndar
     array of stacked thetas, ``model.region_kernel.residuals``: two (N, k,
     m2) float64 arrays, the primal residuals over the data scale and the
     negated active multipliers over their scale, -inf off the active set.
-    Region i contains theta when none of its entries is positive; they
-    are bitwise the feasibility kernel's for its set, whatever the other
-    regions and rows.  A non-finite theta is a ProblemFormatError."""
+    Region i contains theta where its violation, its largest entry (0 if
+    its set is empty), is at most ORACLE_TOL; the entries are bitwise the
+    feasibility kernel's for its set, whatever the other regions and rows.
+    A non-finite theta is a ProblemFormatError."""
     return model.region_kernel.residuals(model.problem, model.problem.theta_rows(Theta))
 
 
 def locate_array(model: ClosedFormModel, Theta: np.ndarray) -> np.ndarray:
     """Which discovered critical region contains each row of an (N, d)
     array of stacked thetas, ``model.region_kernel.locate``: an (N,) array
-    of region rows, -1 where none does.  The region whose largest
-    :func:`region_residuals` entry is least answers if that is at most
-    ORACLE_TOL, the oracle's tolerance; the first region wins a tie."""
+    of region rows, -1 where none does: the region of least violation, its
+    largest :func:`region_residuals` entry, if that is at most ORACLE_TOL;
+    the first region wins a tie."""
     return model.region_kernel.locate(model.problem, model.problem.theta_rows(Theta))
 
 

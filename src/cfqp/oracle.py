@@ -187,26 +187,25 @@ def _accepted(problem: MpQpProblem, theta: ParameterPoint, sets=None):
     (KktReport scalar, cardinality, indices).
 
     Every set of ``MpQpProblem.nonsingular_sets``, or of ``sets``, a
-    subset in that order, is solved at theta.  Acceptance requires mu_B >=
-    -ORACLE_TOL and all inequality residuals <= ORACLE_TOL (both scaled by
-    the data magnitude).  A weakly active set has a binding constraint
-    with mu ~ 0.
+    subset in that order, is solved at theta and accepted where its
+    violation (:class:`FeasibilityKernel`'s number, from this solve) is at
+    most ORACLE_TOL, the dual half tested first.  A weakly active set, with
+    mu ~ 0 on a binding constraint, has a dual half of at least -ORACLE_TOL.
     """
     theta.check_dims(problem)
-    primal_tol = ORACLE_TOL * float(np.abs(problem.b_C + theta.theta_C).max(initial=1.0))
+    scale = float(np.abs(problem.b_C + theta.theta_C).max(initial=1.0))
     for indices in problem.nonsingular_sets if sets is None else sets:
         B = ActiveSet(indices)
         sol = solve_active_set(problem, B, theta)
-        k = len(B)
         mu_B = sol.mu[B.as_index_array()]
-        dual_scale = float(np.abs(mu_B).max(initial=1.0))
-        if k and mu_B.min() < -ORACLE_TOL * dual_scale:
+        dual = -mu_B.min(initial=np.inf) / np.abs(mu_B).max(initial=1.0)  # -inf when B is empty
+        if dual > ORACLE_TOL:
             continue
         gradients = lagrangian_gradients(problem, sol, theta)
-        if problem.m2 and gradients[2].max() > primal_tol:
+        if gradients[2].max(initial=-np.inf) / scale > ORACLE_TOL:
             continue
-        weak = bool(k and mu_B.min() <= ORACLE_TOL * dual_scale)
-        yield (_report(sol.mu, gradients).scalar, k, B.indices), sol, B, weak
+        weak = bool(dual >= -ORACLE_TOL)
+        yield (_report(sol.mu, gradients).scalar, len(B), B.indices), sol, B, weak
 
 
 def _optimum(found: list) -> OracleResult:
@@ -234,8 +233,9 @@ def brute_force_solve(
 def solve(problem: MpQpProblem, theta: ParameterPoint) -> OracleResult:
     """:func:`brute_force_solve`'s choice among the sets the problem's
     :class:`FeasibilityKernel` accepts at theta; where its test accepts none
-    of them, :func:`brute_force_solve` itself.  The two agree wherever the
-    kernel's per-set decisions are the enumeration's."""
+    of them, :func:`brute_force_solve` itself.  The two share the violation
+    formula but not its inputs, the kernel's slots and each set's solve,
+    which can round apart near a boundary: hence the fallback."""
     Theta = theta.check_dims(problem).stacked()[None]
     mask = problem.feasibility_kernel.accepts(problem, Theta)[0]
     sets = [B for B, ok in zip(problem.nonsingular_sets, mask) if ok]
@@ -261,12 +261,15 @@ class FeasibilityKernel:
     Matrix i of the (S, k_max + 1 + m2, k_max) stack holds
     [-H_BB^{-1}; 0; H[:, B] H_BB^{-1}] in its first |B| columns and zeros
     elsewhere.  So its product v with the picked slacks gives the
-    multipliers as v[:k_max + 1] and the residuals as v[k_max:] - [0, s],
-    each with zeros added; a zero changes neither test (both tolerances
-    are positive) and keeps the reductions defined when k_max or m2 is 0.
-    A model's critical-region test (``cfqp.model.region_residuals`` and
-    ``locate_array``) is :meth:`residuals` and :meth:`locate`, at
-    ORACLE_TOL too, of this kernel :meth:`restricted` to its regions' sets.
+    multipliers as v[:k_max], padded with zeros the tests skip, and the
+    residuals as v[k_max + 1:] - s.  A set's violation, the critical-region
+    test's one number, is the larger of its largest residual over the data
+    scale max(1, |b_C + theta_C|) and its least multiplier, negated, over
+    max(1, |mu_B|), or 0 for the empty set; it passes where that is at most
+    ORACLE_TOL, in :meth:`accepts`, :meth:`locate` and, from each set's own
+    solve, :func:`_accepted`.  A model's region test (``cfqp.model``'s
+    ``region_residuals`` and ``locate_array``) is this kernel
+    :meth:`restricted` to its regions' sets.
     """
 
     __slots__ = ("_index", "_stack", "_z0")
@@ -321,15 +324,18 @@ class FeasibilityKernel:
         v[k_max:] -= s.T[:, :, None]
         return v, np.abs(rhs).max(1, initial=1.0)
 
-    def accepts(self, problem: MpQpProblem, Theta: np.ndarray) -> np.ndarray:
-        """(N, S) booleans: set j passes :func:`_accepted`'s dual and primal
-        tests, with the same scalings, at row i of an (N, d) theta array.
-        The dual scale max(1, |mu|) is max(1, max mu, -min mu), exactly."""
+    def _violation(self, problem: MpQpProblem, Theta: np.ndarray) -> np.ndarray:
+        """(N, S) violations (see the class docstring) of every set at each
+        row of an (N, d) theta array; division by a positive scale is
+        monotone, so the slots are reduced unscattered."""
         v, scale = self._rows(problem, Theta)
-        k_max = self._index.shape[1]
-        lo, hi = np.minimum.reduce(v[:k_max + 1]), np.maximum.reduce(v[:k_max + 1], initial=1.0)
-        return ((lo >= -ORACLE_TOL * np.maximum(hi, -lo))
-                & (np.maximum.reduce(v[k_max:]) <= ORACLE_TOL * scale[:, None]))
+        primal = np.maximum.reduce(v[self._index.shape[1] + 1:], initial=-np.inf) / scale[:, None]
+        least, mu_scale = self._multiplier_bounds(v)
+        return np.maximum(primal, np.where(self._index.any(1), -least / mu_scale, 0.0))
+
+    def accepts(self, problem: MpQpProblem, Theta: np.ndarray) -> np.ndarray:
+        """(N, S) booleans: set j's violation at theta row i <= ORACLE_TOL."""
+        return self._violation(problem, Theta) <= ORACLE_TOL
 
     def _multiplier_bounds(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(N, S) least multipliers mu_B, +inf for the empty set, and scales
@@ -357,20 +363,13 @@ class FeasibilityKernel:
         return primal, dual[..., 1:]
 
     def locate(self, problem: MpQpProblem, Theta: np.ndarray) -> np.ndarray:
-        """(N,) positions: per theta row, the set whose largest
-        :meth:`residuals` entry (0 for an empty B's multipliers, and for the
-        residuals when m2 = 0) is least, if at most ORACLE_TOL, else -1;
-        the first set wins a tie.  Division by a positive scale is
-        monotone, so the slots are reduced unscattered, :attr:`chunk_rows`
-        rows at a time."""
+        """(N,) positions: per theta row, the set of least violation (its
+        largest :meth:`residuals` entry) if that is at most ORACLE_TOL, as
+        :meth:`accepts` decides, else -1; the first set wins a tie.
+        :attr:`chunk_rows` rows are evaluated at a time."""
         rows = np.empty(len(Theta), dtype=np.intp)
-        k_max = self._index.shape[1]
-        has_active = self._index.any(1)  # k_max is 0 when every set is empty
         for lo in range(0, len(Theta), self.chunk_rows):
-            v, scale = self._rows(problem, Theta[lo:lo + self.chunk_rows])
-            primal = np.maximum.reduce(v[k_max + 1:], initial=-np.inf) / scale[:, None]
-            least, mu_scale = self._multiplier_bounds(v)
-            violation = np.maximum(primal, np.where(has_active, -least / mu_scale, 0.0))
+            violation = self._violation(problem, Theta[lo:lo + self.chunk_rows])
             best = np.argmin(violation, -1)
             inside = np.take_along_axis(violation, best[:, None], -1)[:, 0] <= ORACLE_TOL
             rows[lo:lo + self.chunk_rows] = np.where(inside, best, -1)
@@ -384,20 +383,21 @@ class FeasibilityKernel:
         with a theta_C part: :func:`feasible_array` at theta0 + t * D[r] is
         True for every t <= t_in[r] and False for every t > t_out[r].
 
-        On such a ray the primal tolerance is constant and every set's
-        rows are affine in t, given by their values at t = 0 and 1, so
-        theta0 and theta0 + D[r] are evaluated in one block.  A ratio test
-        per set gives the t where it passes the tightest form of each
-        tolerance (dual scale 1, halved), which implies the kernel's tests,
-        and the loosest (dual scale bounded along the ray, doubled), which
-        they imply.  Both allow for an a priori bound on the rounding
-        error, and each interval end for its division.  t_out is the
-        largest end of a loose interval; t_in is the least t >= 0 that no
-        tight interval starting at or below it passes, the end of the
-        chain of tight intervals from 0, since one past a gap says nothing
-        about the gap.  A ray whose rounding bound overflows gets
-        (0, inf), which leaves every probe to the kernel.  Every ray's
-        bracket is bitwise what a block of that ray alone gives.
+        On such a ray the primal tolerance is constant and every set's rows
+        are affine in t, given by their values at t = 0 and 1, so theta0 and
+        theta0 + D[r] are evaluated in one block.  A ratio test per set gives
+        the t where it passes the tightest form of each tolerance (dual scale
+        1, halved), which implies the kernel's test, and the loosest (dual
+        scale bounded along the ray, doubled), which it implies; the test's
+        division by the scales, where these multiply ORACLE_TOL by them, moves
+        a verdict by one rounding only.  Both allow for an a priori bound on
+        the rounding error, and each interval end for its division.  t_out is
+        the largest end of a loose interval; t_in is the least t >= 0 that no
+        tight interval starting at or below it passes, the end of the chain of
+        tight intervals from 0, since one past a gap says nothing about the
+        gap.  A ray whose rounding bound overflows gets (0, inf), which leaves
+        every probe to the kernel.  Every ray's bracket is bitwise what a
+        block of that ray alone gives.
 
         The rays are bracketed _CHUNK_ELEMENTS // (20 * 2 S (k_max + 2 +
         m2)) at a time (at least one), so that the ratio test's

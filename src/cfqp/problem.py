@@ -323,6 +323,11 @@ class ParameterPoint:
         """[theta_c, theta_e, theta_C], aligned with B."""
         return np.concatenate([self.theta_c, self.theta_e, self.theta_C])
 
+    @cached_property
+    def finite(self) -> bool:
+        """Whether every entry is finite, decided once: the parts are read-only."""
+        return bool(np.isfinite(self.stacked()).all())
+
     def check_dims(self, problem: MpQpProblem) -> "ParameterPoint":
         """This point, if its parts fit the problem and are finite: the
         guard of every function that takes one.  Either fault is a
@@ -335,7 +340,7 @@ class ParameterPoint:
                 f"(expected {problem.n}/{problem.m1}/{problem.m2}, got "
                 f"{self.theta_c.shape[0]}/{self.theta_e.shape[0]}/{self.theta_C.shape[0]})"
             )
-        if not np.isfinite(self.stacked()).all():
+        if not self.finite:
             raise ProblemFormatError("theta has non-finite entries")
         return self
 

@@ -770,6 +770,68 @@ def test_one_tolerance_gives_no_transition_where_the_oracle_accepts(two_param):
         identify_transition(two_param, model, model.regions[0], theta)
 
 
+def empty_set_verdicts(problem, Theta):
+    """Per row of Theta: whether the one-region model of the empty set
+    locates it, whether the feasibility kernel accepts the empty set, and
+    whether the enumeration does."""
+    model = init_model(problem, ActiveSet(), ParameterPoint.zeros(problem))
+    assert problem.nonsingular_sets[0] == ()
+    located = (locate_array(model, Theta) == 0).tolist()
+    kernel = problem.feasibility_kernel.accepts(problem, Theta)[:, 0].tolist()
+    enumeration = [any(not B for _, _, B, _ in
+                       _accepted(problem, ParameterPoint.from_stacked(problem, theta)))
+                   for theta in Theta]
+    return list(zip(located, kernel, enumeration))
+
+
+def test_one_number_where_the_two_forms_rounded_apart():
+    """With b_C = (0, -3), x = 0 at theta_C = (t, 0): the empty set's
+    violation is t / 3, 1.0000000000000002e-08 here, which rejects it,
+    while t <= ORACLE_TOL * 3 holds.  locate, the kernel and the
+    enumeration all compare the violation, so all three reject it."""
+    problem = MpQpProblem(Q=np.eye(2), C=np.zeros(2), C0=0.0, A_e=np.ones((1, 2)),
+                          b_e=np.zeros(1), A_C=np.eye(2), b_C=np.array([0.0, -3.0]))
+    t = float.fromhex("0x1.01b2b29a4692cp-25")
+    assert t / 3.0 > cfqp.oracle.ORACLE_TOL and t <= cfqp.oracle.ORACLE_TOL * 3.0
+    Theta = np.array([[0.0, 0.0, 0.0, t, 0.0]])
+    model = init_model(problem, ActiveSet(), ParameterPoint.zeros(problem))
+    assert region_residuals(model, Theta)[0].max() == 1.0000000000000002e-08
+    assert empty_set_verdicts(problem, Theta) == [(False,) * 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    q_vals=st.lists(st.floats(min_value=0.5, max_value=8.0), min_size=4, max_size=4),
+    c_vals=st.lists(finite, min_size=4, max_size=4),
+    bounds=st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=8, max_size=8),
+    i=st.integers(min_value=0, max_value=7),
+)
+# the scale 3 of test_one_number_where_the_two_forms_rounded_apart
+@example(n=2, q_vals=[1.0] * 4, c_vals=[0.0] * 4, bounds=[0.0, 3.0] + [0.0] * 6, i=0)
+def test_one_number_across_a_primal_boundary(n, q_vals, c_vals, bounds, i):
+    """On a box QP with bound 0, theta_c = -C and theta_e = 0 put the base
+    solution at x = 0 exactly, and theta_C = -bounds makes the box
+    x_j <= bounds[j], x_j >= -bounds[n + j] around it, so constraint i's
+    residual is theta_C[i] itself and the data scale the largest other
+    bound (at least 1).  Stepping theta_C[i] by adjacent floats across the empty
+    set's boundary, ORACLE_TOL times that scale, reaches every residual
+    there: at each step the empty set's one-region model locates theta
+    exactly where the kernel and the enumeration accept the empty set."""
+    problem = box_qp(n, q_vals, c_vals, bound=0.0)
+    i %= problem.m2
+    theta_C = -np.asarray(bounds[:problem.m2])
+    theta_C[i] = 0.0
+    steps = [cfqp.oracle.ORACLE_TOL * max(1.0, -theta_C.min())]
+    for _ in range(20):
+        steps = [np.nextafter(steps[0], -np.inf), *steps, np.nextafter(steps[-1], np.inf)]
+    Theta = np.repeat(np.concatenate([-problem.C, [0.0], theta_C])[None], len(steps), 0)
+    Theta[:, problem.n + problem.m1 + i] = steps
+    verdicts = empty_set_verdicts(problem, Theta)
+    assert all(located == kernel == enumeration for located, kernel, enumeration in verdicts)
+    assert verdicts[0] == (True,) * 3 and verdicts[-1] == (False,) * 3
+
+
 def test_locate_array_exact_tie_goes_to_first_region(model_2d, box_model):
     """With a copy of any region appended, which ties the original at
     every theta, no witness locates in the copy."""
